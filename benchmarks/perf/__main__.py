@@ -1,4 +1,4 @@
-"""``python -m perfbench {measure|run|compare|child} ...``"""
+"""``python -m benchmarks.perf {measure|run|compare|child} ...``"""
 
 import sys
 
@@ -7,10 +7,10 @@ def _main() -> int:
     argv = sys.argv[1:]
     if argv[:1] == ["child"]:
         # Only the child imports numpy and the system under test.
-        from perfbench import child
+        from benchmarks.perf import child
 
         return child.main(argv[1:])
-    from perfbench import cli
+    from benchmarks.perf import cli
 
     return cli.main(argv)
 

@@ -1,10 +1,12 @@
 """One measured run of one workload, in a fresh process.
 
-Started by ``python -m perfbench child ...`` with the environment from
-:func:`perfbench.host.child_env` (one BLAS thread, ``src`` on the
+Started by ``python -m benchmarks.perf child ...`` with the environment from
+:func:`benchmarks.perf.host.child_env` (one BLAS thread, ``src`` on the
 path).  Prints one JSON record as the last line of standard output.
 
-Untraced runs report the end-to-end metrics.  Traced runs alternate an
+Untraced runs report the end-to-end metrics, plus the readings of
+``spec.READINGS`` (quality, and the operation tail under the tail
+rule, with its percentile and sample count).  Traced runs alternate an
 untraced and a traced task on the same input, report the per-layer
 metrics from the traced ones, and the ratio of the two task times as
 ``trace.overhead_share``.
@@ -24,11 +26,11 @@ import traceback
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from perfbench import spec
-from perfbench.host import fingerprint, load_average
-from perfbench.layers import Probe
-from perfbench.stats import summarize, tail
-from perfbench.workloads import MIN_CVR_AUC, WORKLOADS, TaskResult
+from benchmarks.perf import spec
+from benchmarks.perf.host import fingerprint, load_average
+from benchmarks.perf.layers import Probe
+from benchmarks.perf.stats import summarize, tail
+from benchmarks.perf.workloads import MIN_CVR_AUC, WORKLOADS, TaskResult
 
 
 def _tasks(workload, seconds: float, probe: Optional[Probe]):
@@ -73,6 +75,19 @@ def _failures(results: List[TaskResult]):
     return problems, failed
 
 
+def peak_rss_mb() -> float:
+    """This process's peak RSS plus the largest peak among its ended children.
+
+    The pool's workers are forked children, reaped when their fit ends;
+    ``RUSAGE_CHILDREN`` reports the largest of their peaks, so memory
+    that moves into the workers, or out of them, shows here.  Pages the
+    workers share copy-on-write with this process count in both terms.
+    """
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return (own + workers) / 1024.0
+
+
 def _end_to_end(results: List[TaskResult], setup: List[float]) -> Dict[str, Dict]:
     ops = [s for r in results for s in r.ops]
     op_tail = tail(ops)
@@ -87,10 +102,7 @@ def _end_to_end(results: List[TaskResult], setup: List[float]) -> Dict[str, Dict
             "percentile": op_tail["percentile"],
             "n": op_tail["n"],
         },
-        "peak_rss_mb": {
-            "median": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "n": 1,
-        },
+        "peak_rss_mb": {"median": peak_rss_mb(), "n": 1},
     }
     return {name: {"value": v["median"], **v} for name, v in values.items()}
 
@@ -121,11 +133,12 @@ def run(name: str, seed: int, seconds: float, trace: bool, workdir: Path) -> Dic
         raise RuntimeError(f"{name}: every task failed")
 
     problems, failed = _failures(results)
-    quality = {k: v for r in results for k, v in r.quality.items()}
-    if quality.get("cvr_auc", 1.0) < MIN_CVR_AUC:
-        problems.append(f"cvr_auc {quality['cvr_auc']:.4f} < {MIN_CVR_AUC}")
+    readings = {k: v for r in results for k, v in r.quality.items()}
+    if readings.get("cvr_auc", 1.0) < MIN_CVR_AUC:
+        problems.append(f"cvr_auc {readings['cvr_auc']:.4f} < {MIN_CVR_AUC}")
 
     declared = spec.load(spec.ROOT)
+    op_tail = None
     if trace:
         layer_values = probe.metrics(
             [r.seconds for r in plain], [r.seconds for r in traced]
@@ -140,6 +153,8 @@ def run(name: str, seed: int, seconds: float, trace: bool, workdir: Path) -> Dic
             m["name"]: {**measured[m["name"]], "unit": m["unit"]}
             for m in declared["end_to_end"]
         }
+        op_tail = measured["op_p99_ms"]
+        readings["op_p99_ms"] = op_tail["value"]
     return {
         **record,
         "status": "ok",
@@ -149,14 +164,15 @@ def run(name: str, seed: int, seconds: float, trace: bool, workdir: Path) -> Dic
         "problems": problems,
         "digest": plain[0].digest,
         "metrics": metrics,
-        "quality": quality,
+        "readings": readings,
+        "op_tail": op_tail,
         "host": fingerprint(),
         "load_after": load_average(),
     }
 
 
 def main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(prog="perfbench child")
+    parser = argparse.ArgumentParser(prog="benchmarks.perf child")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)

@@ -1,7 +1,7 @@
 """Parent-side commands: ``measure``, ``run`` and ``compare``.
 
 The parent never imports numpy or ``repro``: every measurement happens
-in a fresh child (``python -m perfbench child``) started with one BLAS
+in a fresh child (``python -m benchmarks.perf child``) started with one BLAS
 thread, one at a time, and waited for before the next starts.
 """
 
@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from perfbench import compare, spec
-from perfbench.host import child_env, load_average
-from perfbench.stats import summarize
+from benchmarks.perf import compare, spec
+from benchmarks.perf.host import child_env, load_average
+from benchmarks.perf.stats import summarize
 
 #: A child that has not finished by then is killed with its process group.
 CHILD_TIMEOUT_S = 170
@@ -31,7 +31,7 @@ class ChildFailed(RuntimeError):
 def run_child(workload: str, seed: int, seconds: float, trace: bool) -> Dict:
     """Start one measured child, wait for it, return its JSON record."""
     command = [
-        sys.executable, "-m", "perfbench", "child",
+        sys.executable, "-m", "benchmarks.perf", "child",
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(int(trace)),
     ]
@@ -74,7 +74,7 @@ def _check_checkout() -> Optional[str]:
 
 def measure(argv: List[str]) -> int:
     """One run; the last stdout line is the one-line JSON result."""
-    parser = argparse.ArgumentParser(prog="perfbench measure")
+    parser = argparse.ArgumentParser(prog="benchmarks.perf measure")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -84,15 +84,15 @@ def measure(argv: List[str]) -> int:
     if problem is None and args.workload not in {w["name"] for w in spec.load()["workloads"]}:
         problem = f"unknown workload {args.workload!r}"
     if problem is not None:
-        print(f"perfbench: {problem}", file=sys.stderr)
+        print(f"perf: {problem}", file=sys.stderr)
         return 2
     try:
         record = run_child(args.workload, args.seed, args.seconds, bool(args.trace))
     except ChildFailed as exc:
-        print(f"perfbench: {exc}", file=sys.stderr)
+        print(f"perf: {exc}", file=sys.stderr)
         return 1
     if record["status"] != "ok":
-        print(f"perfbench: {args.workload} skipped: {record['reason']}", file=sys.stderr)
+        print(f"perf: {args.workload} skipped: {record['reason']}", file=sys.stderr)
         return 3
     print(json.dumps(record, indent=1), file=sys.stderr)
     result = {
@@ -124,12 +124,13 @@ def _aggregate(declared: Dict, records: List[Dict], layers: Optional[Dict]) -> D
     for m in declared["end_to_end"]:
         values = [r["metrics"][m["name"]]["value"] for r in ok]
         metrics[m["name"]] = {**m, "values": values, **summarize(values)}
-    quality = {}
-    for name, (better, bound) in spec.QUALITY.items():
-        values = [r["quality"][name] for r in ok if name in r["quality"]]
+    readings = {}
+    for name, (better, bound, absolute) in spec.READINGS.items():
+        values = [r["readings"][name] for r in ok if name in r["readings"]]
         if values:
-            quality[name] = {
-                "better": better, "bound": bound, "values": values, **summarize(values),
+            readings[name] = {
+                "better": better, "bound": bound, "absolute": absolute,
+                "values": values, **summarize(values),
             }
     attempted = sum(r["attempted"] for r in ok) + crashed
     failed = sum(r["failed"] for r in ok) + crashed
@@ -141,7 +142,7 @@ def _aggregate(declared: Dict, records: List[Dict], layers: Optional[Dict]) -> D
         "failed_share": failed / attempted,
         "digests": [r["digest"] for r in ok],
         "metrics": metrics,
-        "quality": quality,
+        "readings": readings,
         "layers": layers,
         "runs": records,
     }
@@ -156,7 +157,7 @@ def _run_child_or_record(workload: str, seed: int, seconds: float, trace: bool) 
 
 def run(argv: List[str]) -> int:
     """K interleaved rounds of every workload, plus an optional traced round."""
-    parser = argparse.ArgumentParser(prog="perfbench run")
+    parser = argparse.ArgumentParser(prog="benchmarks.perf run")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--trace", action="store_true", help="add one traced round")
@@ -164,7 +165,7 @@ def run(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     problem = _check_checkout()
     if problem is not None:
-        print(f"perfbench: {problem}", file=sys.stderr)
+        print(f"perf: {problem}", file=sys.stderr)
         return 2
     declared = spec.load()
     names = [w["name"] for w in declared["workloads"]]
@@ -228,7 +229,7 @@ def summary(report: Dict) -> str:
             f"{name}: correct={w['correct']} failed_share={w['failed_share']:.3g} "
             f"digests_equal={len(set(w['digests'])) == 1}"
         )
-        for metric, m in {**w["metrics"], **w["quality"]}.items():
+        for metric, m in {**w["metrics"], **w["readings"]}.items():
             lines.append(
                 f"  {metric:<18} {m['median']:>12.6g} [{m['q1']:.6g}, {m['q3']:.6g}] "
                 f"n={m['n']} {m.get('unit', '')}"
@@ -242,7 +243,7 @@ def main(argv: List[str]) -> int:
     commands = {"measure": measure, "run": run, "compare": compare.main}
     if not argv or argv[0] not in commands:
         print(
-            "usage: python -m perfbench {measure|run|compare} ...\n"
+            "usage: python -m benchmarks.perf {measure|run|compare} ...\n"
             "  measure --workload W --seed S --seconds T --trace 0|1\n"
             "  run [--seed S] [--repeats K] [--trace] [--out FILE]\n"
             "  compare A.json B.json",

@@ -1,23 +1,27 @@
 """``compare A.json B.json``: per (workload, metric) verdicts between two runs.
 
-A verdict is read against the metric's bound from ``BENCHMARK.json``
-(a share of A's median; quality readings use an absolute bound):
+A verdict is read against the metric's bound from ``BENCHMARK.json``,
+or a reading's bound from ``spec.READINGS`` (a share of A's median;
+the quality readings use an absolute bound):
 
 * ``worse`` / ``improved`` -- B's median moved past the bound;
 * ``unchanged`` -- it stayed within the bound;
 * ``unresolved`` -- the run-to-run spread (interquartile distance over
   the median, the larger of the two sides) exceeds the bound, so the
   medians cannot be told apart -- unless every run on one side beats
-  every run on the other.
+  every run on the other *and* the medians moved past the bound.  Two
+  sets that separate completely but moved by less than the bound are
+  ``unchanged``: a slow stretch of the host can shift a whole set.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from perfbench.stats import relative_spread, summarize
+from benchmarks.perf import spec
+from benchmarks.perf.stats import relative_spread, summarize
 
 IMPROVED, UNCHANGED, WORSE, UNRESOLVED = "improved", "unchanged", "worse", "unresolved"
 
@@ -38,11 +42,8 @@ def verdict(
     else:
         change = sign * (sb["median"] - sa["median"]) / abs(sa["median"])
         spread = max(relative_spread(sa), relative_spread(sb))
-    if spread > bound:
-        if all(sign * (y - x) < 0 for x in a for y in b):
-            return IMPROVED
-        if all(sign * (y - x) > 0 for x in a for y in b):
-            return WORSE
+    separated = all(y < x for x in a for y in b) or all(y > x for x in a for y in b)
+    if spread > bound and not separated:
         return UNRESOLVED
     if change > bound:
         return WORSE
@@ -51,8 +52,13 @@ def verdict(
     return UNCHANGED
 
 
-def compare(a: Dict, b: Dict) -> List[Dict]:
-    """One row per (workload, metric) present in both run files."""
+def compare(a: Dict, b: Dict, bounds: Optional[Dict[str, float]] = None) -> List[Dict]:
+    """One row per (workload, metric) present in both run files.
+
+    ``bounds`` (metric -> bound) overrides the bounds the files recorded;
+    ``main`` passes the ones ``BENCHMARK.json`` declares.
+    """
+    bounds = bounds or {}
     rows: List[Dict] = []
     for name, wa in a["workloads"].items():
         wb = b["workloads"].get(name, {"status": "missing"})
@@ -63,11 +69,12 @@ def compare(a: Dict, b: Dict) -> List[Dict]:
             )
             continue
         same_digest = set(wa["digests"]) == set(wb["digests"]) and len(set(wa["digests"])) == 1
-        for kind, absolute in (("metrics", False), ("quality", True)):
+        for kind in ("metrics", "readings"):
             for metric, ma in wa[kind].items():
                 mb = wb[kind].get(metric)
                 if mb is None:
                     continue
+                bound = bounds.get(metric, ma["bound"])
                 rows.append(
                     {
                         "workload": name,
@@ -75,10 +82,10 @@ def compare(a: Dict, b: Dict) -> List[Dict]:
                         "unit": ma.get("unit", ""),
                         "a": summarize(ma["values"]),
                         "b": summarize(mb["values"]),
-                        "bound": ma["bound"],
+                        "bound": bound,
                         "verdict": verdict(
-                            ma["values"], mb["values"], ma["better"], ma["bound"],
-                            absolute=absolute,
+                            ma["values"], mb["values"], ma["better"], bound,
+                            absolute=ma.get("absolute", False),
                         ),
                     }
                 )
@@ -125,6 +132,7 @@ def render(rows: List[Dict]) -> str:
 
 def main(paths: Sequence[str]) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in paths)
-    rows = compare(a, b)
+    declared = {m["name"]: m["bound"] for m in spec.load()["end_to_end"]}
+    rows = compare(a, b, declared)
     print(render(rows))
     return 0

@@ -1,6 +1,6 @@
 """Per-layer probes for the traced round, and the per-layer metric table.
 
-A :class:`Probe` owns one :class:`~perfbench.trace.Tracer` and a bag of
+A :class:`Probe` owns one :class:`~benchmarks.perf.trace.Tracer` and a bag of
 counters.  It records spans three ways, all from outside ``src/``:
 
 * the engine's public ``Callback`` hooks -- the gap before
@@ -27,7 +27,7 @@ import statistics
 from collections import defaultdict
 from typing import Dict, List
 
-from perfbench.trace import Tracer, coverage, patch, self_times
+from benchmarks.perf.trace import Tracer, coverage, patch, self_times
 from repro.data.stream import as_source, shard_batch
 from repro.training.callbacks.base import Callback
 

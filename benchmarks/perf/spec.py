@@ -13,20 +13,27 @@ import re
 from pathlib import Path
 from typing import Dict, List
 
-ROOT = Path(__file__).resolve().parent.parent
+ROOT = Path(__file__).resolve().parents[2]
 SPEC_FILE = "BENCHMARK.json"
 #: Scratch space of running children, inside the checkout (git-ignored).
-WORK_DIR = ".perfbench_work"
+WORK_DIR = ".perf_work"
 
 NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 UNIT = re.compile(r"[A-Za-z0-9_/%.-]{1,16}")
 PATH = re.compile(r"[A-Za-z0-9_.\-/]{1,200}")
 KEYS = {"command", "paths", "run_seconds", "workloads", "end_to_end", "per_layer"}
 
-#: Quality readings: name -> (better, absolute bound used by ``compare``).
-#: They depend on the seed, so they are checked (``correct``) and
-#: compared, but not declared as end-to-end metrics with a share bound.
-QUALITY = {"cvr_auc": ("higher", 0.001), "month_regret": ("lower", 0.001)}
+#: Readings that every run records and ``compare`` judges, but that
+#: ``BENCHMARK.json`` does not declare: name -> (better, bound, absolute).
+#: The quality readings depend on the seed, so their bound is absolute.
+#: ``op_p99_ms`` follows the host more than the code: its ten-seed
+#: spread reached 0.30 on a 2-vCPU host, above the largest bound (0.25)
+#: the benchmark format allows, so it cannot be a declared metric there.
+READINGS = {
+    "cvr_auc": ("higher", 0.001, True),
+    "month_regret": ("lower", 0.001, True),
+    "op_p99_ms": ("lower", 0.25, False),
+}
 
 #: Per-layer metric -> (end-to-end metric it should move, on which
 #: workload).  ``BENCHMARK.json`` declares the same names.
@@ -163,6 +170,6 @@ def validate(data: Dict, size: int = 0) -> List[str]:
             f"{sorted(set(layer_names) ^ set(MOVES))}"
         )
     for layer, (metric, workload) in MOVES.items():
-        if metric not in e2e_names or workload not in names:
+        if (metric not in e2e_names and metric not in READINGS) or workload not in names:
             problems.append(f"{layer} moves unknown {metric!r} on {workload!r}")
     return problems

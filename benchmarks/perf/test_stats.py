@@ -3,7 +3,7 @@ import statistics
 
 import pytest
 
-from perfbench.stats import relative_spread, summarize, tail, tail_percentile
+from benchmarks.perf.stats import relative_spread, summarize, tail, tail_percentile
 
 
 @pytest.mark.parametrize(

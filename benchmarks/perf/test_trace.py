@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from perfbench.trace import Tracer, coverage, patch, self_times
+from benchmarks.perf.trace import Tracer, coverage, patch, self_times
 
 
 class FakeClock:

@@ -36,9 +36,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 import repro.simulation.month as month_module
-from perfbench.host import usable_cpus
-from perfbench.layers import TASK, Probe
-from perfbench.trace import patch
+from benchmarks.perf.host import usable_cpus
+from benchmarks.perf.layers import TASK, Probe
+from benchmarks.perf.trace import patch
 from repro.data.dataset import InteractionDataset
 from repro.data.loaders import ColumnSpec, export_csv_dataset
 from repro.data.scenarios import scenario_config
