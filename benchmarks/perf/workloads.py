@@ -2,10 +2,10 @@
 
 Each workload builds its inputs from the seed, then runs *tasks* (one
 end-to-end unit of user work) in a closed loop with one client until
-the time budget is spent.  A task returns its wall time, the latencies
-of its operations (training steps or served pages), its training
-throughput, and a determinism digest; the child turns those into the
-end-to-end metrics.
+the time budget is spent.  A task returns the time windows of its work,
+of its operations (training steps or served pages) and of its fits, the
+rows it trained, and a determinism digest; the child converts those
+into the end-to-end metrics.
 
 ==============  ==========================================================
 workload        one task
@@ -17,8 +17,8 @@ train_pool2     the same fit through a 2-worker pool, 6 epochs
 csv_to_pages    ``ChunkedCSVSource`` -> 3-epoch fit -> lifecycle submit
                 (gate, publish, promote) -> 2-replica fleet from the
                 registry -> 6,000 pages of 50 candidates
-month_smoke     one managed smoke month (2 tenants x 8 days) after its
-                build and bootstrap
+month_smoke     three managed smoke months (2 tenants x 8 days each),
+                each after its build and bootstrap
 ==============  ==========================================================
 """
 
@@ -31,13 +31,14 @@ import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 import repro.simulation.month as month_module
 from benchmarks.perf.host import usable_cpus
 from benchmarks.perf.layers import TASK, Probe
+from benchmarks.perf.reference import HostGauge, Part, Span
 from benchmarks.perf.trace import patch
 from repro.data.dataset import InteractionDataset
 from repro.data.loaders import ColumnSpec, export_csv_dataset
@@ -70,33 +71,52 @@ REPLICAS = 2
 
 @dataclass
 class TaskResult:
-    seconds: float
-    #: Latency of each operation (seconds): a training step, or a page.
-    ops: List[float]
-    train_rows_per_s: float
+    """One task's timestamps (``time.perf_counter``) and checks.
+
+    ``gauge`` took the reference samples during the task; the child
+    converts every span to seconds with it, by the kernel part given
+    beside it (``None``: the whole kernel).
+    """
+
+    gauge: HostGauge = field(repr=False)
+    #: The task's timed windows (one per month on ``month_smoke``; the
+    #: CSV, middle and page stretches on ``csv_to_pages``).
+    spans: List[Tuple[Span, Part]]
+    #: Each operation: a training step (its batch fetch included), or a
+    #: served page.
+    ops: List[Span]
+    op_part: Part
+    #: Rows times epochs trained, and the windows of the fits.
+    train_rows: int
+    train_spans: List[Span]
+    train_part: Part
+    #: Every task of a run runs on the same input and must give this digest.
     digest: str
-    #: Tasks with equal keys ran on equal inputs and must agree on ``digest``.
-    key: int = 0
-    #: Set-up paid inside the task (the month's build and bootstrap).
-    setup_s: Optional[float] = None
+    #: Set-up paid inside the task (each month's build and bootstrap).
+    setup_spans: List[Span] = field(default_factory=list)
     quality: Dict[str, float] = field(default_factory=dict)
     problems: List[str] = field(default_factory=list)
 
 
 class StepClock(Callback):
-    """Wall time of each optimizer step, its batch fetch included."""
+    """The window of each optimizer step, its batch fetch included.
 
-    def __init__(self) -> None:
-        self.samples: List[float] = []
+    The gauge samples the reference kernel between steps, outside the
+    windows.
+    """
+
+    def __init__(self, gauge: HostGauge) -> None:
+        self.gauge = gauge
+        self.steps: List[Span] = []
         self._last = 0.0
 
     def on_epoch_start(self, ctx) -> None:
         self._last = time.perf_counter()
 
     def on_batch_end(self, ctx) -> None:
-        now = time.perf_counter()
-        self.samples.append(now - self._last)
-        self._last = now
+        self.steps.append((self._last, time.perf_counter()))
+        self.gauge.tick()
+        self._last = time.perf_counter()
 
 
 def _span(probe: Optional[Probe], name: str):
@@ -118,15 +138,24 @@ def _cvr_auc(model, dataset: InteractionDataset) -> float:
 
 
 class Workload:
-    """Base: set-up is timed ``setup_repeats`` times; tasks run in a loop."""
+    """Base: set-up is timed ``setup_repeats`` times; tasks run in a loop.
 
-    #: Set-up takes 0.3-0.9 s; one reading swings by a third on a busy
+    ``gauge`` samples the reference kernel between the operations of
+    untraced tasks; traced tasks get ``quiet``, which never samples.
+    """
+
+    #: Set-up takes 0.3-1.3 s; one reading swings by a third on a busy
     #: host, so ``setup_s`` is a median of several.
-    setup_repeats = 5
+    setup_repeats = 3
 
     def __init__(self, seed: int, workdir: Path) -> None:
         self.seed = seed
         self.workdir = workdir
+        self.gauge = HostGauge()
+        self.quiet = HostGauge(math.inf)
+
+    def gauge_for(self, probe: Optional[Probe]) -> HostGauge:
+        return self.gauge if probe is None else self.quiet
 
     def skip_reason(self) -> Optional[str]:
         return None
@@ -183,18 +212,23 @@ class TrainWorkload(Workload):
                 self.problems.append("pool fit differs from serial sharded fit")
 
     def task(self, index, probe=None) -> TaskResult:
+        gauge = self.gauge_for(probe)
         model = self._model()
-        clock = StepClock()
+        clock = StepClock(gauge)
         callbacks = [clock] + ([probe.callback()] if probe else [])
         with _span(probe, TASK):
             start = time.perf_counter()
             fit_model(model, self.train, self._config(), callbacks=callbacks)
-            seconds = time.perf_counter() - start
+            span = (start, time.perf_counter())
         quality = {"cvr_auc": _cvr_auc(model, self.test)} if index == 0 else {}
         return TaskResult(
-            seconds=seconds,
-            ops=clock.samples,
-            train_rows_per_s=len(self.train) * self.epochs / seconds,
+            gauge=gauge,
+            spans=[(span, None)],
+            ops=clock.steps,
+            op_part=None,
+            train_rows=len(self.train) * self.epochs,
+            train_spans=[span],
+            train_part=None,
             digest=model_digest(model),
             quality=quality,
             problems=list(self.problems),
@@ -275,9 +309,10 @@ class CsvToPagesWorkload(Workload):
         fit_model(warm, train, TrainConfig(epochs=1, max_batches_per_epoch=4))
 
     def task(self, index, probe=None) -> TaskResult:
+        gauge = self.gauge_for(probe)
         registry_dir = self.workdir / f"registry-{index}"
-        callbacks = [probe.callback()] if probe else []
-        ops: List[float] = []
+        callbacks = [StepClock(gauge)] + ([probe.callback()] if probe else [])
+        ops: List[Span] = []
         pages: List[np.ndarray] = []
         shed = 0
         with _span(probe, TASK):
@@ -295,7 +330,7 @@ class CsvToPagesWorkload(Workload):
                     model, source, TrainConfig(epochs=self.EPOCHS, seed=self.seed),
                     callbacks=callbacks,
                 )
-                fit_seconds = time.perf_counter() - fit_start
+                fit_span = (fit_start, time.perf_counter())
             mapper = CsvIdMapper(self.world, source, probe)
             eval_set = mapper.dataset(self.test)
             manager = ModelLifecycleManager(ModelRegistry(registry_dir), factory)
@@ -307,6 +342,7 @@ class CsvToPagesWorkload(Workload):
                 )
             rng = np.random.default_rng(self.seed + 1)
             with _span(probe, "client.pages"):
+                pages_start = time.perf_counter()
                 for user, candidates in self.requests:
                     sent = time.perf_counter()
                     try:
@@ -314,9 +350,10 @@ class CsvToPagesWorkload(Workload):
                     except RequestShedError:
                         shed += 1
                         continue
-                    ops.append(time.perf_counter() - sent)
+                    ops.append((sent, time.perf_counter()))
                     pages.append(page)
-            seconds = time.perf_counter() - start
+                    gauge.tick()
+            end = time.perf_counter()
         shutil.rmtree(registry_dir, ignore_errors=True)
 
         problems = []
@@ -339,10 +376,21 @@ class CsvToPagesWorkload(Workload):
             probe.counts["fleet.shed"] += stats.fleet_shed
         digest = hashlib.sha256(b"".join(p.tobytes() for p in pages)).hexdigest()
         quality = {"cvr_auc": _cvr_auc(model, eval_set)} if index == 0 else {}
+        # The meta pass and the fit spend most of their time parsing CSV,
+        # so the kernel's CSV part converts them, and its page part the
+        # pages; publishing and the fleet build between go by the whole.
         return TaskResult(
-            seconds=seconds,
+            gauge=gauge,
+            spans=[
+                ((start, fit_span[1]), "csv"),
+                ((fit_span[1], pages_start), None),
+                ((pages_start, end), "pages"),
+            ],
             ops=ops,
-            train_rows_per_s=len(source) * self.EPOCHS / fit_seconds,
+            op_part="pages",
+            train_rows=len(source) * self.EPOCHS,
+            train_spans=[fit_span],
+            train_part="csv",
             digest=digest,
             quality=quality,
             problems=problems,
@@ -370,25 +418,28 @@ SMOKE_MONTH = dict(
     calibration_window=600,
 )
 
-#: Months a run cycles through.  How many retrains, promotions and
-#: rollbacks a month holds depends on its seed (one month's days cost
-#: 1.8-2.5 s on a 2-vCPU host), so every run walks the same eight
-#: months -- seeds ``7 .. 14`` starting at ``7 + S`` -- and the work per
-#: run hardly depends on ``S``.
-MONTH_PANEL = 8
+#: Months one task runs.  How many retrains, promotions and rollbacks a
+#: month holds, and so its cost and its pages' latency, depend on its
+#: seed: one month's days cost 1.8-2.5 s on a 2-vCPU host.  When a run
+#: covered as many single months as fitted in its time, the page p50 of
+#: runs with ten seeds moved by up to 17% with the mix of months they
+#: reached.  So every task runs the same three months -- seeds
+#: ``7 .. 9``, starting at ``7 + S`` -- and a run's work does not
+#: depend on ``S``.
+MONTHS = 3
 
 
 class MonthWorkload(Workload):
-    """Managed smoke months; the days after bootstrap are the task."""
+    """Managed smoke months; the days after each bootstrap are the task."""
 
     setup_repeats = 0
 
-    def month_seed(self, index: int) -> int:
-        return 7 + (self.seed + index) % MONTH_PANEL
+    def month_seeds(self) -> List[int]:
+        return [7 + (self.seed + i) % MONTHS for i in range(MONTHS)]
 
     def warmup(self) -> None:
         config = month_module.MonthConfig(
-            **{**SMOKE_MONTH, "days": 1}, seed=self.month_seed(0)
+            **{**SMOKE_MONTH, "days": 1}, seed=self.month_seeds()[0]
         )
         workdir = self.workdir / "warmup"
         month_module.MonthSimulation(config, workdir=workdir).run()
@@ -424,75 +475,88 @@ class MonthWorkload(Workload):
         ]
 
     def task(self, index, probe=None) -> TaskResult:
-        seed = self.month_seed(index)
-        workdir = self.workdir / f"month-{index}"
-        ops: List[float] = []
+        gauge = self.gauge_for(probe)
+        ops: List[Span] = []
+        #: ``(rows x epochs, window, after the month's first page)`` of each fit.
         fits: List[tuple] = []
-        first_page: List[float] = []
+        serving = [False]
 
         def time_pages(serve_page):
             def timed(*args, **kwargs):
                 sent = time.perf_counter()
-                if not first_page:
-                    first_page.append(sent)
                 try:
                     return serve_page(*args, **kwargs)
                 finally:
-                    ops.append(time.perf_counter() - sent)
+                    ops.append((sent, time.perf_counter()))
+                    serving[0] = True
+                    gauge.tick()
 
             return timed
 
         def time_fits(fit):
             def timed(model, train, config=None, *args, **kwargs):
+                kwargs["callbacks"] = [*kwargs.get("callbacks", ()), StepClock(gauge)]
                 began = time.perf_counter()
                 try:
                     return fit(model, train, config, *args, **kwargs)
                 finally:
-                    fits.append(
-                        (len(train) * config.epochs, time.perf_counter() - began,
-                         bool(first_page))
-                    )
+                    window = (began, time.perf_counter())
+                    fits.append((len(train) * config.epochs, window, serving[0]))
 
             return timed
 
+        #: ``(seed, start, first page sent, end, report)`` of each month.
+        months: List[tuple] = []
         with contextlib.ExitStack() as stack:
             if probe is not None:
                 probe.wrap_all(stack, self._stage_seams())
             patch(stack, ServingFleet, "serve_page", time_pages)
             patch(stack, month_module, "fit_model", time_fits)
-            config = month_module.MonthConfig(**SMOKE_MONTH, seed=seed)
             with _span(probe, TASK):
-                start = time.perf_counter()
-                report = month_module.MonthSimulation(config, workdir=workdir).run()
-                end = time.perf_counter()
-        shutil.rmtree(workdir, ignore_errors=True)
+                for seed in self.month_seeds():
+                    workdir = self.workdir / f"month-{index}-{seed}"
+                    config = month_module.MonthConfig(**SMOKE_MONTH, seed=seed)
+                    first = len(ops)
+                    serving[0] = False
+                    start = time.perf_counter()
+                    report = month_module.MonthSimulation(config, workdir=workdir).run()
+                    end = time.perf_counter()
+                    shutil.rmtree(workdir, ignore_errors=True)
+                    if len(ops) == first:
+                        raise RuntimeError(f"month {seed} served no page")
+                    months.append((seed, start, ops[first][0], end, report))
 
         problems = []
-        if not first_page:
-            raise RuntimeError(f"month {seed} served no page")
-        regret = report.total_regret
-        if not math.isfinite(regret):
-            problems.append(f"month {seed}: regret is {regret}")
-        measured = [(rows, s) for rows, s, after in fits if after] or [
-            (rows, s) for rows, s, _ in fits
+        for seed, _, _, _, report in months:
+            if not math.isfinite(report.total_regret):
+                problems.append(f"month {seed}: regret is {report.total_regret}")
+        measured = [(rows, w) for rows, w, after in fits if after] or [
+            (rows, w) for rows, w, _ in fits
         ]
         if probe is not None:
-            for summary in report.tenant_summary.values():
-                for name in ("retrains", "promotions", "rollbacks"):
-                    probe.counts[f"month.{name}"] += summary.get(name, 0)
-            for snapshot in report.fleet.values():
-                probe.counts["serving.requests"] += snapshot["served"]
-                probe.counts["serving.primary"] += snapshot["by_source"].get("primary", 0)
-                probe.counts["fleet.hedges"] += snapshot["hedges"]
-                probe.counts["fleet.shed"] += snapshot["fleet_shed"]
+            for *_, report in months:
+                for summary in report.tenant_summary.values():
+                    for name in ("retrains", "promotions", "rollbacks"):
+                        probe.counts[f"month.{name}"] += summary.get(name, 0)
+                for snapshot in report.fleet.values():
+                    probe.counts["serving.requests"] += snapshot["served"]
+                    probe.counts["serving.primary"] += snapshot["by_source"].get(
+                        "primary", 0
+                    )
+                    probe.counts["fleet.hedges"] += snapshot["hedges"]
+                    probe.counts["fleet.shed"] += snapshot["fleet_shed"]
+        transcripts = "".join(report.transcript() for *_, report in months)
         return TaskResult(
-            seconds=end - first_page[0],
+            gauge=gauge,
+            spans=[((first, end), None) for _, _, first, end, _ in months],
             ops=ops,
-            train_rows_per_s=sum(r for r, _ in measured) / sum(s for _, s in measured),
-            digest=hashlib.sha256(report.transcript().encode()).hexdigest(),
-            key=seed,
-            setup_s=first_page[0] - start,
-            quality={"month_regret": regret} if index == 0 else {},
+            op_part="pages",
+            train_rows=sum(rows for rows, _ in measured),
+            train_spans=[window for _, window in measured],
+            train_part=None,
+            digest=hashlib.sha256(transcripts.encode()).hexdigest(),
+            setup_spans=[(start, first) for _, start, first, _, _ in months],
+            quality={"month_regret": months[0][4].total_regret} if index == 0 else {},
             problems=problems,
         )
 
