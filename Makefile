@@ -1,6 +1,6 @@
 # Convenience targets for the DCMT reproduction.
 
-.PHONY: install test bench bench-all report quickstart lint lint-clean verify verify-robustness verify-callbacks verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month
+.PHONY: install test bench bench-all report quickstart lint lint-clean verify verify-robustness verify-callbacks verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month verify-bench
 
 install:
 	pip install -e . || python setup.py develop
@@ -18,10 +18,10 @@ lint:
 		echo "ruff not installed; skipping lint"; \
 	fi
 
-# The CI gate: lint, the robustness, ingest, lifecycle, fleet, and
-# plan lanes, then the full tier-1 suite from a clean checkout --
-# every PR runs all of it.
-verify: lint verify-robustness verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month
+# The CI gate: lint, the robustness, ingest, lifecycle, fleet, plan,
+# stream, parallel and month lanes, the benchmark's self-tests, then
+# the full tier-1 suite from a clean checkout -- every PR runs all of it.
+verify: lint verify-robustness verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month verify-bench
 	PYTHONPATH=src python -m pytest -x -q tests/
 
 # Every test tagged `robustness`: degenerate-batch hardening plus the
@@ -73,6 +73,12 @@ verify-parallel:
 # confounder-shift detection, managed-vs-strawmen oracle regret).
 verify-month:
 	PYTHONPATH=src pytest -m month tests/
+
+# Self-tests of the system benchmark (benchmarks/perf; measure with
+# `python3 -m benchmarks.perf measure`).  The tier-1 testpaths do not
+# collect them.
+verify-bench:
+	PYTHONPATH=src python3 -m pytest benchmarks/perf -q
 
 # Throughput-only benches (dense/sparse training + inference); writes
 # BENCH_throughput.json at the repo root with measured rows/s, the

@@ -15,7 +15,6 @@ every ``make bench`` run appends a timestamped entry to.
 """
 
 import json
-import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,15 +25,10 @@ from repro.autograd.plan import PlanRunner
 from repro.autograd.sparse import sparse_grads
 from repro.core.dcmt import DCMT
 from repro.data.batching import batch_iterator
-from repro.data.loaders import export_csv_dataset
-from repro.data.stream import ChunkedCSVSource
 from repro.data.synthetic import SyntheticScenario
 from repro.nn.embedding import trusted_indices
-from repro.perf import OpProfiler
-
 from repro.optim import Adam
-from repro.training.config import TrainConfig
-from repro.training.parallel import WorkerSupervisor
+from repro.perf import OpProfiler
 
 pytestmark = pytest.mark.perf
 
@@ -145,105 +139,6 @@ def test_training_epoch_throughput_compiled(benchmark, world, bench_config):
     assert runner.stats.replays > 0
     print(f"\ntraining throughput (compiled): {rows_per_second:,.0f} rows/s")
     assert rows_per_second > 20_000
-
-
-def test_training_epoch_throughput_streaming(
-    benchmark, world, bench_config, tmp_path_factory
-):
-    """Out-of-core lane: one epoch over a ``ChunkedCSVSource``.
-
-    The epoch re-parses the CSV chunk by chunk, so this lane prices the
-    full out-of-core path (parse + materialise + train), and the
-    gauge's ``peak_resident_bytes`` records the actual high-water mark
-    of chunk-resident array memory -- the number that stays flat as the
-    file grows.
-    """
-    train, _ = world
-    path = export_csv_dataset(
-        train, tmp_path_factory.mktemp("throughput") / "train.csv"
-    )
-    source = ChunkedCSVSource(path, chunk_rows=2048)
-    model = DCMT(source.schema, bench_config.model_config(0))
-    optimizer = Adam(model.parameters(), lr=0.003)
-
-    def one_epoch():
-        rng = np.random.default_rng(0)
-        for batch in source.iter_batches(1024, rng):
-            loss = model.loss(batch)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-
-    benchmark.pedantic(one_epoch, rounds=3, iterations=1)
-    rows_per_second = _median_rows_per_second(benchmark, ROWS)
-    assert source.gauge.peak_resident_chunks <= 2
-    _RESULTS["train_streaming_rows_per_s"] = rows_per_second
-    _RESULTS["streaming"] = {
-        "chunk_rows": source.chunk_rows,
-        "chunks_per_epoch": len(source._plan.sizes),
-        "peak_resident_chunks": source.gauge.peak_resident_chunks,
-        "peak_chunk_resident_bytes": source.gauge.peak_resident_bytes,
-    }
-    print(
-        f"\ntraining throughput (streaming csv): {rows_per_second:,.0f} rows/s "
-        f"(peak {source.gauge.peak_resident_bytes / 1e6:.1f} MB chunk-resident)"
-    )
-    assert rows_per_second > 5_000
-
-
-def test_training_epoch_throughput_parallel(benchmark, world, bench_config):
-    """Data-parallel lane: one epoch through a 4-worker supervised pool.
-
-    Prices the full dispatch path (parameter broadcast, shard pickle,
-    gradient reduce) against the dense single-process lane measured
-    above.  The "parallel beats single-process" floor only holds where
-    there are cores to parallelise over, so it is gated on
-    ``os.cpu_count() >= 4``; on smaller boxes the lane still runs and
-    records its rate (the dispatch overhead trend is worth tracking
-    even where the speedup is physically impossible).
-    """
-    train, _ = world
-    config = TrainConfig(
-        batch_size=1024, learning_rate=0.003, seed=0, num_workers=4
-    )
-    model = DCMT(train.schema, bench_config.model_config(0))
-    optimizer = Adam(model.parameters(), lr=0.003)
-    params = model.parameters()
-    supervisor = WorkerSupervisor(model, config)
-    supervisor.start()
-    try:
-
-        def one_epoch():
-            rng = np.random.default_rng(0)
-            for i, batch in enumerate(batch_iterator(train, 1024, rng)):
-                result = supervisor.compute_step(batch, 0, i)
-                optimizer.zero_grad()
-                for param, grad in zip(params, result.grads):
-                    param.grad = grad
-                optimizer.step()
-
-        benchmark.pedantic(one_epoch, rounds=3, iterations=1)
-    finally:
-        supervisor.stop()
-    rows_per_second = _median_rows_per_second(benchmark, ROWS)
-    _RESULTS["train_parallel_rows_per_s"] = rows_per_second
-    _RESULTS["parallel"] = {
-        "num_workers": config.num_workers,
-        "cpu_count": os.cpu_count(),
-        "dispatches": supervisor.stats.dispatches,
-        "workers_lost": supervisor.stats.workers_lost,
-    }
-    print(f"\ntraining throughput (4-worker pool): {rows_per_second:,.0f} rows/s")
-    assert supervisor.stats.workers_lost == 0
-    if (os.cpu_count() or 1) >= 4:
-        # The whole point of the pool: with real cores underneath, the
-        # 4-worker median must beat the single-process dense median.
-        assert rows_per_second > _RESULTS["train_dense_rows_per_s"]
-    else:
-        print(
-            f"cpu_count={os.cpu_count()} < 4: parallel-beats-serial floor "
-            "not assertable on this box (recorded only)"
-        )
 
 
 def test_inference_throughput(benchmark, world, bench_config):

@@ -5,7 +5,10 @@ Narrates the "losing a trainer worker mid-epoch" runbook from
 
 1. train DCMT through a 4-worker supervised pool and prove the
    headline invariant -- the pool run is **bit-exact** with a 4-shard
-   single-process run (same shard split, same seeded reduction fold);
+   single-process run (same shard split, same seeded reduction fold).
+   Workers read the parameters from one shared mapping that the parent
+   refreshes once per step, so a step's pipe traffic is its shards
+   going out and its gradients coming back, never the parameters;
 2. run a seeded :class:`~repro.training.parallel.TrainerChaosDrill`
    that SIGKILLs one worker mid-epoch: training completes by
    re-sharding across the survivors, the structured event trail rides
@@ -27,6 +30,7 @@ Run with::
 """
 
 import hashlib
+import pickle
 
 import numpy as np
 
@@ -81,7 +85,8 @@ def main():
     # -- 1. the headline invariant -------------------------------------
     banner("4-worker pool vs 4-shard single-process: bit-exact")
     pooled = factory()
-    pooled_history = create_engine(pooled, CONFIG).fit(train)
+    pooled_engine = create_engine(pooled, CONFIG)
+    pooled_history = pooled_engine.fit(train)
     serial = factory()
     serial_history = create_engine(
         serial, CONFIG.with_overrides(num_workers=None, num_shards=4)
@@ -92,6 +97,15 @@ def main():
     print(f"serial params: {digest(serial)}")
     assert digest(pooled) == digest(serial)
     print("bit-exact: same shard split, same seeded left-fold reduction.")
+    stats, steps = pooled_engine.supervisor.stats, pooled_engine.supervisor.step
+    param_bytes = len(
+        pickle.dumps([p.data for p in pooled.parameters()], pickle.HIGHEST_PROTOCOL)
+    )
+    print(f"pipe bytes per step: {stats.bytes_sent / steps:,.0f} sent (shards), "
+          f"{stats.bytes_received / steps:,.0f} received (gradients); "
+          f"sending the parameters with each of the "
+          f"{stats.dispatches / steps:.0f} dispatches would add "
+          f"{stats.dispatches / steps * param_bytes:,.0f}")
 
     # -- 2. the chaos drill --------------------------------------------
     banner("Chaos drill: SIGKILL 1 of 4 workers mid-epoch")

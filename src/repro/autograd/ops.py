@@ -31,7 +31,11 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.autograd import planmode as _planmode
-from repro.autograd.sparse import SparseRowGrad, sparse_grads_enabled
+from repro.autograd.sparse import (
+    SparseRowGrad,
+    scatter_rows,
+    sparse_grads_enabled,
+)
 from repro.autograd.tensor import Tensor, _as_tensor, unbroadcast
 from repro.perf.profiler import active as _profiler_active
 
@@ -404,9 +408,10 @@ def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
 def take_rows(table: ArrayLike, indices: np.ndarray) -> Tensor:
     """Gather rows of a 2-D ``table`` by integer ``indices``.
 
-    This is the embedding-lookup primitive.  By default the backward
-    pass scatters gradients into a dense ``zeros_like(table)`` with
-    ``np.add.at`` (duplicate indices accumulate).  When sparse gradients
+    This is the embedding-lookup primitive.  With sparse gradients off
+    the backward pass scatters gradients into a dense zero table with
+    :func:`~repro.autograd.sparse.scatter_rows` (duplicate indices
+    accumulate, bit-identical to ``np.add.at``).  When sparse gradients
     are enabled (:func:`~repro.autograd.sparse.set_sparse_grads`) at the
     time the op is *recorded*, the backward instead emits a coalesced
     :class:`~repro.autograd.sparse.SparseRowGrad` -- bit-identical row
@@ -429,8 +434,7 @@ def take_rows(table: ArrayLike, indices: np.ndarray) -> Tensor:
     else:
 
         def backward(grad: np.ndarray, t=table, i=idx) -> Iterable:
-            full = np.zeros_like(t.data)
-            np.add.at(full, i, grad)
+            full = scatter_rows(i, grad, t.data.shape, t.data.dtype)
             return ((t, full, True),)
 
     out = Tensor._make(out_data, (table,), backward)

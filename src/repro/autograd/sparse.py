@@ -10,14 +10,15 @@ embedding update cost.
 :class:`SparseRowGrad` is the alternative: a coalesced ``(indices,
 values)`` pair where ``indices`` are the *unique, sorted* row ids and
 ``values`` their summed gradients.  Duplicate ids inside a batch are
-summed in occurrence order (a compact ``np.add.at`` over the inverse
-mapping), which is bit-identical to the full-table ``np.add.at`` scatter
-of the dense path -- the parity tests in
+summed in occurrence order (a compact :func:`scatter_rows` over the
+inverse mapping), which is bit-identical to the full-table scatter of
+the dense path -- the parity tests in
 ``tests/autograd/test_sparse_parity.py`` rely on this.
 
-Sparse emission is off by default and enabled through
-:func:`set_sparse_grads` / the :func:`sparse_grads` context manager; the
-trainer flips it on via ``TrainConfig.sparse_embedding_grads``.
+The engine-wide flag below starts off; the training engine turns it on
+for every fit through ``TrainConfig.sparse_embedding_grads``, which
+defaults to ``True``.  :func:`set_sparse_grads` / the
+:func:`sparse_grads` context manager set it directly.
 """
 
 from __future__ import annotations
@@ -51,6 +52,46 @@ def sparse_grads(enabled: bool = True) -> Iterator[None]:
         yield
     finally:
         set_sparse_grads(previous)
+
+
+def scatter_rows(
+    indices: np.ndarray,
+    grad: np.ndarray,
+    shape: Tuple[int, ...],
+    dtype: np.dtype = np.float64,
+) -> np.ndarray:
+    """Sum the rows of ``grad`` into a zero ``shape`` table at ``indices``.
+
+    Byte-identical to ``np.add.at(np.zeros(shape, dtype), indices,
+    grad)``: ``np.bincount`` over flat element indices adds its weights
+    in occurrence order starting from 0.0, which is exactly the
+    sequence of additions ``np.add.at`` performs, without its
+    per-element dispatch.  ``grad`` has shape ``indices.shape +
+    shape[1:]``.
+    Non-float64 data, empty ids and negative (wrapping) ids take the
+    literal ``np.add.at`` path.
+    """
+    flat_idx = np.asarray(indices).reshape(-1)
+    if (
+        grad.dtype != np.float64
+        or np.dtype(dtype) != np.float64
+        or flat_idx.size == 0
+        or flat_idx.min() < 0
+    ):
+        out = np.zeros(shape, dtype=dtype)
+        np.add.at(out, indices, grad)
+        return out
+    dim = 1
+    for extent in shape[1:]:
+        dim *= extent
+    if dim == 1:
+        flat = flat_idx
+    else:
+        flat = (flat_idx[:, None] * dim + np.arange(dim)).reshape(-1)
+    sums = np.bincount(
+        flat, weights=grad.reshape(-1), minlength=shape[0] * dim
+    )
+    return sums.reshape(shape)
 
 
 class SparseRowGrad:
@@ -94,20 +135,21 @@ class SparseRowGrad:
             return SparseRowGrad(
                 flat_idx.astype(np.int64), flat_grad.astype(np.float64), shape
             )
-        # Coalescing must stay bit-identical to the dense np.add.at
-        # scatter, which sums duplicates sequentially in occurrence
-        # order.  A compact np.add.at over the inverse mapping performs
-        # those exact additions, just into an (nnz, dim) buffer instead
-        # of the full table.  (np.add.reduceat is NOT usable here: it
-        # sums segments pairwise, which differs in the last ulps.)
+        # Coalescing must stay bit-identical to the dense scatter, which
+        # sums duplicates sequentially in occurrence order.  A compact
+        # scatter over the inverse mapping performs those exact
+        # additions, just into an (nnz, dim) buffer instead of the full
+        # table.  (np.add.reduceat is NOT usable here: it sums segments
+        # pairwise, which differs in the last ulps.)
         uniq, inv = np.unique(flat_idx, return_inverse=True)
         if uniq.size == flat_idx.size:
             # No duplicates: a pure permutation of the incoming grads.
             values = np.empty((uniq.size,) + tail, dtype=flat_grad.dtype)
             values[inv] = flat_grad
         else:
-            values = np.zeros((uniq.size,) + tail, dtype=flat_grad.dtype)
-            np.add.at(values, inv, flat_grad)
+            values = scatter_rows(
+                inv, flat_grad, (uniq.size,) + tail, flat_grad.dtype
+            )
         return SparseRowGrad(uniq.astype(np.int64), values, shape)
 
     # ------------------------------------------------------------------
@@ -126,8 +168,12 @@ class SparseRowGrad:
         return dense
 
     def add_to(self, dense: np.ndarray) -> np.ndarray:
-        """Accumulate into an existing dense array (in place)."""
-        np.add.at(dense, self.indices, self.values)
+        """Accumulate into an existing dense array (in place).
+
+        ``indices`` are unique, so a fancy-index add touches every row
+        once -- the same additions ``np.add.at`` would make.
+        """
+        dense[self.indices] += self.values
         return dense
 
     def merge(self, other: "SparseRowGrad") -> "SparseRowGrad":

@@ -84,6 +84,10 @@ class TrainingEngine:
         #: Plan runner of the most recent ``fit`` call (``None`` when
         #: ``config.compile_plan`` is off); exposes trace/replay stats.
         self.plan_runner: Optional[PlanRunner] = None
+        #: ``model.parameters()``, walked once per ``fit``.  Vocabulary
+        #: growth rebinds ``param.data``, never the ``Parameter``, and
+        #: runs between fits, so the list stays valid for a whole fit.
+        self._params: List = []
 
     # ------------------------------------------------------------------
     def fit(
@@ -157,6 +161,7 @@ class TrainingEngine:
                 self.model.eval()
                 return ctx.history
 
+        self._params = self.model.parameters()
         self.model.train()
         with contextlib.ExitStack() as stack:
             ctx.stack = stack
@@ -202,9 +207,7 @@ class TrainingEngine:
                     self._backward(ctx, runner, loss)
                     hooks.fire("on_backward_end", ctx)
                     if self.config.grad_clip is not None:
-                        clip_global_norm(
-                            self.model.parameters(), self.config.grad_clip
-                        )
+                        clip_global_norm(self._params, self.config.grad_clip)
                     self.optimizer.step()
                     ctx.epoch_loss_sum += ctx.loss_value
                     ctx.n_batches_done += 1

@@ -16,8 +16,10 @@ engine is untouched and stays golden-pinned.)
 The robustness layer is :class:`WorkerSupervisor`:
 
 * **stateless workers** -- the parent holds the authoritative model and
-  optimizer; each dispatch carries the full parameter arrays, so a
-  worker that dies forfeits nothing but one shard of one step;
+  optimizer.  Workers read parameters from one anonymous shared
+  mapping the parent refreshes once per step, so a task carries only
+  its shard, and a worker that dies forfeits nothing but one shard of
+  one step;
 * **heartbeats** -- a daemon thread in every worker beats on the pipe,
   letting the supervisor tell "stuck but alive" (a straggler, worth a
   retry elsewhere) from "frozen or dead" (declare lost now);
@@ -47,8 +49,10 @@ it (a watchdog raises in tests so CI never hangs for real).
 from __future__ import annotations
 
 import contextlib
+import mmap
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import threading
 import time
@@ -115,6 +119,7 @@ def reseed_module_rngs(
 
 def compute_shard_gradients(
     model: MultiTaskModel,
+    params: Sequence[Any],
     shard: Batch,
     rngs: Sequence[np.random.Generator],
     *,
@@ -128,14 +133,16 @@ def compute_shard_gradients(
     The single compute kernel of the parallel mode: workers call it on
     their forked model copy, the serial sharded path calls it on the
     parent model, and because it is the same function over the same
-    bits the two venues agree exactly.
+    bits the two venues agree exactly.  ``params`` is
+    ``model.parameters()``, taken once per fit by the caller.
     """
     reseed_module_rngs(rngs, seed, epoch, batch_index, shard_index)
-    model.zero_grad()
+    for param in params:
+        param.zero_grad()
     loss = model.loss(shard)
     value = loss.item()
     loss.backward()
-    return value, [p.grad for p in model.parameters()]
+    return value, [p.grad for p in params]
 
 
 def reduce_shard_losses(values: Sequence[float], sizes: Sequence[int]) -> float:
@@ -198,6 +205,72 @@ def reduce_shard_grads(
 
 
 # ----------------------------------------------------------------------
+# Shared parameters: one anonymous mapping, published once per step.
+# ----------------------------------------------------------------------
+class _SharedParameters:
+    """Every parameter's bytes in one anonymous shared mapping.
+
+    Created before the pool forks, so parent and workers map the same
+    pages without a name, a ``/dev/shm`` entry or a resource tracker.
+    The mapping holds one float64 view per parameter in
+    ``model.parameters()`` order; each worker binds its parameters to
+    read-only views once, and the parent copies its live arrays in
+    with :meth:`publish`.
+
+    The invariant that keeps pool runs bit-exact: the parent writes the
+    mapping only between steps (once per step, before the first
+    dispatch, never on a re-shard retry), and it accepts only results
+    of tasks sent after that step's publish.  A straggler still busy
+    with an older task may read a later step's bytes, but its result
+    arrives under a task id that is no longer pending and is dropped.
+    """
+
+    def __init__(self, params: Sequence[Any]) -> None:
+        self.params = list(params)
+        offsets, end = [], 0
+        for param in self.params:
+            offsets.append(end)
+            # Each view starts on a cache-line (64-byte) boundary.
+            end += -(-param.data.nbytes // 64) * 64
+        self._buffer = mmap.mmap(-1, max(end, 1))
+        self.views = [
+            np.frombuffer(
+                self._buffer, np.float64, param.data.size, offset
+            ).reshape(param.data.shape)
+            for param, offset in zip(self.params, offsets)
+        ]
+
+    def publish(self) -> None:
+        """Copy the parent's current parameter arrays into the mapping.
+
+        Reads ``param.data`` afresh, so an array rebound mid-fit (a
+        restore, a callback) is what the workers see next.
+        """
+        for param, view in zip(self.params, self.views):
+            if param.data.shape != view.shape:
+                raise WorkerPoolError(
+                    f"parameter {param.name or '?'} changed shape from "
+                    f"{view.shape} to {param.data.shape} while the pool "
+                    "was running; restart the fit to re-map it"
+                )
+            np.copyto(view, param.data)
+
+    def bind_readonly(self, params: Sequence[Any]) -> None:
+        """Worker side: point every ``param.data`` at its mapped bytes."""
+        for param, view in zip(params, self.views):
+            readonly = view.view()
+            readonly.flags.writeable = False
+            param.data = readonly
+
+
+def _send_task(conn, msg: Tuple[Any, ...]) -> int:
+    """Pickle one task message onto ``conn``; returns the bytes sent."""
+    payload = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+    conn.send_bytes(payload)
+    return len(payload)
+
+
+# ----------------------------------------------------------------------
 # Worker process: heartbeat thread + shard-compute loop over a pipe.
 # ----------------------------------------------------------------------
 def _encode_grad(grad: Any) -> Any:
@@ -226,17 +299,24 @@ def _heartbeat_loop(conn, lock, slot, interval_s, stop) -> None:
 
 
 def _worker_main(
-    conn, slot: int, model: MultiTaskModel, sparse: bool, heartbeat_s: float
+    conn,
+    slot: int,
+    model: MultiTaskModel,
+    shared: _SharedParameters,
+    sparse: bool,
+    heartbeat_s: float,
 ) -> None:
     """Forked worker: receive tasks, compute shard gradients, reply.
 
-    Workers are stateless between tasks -- every task carries the full
-    parameter arrays, so the parent never has to resynchronise a
-    survivor after a loss.  The heartbeat thread shares the pipe under
-    a lock; any traffic (beat or result) proves liveness to the
-    supervisor.
+    Workers are stateless between tasks: their parameters are
+    read-only views of the shared mapping, which the parent refreshes
+    before each step's dispatches, so a task carries only its shard and
+    the parent never has to resynchronise a survivor after a loss.  The
+    heartbeat thread shares the pipe under a lock; any traffic (beat or
+    result) proves liveness to the supervisor.
     """
     params = model.parameters()
+    shared.bind_readonly(params)
     rngs = collect_module_rngs(model)
     lock = threading.Lock()
     stop = threading.Event()
@@ -257,18 +337,17 @@ def _worker_main(
                 break
             if msg[0] == "stop":
                 break
-            _, task_id, step_key, arrays, shard, shard_index, fault = msg
+            _, task_id, step_key, shard, shard_index, fault = msg
             if fault == "hang":
                 time.sleep(_HANG_SLEEP_S)
                 continue  # never answer: the task is forfeit
             if isinstance(fault, float):
                 time.sleep(fault)
-            for param, array in zip(params, arrays):
-                param.data = array
             seed, epoch, batch_index = step_key
             try:
                 value, grads = compute_shard_gradients(
                     model,
+                    params,
                     shard,
                     rngs,
                     seed=seed,
@@ -334,6 +413,10 @@ class WorkerPoolStats:
     workers_lost: int = 0
     resharded: int = 0
     faults_applied: int = 0
+    #: Pickled task bytes written to worker pipes.
+    bytes_sent: int = 0
+    #: Pickled result bytes read back (heartbeats are not counted).
+    bytes_received: int = 0
 
 
 @dataclass
@@ -347,13 +430,18 @@ class StepResult:
 
 def _spawn_workers(
     model: MultiTaskModel, config: TrainConfig, n_workers: int, clock
-) -> List[_WorkerHandle]:
-    """Fork ``n_workers`` shard-compute processes, one duplex pipe each."""
+) -> Tuple[List[_WorkerHandle], _SharedParameters]:
+    """Fork ``n_workers`` shard-compute processes, one duplex pipe each.
+
+    The shared parameter mapping is created first, so every worker
+    inherits it through the fork.
+    """
     if "fork" not in mp.get_all_start_methods():
         raise WorkerPoolError(
             "data-parallel training requires the 'fork' start method"
         )
     ctx = mp.get_context("fork")
+    shared = _SharedParameters(model.parameters())
     handles: List[_WorkerHandle] = []
     for slot in range(n_workers):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -363,6 +451,7 @@ def _spawn_workers(
                 child_conn,
                 slot,
                 model,
+                shared,
                 config.sparse_embedding_grads,
                 config.heartbeat_interval_s,
             ),
@@ -372,7 +461,7 @@ def _spawn_workers(
         process.start()
         child_conn.close()
         handles.append(_WorkerHandle(slot, process, parent_conn, clock))
-    return handles
+    return handles, shared
 
 
 def _stop_workers(handles: Sequence[_WorkerHandle]) -> None:
@@ -444,6 +533,7 @@ class WorkerSupervisor:
         self.events: List[GuardEvent] = []
         self.stats = WorkerPoolStats()
         self.workers: List[_WorkerHandle] = []
+        self._shared: Optional[_SharedParameters] = None
         self.current_shards = config.effective_shards
         self.step = 0
         self._current_step = 0
@@ -461,7 +551,7 @@ class WorkerSupervisor:
     def start(self) -> None:
         if self._started:
             return
-        self.workers = _spawn_workers(
+        self.workers, self._shared = _spawn_workers(
             self.model, self.config, self.config.num_workers, self._clock
         )
         self._started = True
@@ -472,6 +562,7 @@ class WorkerSupervisor:
             return
         self.final_live = self.n_live
         _stop_workers(self.workers)
+        self._shared = None
         self._started = False
         log_event(logger, "worker_pool_stopped", lost=self.stats.workers_lost)
 
@@ -492,6 +583,7 @@ class WorkerSupervisor:
         self._current_step = step
         self._sweep_stuck(epoch, batch_index)
         self._apply_faults(epoch, batch_index, step)
+        self._shared.publish()
         while True:
             self._require_quorum(epoch, batch_index)
             shards = shard_batch(batch, self.current_shards)
@@ -642,15 +734,12 @@ class WorkerSupervisor:
     def _run_shards(
         self, shards: List[Batch], epoch: int, batch: int, step: int
     ) -> Dict[int, Tuple[float, List[Any]]]:
-        params = [p.data for p in self.model.parameters()]
         queue: deque = deque(range(len(shards)))
         pending: Dict[int, Tuple[int, _WorkerHandle, Deadline]] = {}
         results: Dict[int, Tuple[float, List[Any]]] = {}
         stall = Deadline(self.config.worker_deadline_s, self._clock)
         while len(results) < len(shards):
-            if self._dispatch_wave(
-                queue, pending, shards, params, epoch, batch, step
-            ):
+            if self._dispatch_wave(queue, pending, shards, epoch, batch, step):
                 stall = Deadline(self.config.worker_deadline_s, self._clock)
             if pending:
                 timeout = max(
@@ -674,9 +763,7 @@ class WorkerSupervisor:
             self._check_deadlines(pending, queue, epoch, batch)
         return results
 
-    def _dispatch_wave(
-        self, queue, pending, shards, params, epoch, batch, step
-    ) -> int:
+    def _dispatch_wave(self, queue, pending, shards, epoch, batch, step) -> int:
         sent = 0
         for handle in self.workers:
             if not queue:
@@ -687,16 +774,16 @@ class WorkerSupervisor:
             task_id = self._task_counter
             self._task_counter += 1
             try:
-                handle.conn.send(
+                self.stats.bytes_sent += _send_task(
+                    handle.conn,
                     (
                         "task",
                         task_id,
                         (self.config.seed, epoch, batch),
-                        params,
                         shards[shard_index],
                         shard_index,
                         self._fault_payload(handle.slot, step),
-                    )
+                    ),
                 )
             except (BrokenPipeError, OSError):
                 self._declare_lost(handle, epoch, batch)
@@ -720,7 +807,10 @@ class WorkerSupervisor:
             handle = conns[conn]
             try:
                 while True:
-                    msg = conn.recv()
+                    payload = conn.recv_bytes()
+                    msg = pickle.loads(payload)
+                    if msg[0] == "result":
+                        self.stats.bytes_received += len(payload)
                     progressed |= self._on_message(
                         handle, msg, pending, results, epoch, batch
                     )
@@ -996,6 +1086,7 @@ class ShardedTrainingEngine(TrainingEngine):
         for shard_index, shard in enumerate(shards):
             value, shard_grads = compute_shard_gradients(
                 self.model,
+                self._params,
                 shard,
                 self._module_rngs,
                 seed=self.config.seed,
@@ -1012,7 +1103,7 @@ class ShardedTrainingEngine(TrainingEngine):
 
     def _backward(self, ctx: TrainingContext, runner, loss) -> None:
         self.optimizer.zero_grad()
-        for param, grad in zip(self.model.parameters(), self._pending_grads):
+        for param, grad in zip(self._params, self._pending_grads):
             param.grad = grad
         self._pending_grads = None
 
@@ -1048,13 +1139,14 @@ class UnsupervisedWorkerPool:
         self.fault_schedule = list(fault_schedule)
         self.watchdog_s = watchdog_s
         self.workers: List[_WorkerHandle] = []
+        self._shared: Optional[_SharedParameters] = None
         self.step = 0
         self._started = False
 
     def start(self) -> None:
         if self._started:
             return
-        self.workers = _spawn_workers(
+        self.workers, self._shared = _spawn_workers(
             self.model, self.config, self.config.num_workers, time.monotonic
         )
         self._started = True
@@ -1063,6 +1155,7 @@ class UnsupervisedWorkerPool:
         if not self._started:
             return
         _stop_workers(self.workers)
+        self._shared = None
         self._started = False
 
     def _fault_payload(self, slot: int, step: int):
@@ -1092,20 +1185,20 @@ class UnsupervisedWorkerPool:
                     os.kill(handle.process.pid, signal.SIGKILL)
         shards = shard_batch(batch, len(self.workers))
         sizes = [shard.size for shard in shards]
-        params = [p.data for p in self.model.parameters()]
+        self._shared.publish()
         for shard_index, shard in enumerate(shards):
             handle = self.workers[shard_index]
             try:
-                handle.conn.send(
+                _send_task(
+                    handle.conn,
                     (
                         "task",
                         shard_index,
                         (self.config.seed, epoch, batch_index),
-                        params,
                         shard,
                         shard_index,
                         self._fault_payload(handle.slot, step),
-                    )
+                    ),
                 )
             except (BrokenPipeError, OSError) as exc:
                 raise WorkerPoolError(

@@ -10,6 +10,9 @@ schedules whose transcripts must be reproducible bit for bit.
 """
 
 import hashlib
+import multiprocessing as mp
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -26,9 +29,10 @@ from repro.reliability import (
 from repro.reliability.checkpoint import CheckpointManager
 from repro.reliability.faults import WORKER_HANG, WORKER_KILL, WORKER_SLOW
 from repro.training import TrainConfig, TrainingEngine, create_engine
-from repro.training.callbacks import CheckpointCallback
+from repro.training.callbacks import Callback, CheckpointCallback
 from repro.training.parallel import (
     ShardedTrainingEngine,
+    _SharedParameters,
     reduce_shard_grads,
     reduce_shard_losses,
 )
@@ -192,6 +196,180 @@ class TestBitExactness:
 
         assert pooled_history.epoch_losses == serial_history.epoch_losses
         assert param_digest(pooled) == param_digest(serial)
+
+
+# ----------------------------------------------------------------------
+class _RebindAtEpochOne(Callback):
+    """Restores the fit-start weights at epoch 1, then rebinds them."""
+
+    def on_fit_start(self, ctx):
+        self.initial = ctx.model.state_dict()
+
+    def on_epoch_start(self, ctx):
+        if ctx.epoch != 1:
+            return
+        ctx.model.load_state_dict(self.initial)
+        for param in ctx.model.parameters():
+            param.data = param.data * 0.5
+
+
+class _PauseEachBatch(Callback):
+    """Holds the parent before every step after the first.
+
+    Each pause stays under the heartbeat timeout, so a worker busy
+    with an old task is never declared lost for a beat the parent did
+    not read; together they outlast a slow fault.
+    """
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def on_batch_start(self, ctx):
+        if ctx.batch_index > 0:
+            time.sleep(self.seconds)
+
+
+def _report_worker_view(conn, model, shared):
+    """Forked child: bind like a pool worker, wait, report what it sees."""
+    params = model.parameters()
+    shared.bind_readonly(params)
+    conn.recv()
+    try:
+        params[0].data[...] = 0.0
+        wrote = True
+    except ValueError:
+        wrote = False
+    conn.send(
+        (
+            [bool(p.data.flags.writeable) for p in params],
+            [
+                bool(np.shares_memory(p.data, v))
+                for p, v in zip(params, shared.views)
+            ],
+            wrote,
+            param_digest(model),
+        )
+    )
+
+
+class TestSharedParameters:
+    def test_worker_reads_readonly_views_of_the_published_mapping(
+        self, world
+    ):
+        train, _ = world
+        model = build_model("dcmt", train.schema, MODEL_CONFIG)
+        shared = _SharedParameters(model.parameters())
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        child = ctx.Process(
+            target=_report_worker_view, args=(child_conn, model, shared)
+        )
+        child.start()
+        try:
+            # Rebind after the fork: only the mapping can carry it over.
+            for param in model.parameters():
+                param.data = param.data + 1.0
+            shared.publish()
+            parent_conn.send("go")
+            assert parent_conn.poll(30)
+            writeable, shares, wrote, digest = parent_conn.recv()
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert child.exitcode == 0
+        assert not any(writeable)
+        assert all(shares)
+        assert not wrote
+        assert digest == param_digest(model)
+
+    def test_publish_rejects_a_reshaped_parameter(self, world):
+        train, _ = world
+        model = build_model("dcmt", train.schema, MODEL_CONFIG)
+        shared = _SharedParameters(model.parameters())
+        first = model.parameters()[0]
+        first.data = np.zeros((first.data.shape[0] + 1,) + first.data.shape[1:])
+        with pytest.raises(WorkerPoolError, match="changed shape"):
+            shared.publish()
+
+    # Four workers outnumber the cores of a small CI box, so workers
+    # race each other and the parent's publish for CPU time.
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_rebinding_parameters_mid_fit_keeps_pool_exact(self, world, k):
+        train, _ = world
+        serial = build_model("dcmt", train.schema, MODEL_CONFIG)
+        serial_history = create_engine(serial, make_config(num_shards=k)).fit(
+            train, callbacks=[_RebindAtEpochOne()]
+        )
+        pooled = build_model("dcmt", train.schema, MODEL_CONFIG)
+        pooled_history = create_engine(
+            pooled, make_config(num_workers=k)
+        ).fit(train, callbacks=[_RebindAtEpochOne()])
+        untouched = build_model("dcmt", train.schema, MODEL_CONFIG)
+        create_engine(untouched, make_config(num_shards=k)).fit(train)
+
+        assert pooled_history.epoch_losses == serial_history.epoch_losses
+        assert param_digest(pooled) == param_digest(serial)
+        assert param_digest(pooled) != param_digest(untouched)
+
+    def test_stale_result_after_next_publish_is_dropped(self, world):
+        """A straggler that wakes after the next step's publish computes
+        on newer bytes; its result must be discarded, not folded in."""
+        train, _ = world
+        config = make_config(
+            epochs=1,
+            batch_size=128,
+            num_workers=2,
+            worker_retries=10,
+            worker_deadline_s=0.8,
+            heartbeat_timeout_s=0.6,
+            heartbeat_interval_s=0.05,
+            worker_backoff_s=0.0,
+        )
+        # Step 0's shard 0 misses its deadline and is redone by worker 1;
+        # worker 0 wakes around step 2, after steps 1 and 2 published.
+        schedule = [
+            WorkerFault(
+                kind=WORKER_SLOW, worker=0, start=0, duration=1, latency_s=1.2
+            )
+        ]
+        faulted = build_model("dcmt", train.schema, MODEL_CONFIG)
+        engine = ShardedTrainingEngine(
+            faulted, config, fault_schedule=schedule
+        )
+        engine.fit(train, callbacks=[_PauseEachBatch(0.25)])
+        stats = engine.supervisor.stats
+        assert stats.workers_lost == 0
+        assert stats.deadline_misses >= 1
+        assert stats.stale_results >= 1
+
+        serial = build_model("dcmt", train.schema, MODEL_CONFIG)
+        create_engine(
+            serial, make_config(epochs=1, batch_size=128, num_shards=2)
+        ).fit(train)
+        assert param_digest(faulted) == param_digest(serial)
+
+    def test_bytes_per_step_below_one_parameter_list(self, world):
+        train, _ = world
+        # Wide enough that parameters outweigh a step's shards, as in
+        # real runs; the old broadcast sent the list once per shard.
+        model = build_model(
+            "dcmt",
+            train.schema,
+            ModelConfig(embedding_dim=16, hidden_sizes=(64, 32), seed=0),
+        )
+        params_bytes = len(
+            pickle.dumps(
+                [p.data for p in model.parameters()], pickle.HIGHEST_PROTOCOL
+            )
+        )
+        engine = create_engine(model, make_config(epochs=1, num_workers=2))
+        engine.fit(train)
+        supervisor = engine.supervisor
+        assert supervisor.step > 0
+        assert supervisor.stats.bytes_sent / supervisor.step < params_bytes
+        assert supervisor.stats.bytes_received > 0
 
 
 # ----------------------------------------------------------------------
