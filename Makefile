@@ -57,8 +57,9 @@ verify-plan:
 	PYTHONPATH=src pytest -m plan tests/
 
 # Every test tagged `stream`: the out-of-core data path (chunked CSV
-# source bounded-memory invariant, streaming-vs-in-memory parity,
-# mid-epoch resume, streamed metrics, delayed-feedback correction).
+# source parsed once and spilled, one chunk resident, streaming-vs-
+# in-memory parity, mid-epoch resume, streamed metrics, delayed-feedback
+# correction).
 verify-stream:
 	PYTHONPATH=src pytest -m stream tests/
 

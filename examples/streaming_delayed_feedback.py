@@ -3,8 +3,7 @@
 Two production realities the in-memory protocol hides, in one tour:
 
 1. the exposure log does not fit in RAM -- a ``ChunkedCSVSource``
-   trains DCMT straight off a CSV with ~2 chunks resident, and the
-   run survives a mid-epoch kill bit-exactly;
+   trains DCMT straight off a CSV parsed once, with one chunk resident;
 2. conversions arrive late -- retraining on the censored log makes
    fake negatives out of slow conversions, and the inverse-maturation
    importance correction buys the AUC back::
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.dcmt import DCMT
-from repro.data.loaders import export_csv_dataset
+from repro.data.loaders import ColumnSpec, export_csv_dataset
 from repro.data.stream import ChunkedCSVSource
 from repro.data.synthetic import ScenarioConfig, SyntheticScenario
 from repro.models.base import ModelConfig
@@ -42,20 +41,27 @@ def streaming_tour(workdir: Path) -> None:
     train, test = scenario.generate()
     csv_path = export_csv_dataset(train, workdir / "exposures.csv")
 
-    source = ChunkedCSVSource(csv_path, chunk_rows=1_000)
+    # Without a spec, every non-label column parses as a sparse id:
+    # the dense histories would become ~12k-id embedding tables.
+    spec = ColumnSpec(
+        dense_features=tuple(train.dense),
+        wide_features=tuple(f.name for f in train.schema.sparse if f.kind == "wide"),
+    )
+    source = ChunkedCSVSource(csv_path, chunk_rows=1_000, spec=spec)
     print(
-        f"metadata pass: {len(source)} rows in "
+        f"metadata pass: {source.gauge.rows_parsed} rows parsed once into "
         f"{len(source._plan.sizes)} chunks of <= {source.chunk_rows}"
     )
 
     model = DCMT(source.schema, MODEL_CONFIG)
+    print(f"model: {sum(p.data.size for p in model.parameters())} parameters")
     Trainer(model, TRAIN_CONFIG).fit(source)
     gauge = source.gauge
     print(
-        f"trained {TRAIN_CONFIG.epochs} epochs; chunk-resident peak: "
-        f"{gauge.peak_resident_chunks} chunks / "
+        f"trained {TRAIN_CONFIG.epochs} epochs; peak resident: "
+        f"{gauge.peak_resident_chunks} chunk(s) / "
         f"{gauge.peak_resident_bytes / 1e6:.2f} MB "
-        f"({gauge.rows_materialized} rows materialised in total)"
+        f"({gauge.rows_materialized} rows read back in total)"
     )
 
     # The test split streams through the same vocabulary and dense
@@ -63,6 +69,7 @@ def streaming_tour(workdir: Path) -> None:
     test_source = ChunkedCSVSource(
         export_csv_dataset(test, workdir / "test.csv"),
         chunk_rows=1_000,
+        spec=spec,
         vocabularies=source.vocabularies,
         freeze_vocabulary=True,
         dense_stats=source.dense_stats,

@@ -14,13 +14,14 @@ Three implementations:
   bit-exact with the historical in-memory path at a fixed RNG state --
   the property that lets :class:`~repro.training.engine.TrainingEngine`
   accept sources without perturbing a single golden test.
-* :class:`ChunkedCSVSource` reads a CSV exposure log in bounded-memory
-  chunks, re-using the quarantine machinery of
-  :mod:`repro.data.ingest` per chunk (or the strict
-  :mod:`repro.data.loaders` error reporting with full file:line:column
-  provenance when no policy is given).  Peak memory is ~2 chunks --
-  the one being trained on plus the row buffer being filled -- no
-  matter how large the file; a :class:`ChunkMemoryGauge` proves it.
+* :class:`ChunkedCSVSource` parses a CSV exposure log once, re-using
+  the quarantine machinery of :mod:`repro.data.ingest` per row (or the
+  strict :mod:`repro.data.loaders` error reporting with full
+  file:line:column provenance when no policy is given), and spills the
+  converted chunks to an anonymous temporary file that every epoch
+  reads back.  Peak memory is 1 chunk -- the one being filled at
+  construction or trained on -- no matter how large the file; a
+  :class:`ChunkMemoryGauge` proves it.
 * :class:`ReplaySource` replays a timestamped dataset in event-time
   order (the shape of a production click log), for delayed-feedback
   experiments.
@@ -30,14 +31,14 @@ Design notes
 **Chunk boundary is a batch boundary.**  ``ChunkedCSVSource`` shuffles
 *within* a chunk (a bounded-memory approximation of a global shuffle)
 and never forms a batch across two chunks, so each chunk's arrays can
-be freed before the next is read.  The final batch of each chunk may
+be freed before the next is read back.  The final batch of each chunk may
 therefore be short; ``drop_last`` drops those per-chunk tails.
 
 **Resume = skip without desynchronising.**  ``iter_batches`` takes a
 ``start_batch`` cursor (what
 :class:`~repro.reliability.checkpoint.TrainingSnapshot` records as
-``batch_in_epoch``).  Skipped chunks are classified but not
-materialised -- crucially each skipped chunk still draws its
+``batch_in_epoch``).  Skipped chunks are not read back --
+crucially each skipped chunk still draws its
 ``rng.permutation``, so the RNG stream stays aligned and the batches
 that *are* yielded are bit-identical to an uninterrupted epoch.
 """
@@ -45,6 +46,9 @@ that *are* yielded are bit-identical to an uninterrupted epoch.
 from __future__ import annotations
 
 import abc
+import os
+import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -176,9 +180,11 @@ class InMemorySource(DataSource):
 class ChunkMemoryGauge:
     """Accounting proof that the chunked reader is bounded-memory.
 
-    ``resident_chunks`` counts materialised array-chunks plus a
-    partially filled raw-row buffer; the invariant the acceptance test
-    pins is ``peak_resident_chunks <= 2`` regardless of file size.
+    ``resident_chunks`` counts the chunk being filled by the metadata
+    pass or read back for training; the invariant the acceptance test
+    pins is ``peak_resident_chunks == 1`` regardless of file size.
+    ``rows_parsed`` counts CSV rows read at construction (dropped rows
+    included); ``rows_materialized`` counts rows read back by epochs.
     """
 
     resident_chunks: int = 0
@@ -187,6 +193,7 @@ class ChunkMemoryGauge:
     peak_resident_bytes: int = 0
     chunks_materialized: int = 0
     rows_materialized: int = 0
+    rows_parsed: int = 0
 
     def acquire(self, n_chunks: int, nbytes: int) -> None:
         self.resident_chunks += n_chunks
@@ -205,9 +212,22 @@ class ChunkMemoryGauge:
 
 @dataclass
 class _ChunkPlan:
-    """Deterministic epoch geometry, fixed by the metadata pass."""
+    """Deterministic epoch geometry, fixed by the metadata pass.
+
+    ``offsets[k]`` is where chunk ``k`` starts in the spill file.
+    """
 
     sizes: List[int] = field(default_factory=list)
+    offsets: List[int] = field(default_factory=list)
+    spill_bytes: int = 0
+
+    def add(self, size: int, nbytes: int) -> int:
+        """Append a chunk of ``size`` rows; return its spill offset."""
+        offset = self.spill_bytes
+        self.sizes.append(size)
+        self.offsets.append(offset)
+        self.spill_bytes += nbytes
+        return offset
 
     def batches_before(self, chunk: int, batch_size: int, drop_last: bool) -> int:
         return sum(
@@ -216,15 +236,41 @@ class _ChunkPlan:
         )
 
 
+def _pwrite_all(fd: int, block: np.ndarray, offset: int) -> None:
+    view = memoryview(block).cast("B")
+    done = 0
+    while done < len(view):
+        done += os.pwrite(fd, view[done:], offset + done)
+
+
+def _pread_into(fd: int, block: np.ndarray, offset: int) -> None:
+    view = memoryview(block).cast("B")
+    done = 0
+    while done < len(view):
+        n = os.preadv(fd, [view[done:]], offset + done)
+        if n == 0:
+            raise EOFError(f"spill file ends inside the chunk at offset {offset}")
+        done += n
+
+
 class ChunkedCSVSource(DataSource):
     """Bounded-memory chunked reader over a CSV exposure log.
 
-    One metadata pass at construction streams the whole file to build
-    the vocabulary (incremental, identical id assignment to a full
-    in-memory load), dense statistics (running sums), the quarantine
-    report, and the chunk geometry.  Every epoch then re-reads the file
-    chunk-by-chunk; at no point do more than ``~2 * chunk_rows`` rows
-    live in memory.
+    The CSV is parsed exactly once, by a metadata pass at construction.
+    It builds the vocabulary (incremental, identical id assignment to a
+    full in-memory load), dense statistics (running sums), the
+    quarantine report and the chunk geometry, and spills each chunk's
+    converted columns to an anonymous temporary file: labels, sparse
+    ids and *raw* dense values, 8 bytes each per row.  Every epoch (and
+    :meth:`sample_batch`) reads chunks back with explicit-offset
+    ``os.preadv`` and standardises the dense columns; at no point do
+    more than ``chunk_rows`` rows live in memory.
+
+    The source is a snapshot: overwriting the CSV after construction
+    changes no batch.  The spill lives where :mod:`tempfile` puts it
+    (``TMPDIR``) and is unlinked at creation, so it vanishes with the
+    source or the process.  Reads never move a file position, so forked
+    workers sharing the file description cannot disturb one another.
 
     Parameters
     ----------
@@ -270,42 +316,62 @@ class ChunkedCSVSource(DataSource):
         self.freeze_vocabulary = freeze_vocabulary
         self.name = name or self.path.stem
         self.gauge = ChunkMemoryGauge()
-        self._quarantine_max_rows = quarantine_max_rows
 
         header = read_csv_header(self.path)
         self._header_len = len(header)
         self._dense_columns, self._sparse_columns, self._column_index = (
             resolve_columns(self.path, header, self.spec)
         )
+        self._n_columns = 2 + len(self._sparse_columns) + len(self._dense_columns)
 
-        # -- metadata pass: vocabulary, dense stats, quarantine, geometry.
+        # -- metadata pass: vocabulary, dense stats, quarantine, geometry,
+        # and the spill of every chunk's converted columns.
+        self._spill = tempfile.TemporaryFile()
+        self._close_spill = weakref.finalize(self, self._spill.close)
         self.quarantine = QuarantineStore(max_rows=quarantine_max_rows)
-        sums = {c: 0.0 for c in self._dense_columns}
-        sumsqs = {c: 0.0 for c in self._dense_columns}
+        dense_columns = self._dense_columns
+        sums = [0.0] * len(dense_columns)
+        sumsqs = [0.0] * len(dense_columns)
+        clicks: List[int] = []
+        conversions: List[int] = []
+        sparse: List[List[int]] = [[] for _ in self._sparse_columns]
+        dense: List[List[float]] = [[] for _ in dense_columns]
+        # (id list, cell position, column, hash buckets or None) per column.
+        sparse_cells = [
+            (ids, self._column_index[c], c, self.spec.hash_buckets.get(c))
+            for ids, c in zip(sparse, self._sparse_columns)
+        ]
+        vocabulary_index = self.vocabularies.index
         kept = 0
         total = 0
         plan = _ChunkPlan()
-        chunk_fill = 0
-        for payload in self._classified_rows(self.quarantine):
+        for payload in self._classified_rows():
             total += 1
             if payload is None:
                 continue
             click, conversion, dense_values, row = payload
-            for c in self._sparse_columns:
-                if c not in self.spec.hash_buckets:
-                    self.vocabularies.index(
-                        c, row[self._column_index[c]], frozen=freeze_vocabulary
-                    )
-            for c in self._dense_columns:
-                sums[c] += dense_values[c]
-                sumsqs[c] += dense_values[c] ** 2
+            if not clicks:
+                # The chunk being filled counts as resident.
+                self.gauge.acquire(1, 0)
+            clicks.append(click)
+            conversions.append(conversion)
+            for ids, position, c, buckets in sparse_cells:
+                raw = row[position]
+                if buckets is None:
+                    ids.append(vocabulary_index(c, raw, frozen=freeze_vocabulary))
+                else:
+                    ids.append(hash_feature(raw, buckets))
+            for k, c in enumerate(dense_columns):
+                value = dense_values[c]
+                dense[k].append(value)
+                sums[k] += value
+                sumsqs[k] += value**2
             kept += 1
-            chunk_fill += 1
-            if chunk_fill == chunk_rows:
-                plan.sizes.append(chunk_fill)
-                chunk_fill = 0
-        if chunk_fill:
-            plan.sizes.append(chunk_fill)
+            if len(clicks) == chunk_rows:
+                self._spill_chunk(plan, clicks, conversions, sparse, dense)
+        if clicks:
+            self._spill_chunk(plan, clicks, conversions, sparse, dense)
+        self.gauge.rows_parsed = total
         self._n_rows = kept
         self._plan = plan
 
@@ -336,16 +402,17 @@ class ChunkedCSVSource(DataSource):
             loaded=kept,
             chunks=len(plan.sizes),
             chunk_rows=chunk_rows,
+            spill_bytes=plan.spill_bytes,
         )
         if self.policy and self.report.corrupt_fraction > self.policy.error_budget:
             raise IngestBudgetError(self.report)
 
         if dense_stats is None:
             dense_stats = {}
-            for c in self._dense_columns:
+            for k, c in enumerate(dense_columns):
                 if kept:
-                    mean = sums[c] / kept
-                    var = max(sumsqs[c] / kept - mean**2, 0.0)
+                    mean = sums[k] / kept
+                    var = max(sumsqs[k] / kept - mean**2, 0.0)
                     dense_stats[c] = (mean, float(np.sqrt(var)) or 1.0)
                 else:
                     dense_stats[c] = (0.0, 1.0)
@@ -356,7 +423,7 @@ class ChunkedCSVSource(DataSource):
 
     # -- row plumbing ---------------------------------------------------
     def _classified_rows(
-        self, store: QuarantineStore
+        self,
     ) -> Iterator[Optional[Tuple[int, int, Dict[str, float], List[str]]]]:
         """Stream classified rows; ``None`` marks a dropped row.
 
@@ -379,7 +446,7 @@ class ChunkedCSVSource(DataSource):
                 self._sparse_columns,
                 self.vocabularies,
                 self.freeze_vocabulary,
-                store,
+                self.quarantine,
             )
             if verdict is None:
                 yield None
@@ -418,48 +485,56 @@ class ChunkedCSVSource(DataSource):
                 ) from None
         return click, conversion, dense_values, row
 
-    def _materialize(
-        self, rows: List[Tuple[int, int, Dict[str, float], List[str]]]
-    ) -> Dict[str, np.ndarray]:
-        n = len(rows)
-        clicks = np.zeros(n, dtype=np.int64)
-        conversions = np.zeros(n, dtype=np.int64)
-        sparse = {c: np.zeros(n, dtype=np.int64) for c in self._sparse_columns}
-        dense = {c: np.zeros(n, dtype=np.float64) for c in self._dense_columns}
-        for j, (click, conversion, dense_values, row) in enumerate(rows):
-            clicks[j] = click
-            conversions[j] = conversion
-            for c in self._sparse_columns:
-                raw = row[self._column_index[c]]
-                if c in self.spec.hash_buckets:
-                    sparse[c][j] = hash_feature(raw, self.spec.hash_buckets[c])
-                else:
-                    # The metadata pass already assigned every id, so
-                    # lookups are effectively frozen here.
-                    sparse[c][j] = self.vocabularies.index(c, raw, frozen=True)
-        for c in self._dense_columns:
+    # -- spill ------------------------------------------------------------
+    # A chunk of n rows is one (2 + sparse + dense, n) int64 block:
+    # clicks, conversions, sparse ids, then the raw dense float64 bits.
+    def _spill_chunk(
+        self,
+        plan: _ChunkPlan,
+        clicks: List[int],
+        conversions: List[int],
+        sparse: List[List[int]],
+        dense: List[List[float]],
+    ) -> None:
+        """Append the filled chunk to the spill and empty its lists."""
+        n_int = 2 + len(sparse)
+        block = np.empty((n_int + len(dense), len(clicks)), dtype=np.int64)
+        block[:n_int] = np.array([clicks, conversions, *sparse], dtype=np.int64)
+        if dense:
+            block[n_int:] = np.array(dense, dtype=np.float64).view(np.int64)
+        offset = plan.add(len(clicks), block.nbytes)
+        _pwrite_all(self._spill.fileno(), block, offset)
+        for column in (clicks, conversions, *sparse, *dense):
+            column.clear()
+        self.gauge.release(1, 0)
+
+    def _read_block(self, chunk: int) -> np.ndarray:
+        block = np.empty((self._n_columns, self._plan.sizes[chunk]), dtype=np.int64)
+        _pread_into(self._spill.fileno(), block, self._plan.offsets[chunk])
+        return block
+
+    def _as_batch(self, block: np.ndarray) -> Batch:
+        """Row views of a spilled block, dense columns standardised."""
+        n_int = 2 + len(self._sparse_columns)
+        raw = block[n_int:].view(np.float64)
+        dense = {}
+        for k, c in enumerate(self._dense_columns):
             mean, std = self.dense_stats[c]
-            for j, (_, _, dense_values, _) in enumerate(rows):
-                dense[c][j] = (dense_values[c] - mean) / std
-        return {"clicks": clicks, "conversions": conversions, **{
-            f"sparse.{k}": v for k, v in sparse.items()
-        }, **{f"dense.{k}": v for k, v in dense.items()}}
+            dense[c] = (raw[k] - mean) / std
+        return Batch(
+            sparse={c: block[2 + k] for k, c in enumerate(self._sparse_columns)},
+            dense=dense,
+            clicks=block[0],
+            conversions=block[1],
+        )
 
     @staticmethod
-    def _chunk_batch(arrays: Dict[str, np.ndarray], idx: np.ndarray) -> Batch:
+    def _chunk_batch(chunk: Batch, idx: np.ndarray) -> Batch:
         return Batch(
-            sparse={
-                k[len("sparse."):]: v[idx]
-                for k, v in arrays.items()
-                if k.startswith("sparse.")
-            },
-            dense={
-                k[len("dense."):]: v[idx]
-                for k, v in arrays.items()
-                if k.startswith("dense.")
-            },
-            clicks=arrays["clicks"][idx],
-            conversions=arrays["conversions"][idx],
+            sparse={k: v[idx] for k, v in chunk.sparse.items()},
+            dense={k: v[idx] for k, v in chunk.dense.items()},
+            clicks=chunk.clicks[idx],
+            conversions=chunk.conversions[idx],
         )
 
     # -- DataSource interface ------------------------------------------
@@ -502,18 +577,9 @@ class ChunkedCSVSource(DataSource):
         drop_last: bool,
         start_batch: int,
     ) -> Iterator[Batch]:
-        epoch_store = QuarantineStore(max_rows=0)
-        buffer: List[Tuple[int, int, Dict[str, float], List[str]]] = []
-        buffer_open = False
         batch_cursor = 0
-
-        def flush() -> Iterator[Batch]:
-            nonlocal batch_cursor, buffer, buffer_open
-            chunk_n = len(buffer)
-            if not chunk_n:
-                return
+        for chunk, chunk_n in enumerate(self._plan.sizes):
             n_chunk_batches = n_batches(chunk_n, batch_size, drop_last)
-            skip_whole_chunk = batch_cursor + n_chunk_batches <= start_batch
             if shuffle:
                 assert rng is not None
                 # Drawn even for skipped chunks: the RNG stream must
@@ -521,21 +587,13 @@ class ChunkedCSVSource(DataSource):
                 order = rng.permutation(chunk_n)
             else:
                 order = np.arange(chunk_n)
-            if skip_whole_chunk:
+            if batch_cursor + n_chunk_batches <= start_batch:
                 batch_cursor += n_chunk_batches
-                buffer = []
-                buffer_open = False
-                self.gauge.release(1, 0)
-                return
-            # Transiently the raw-row buffer and its materialised
-            # arrays coexist -- the "2 resident chunks" moment the
-            # gauge (and the acceptance test) bound.
-            arrays = self._materialize(buffer)
-            nbytes = sum(v.nbytes for v in arrays.values())
+                continue
+            block = self._read_block(chunk)
+            arrays = self._as_batch(block)
+            nbytes = block.nbytes + sum(v.nbytes for v in arrays.dense.values())
             self.gauge.acquire(1, nbytes)
-            buffer = []
-            buffer_open = False
-            self.gauge.release(1, 0)
             self.gauge.chunks_materialized += 1
             self.gauge.rows_materialized += chunk_n
             try:
@@ -549,18 +607,10 @@ class ChunkedCSVSource(DataSource):
             finally:
                 self.gauge.release(1, nbytes)
 
-        for payload in self._classified_rows(epoch_store):
-            if payload is None:
-                continue
-            if not buffer_open:
-                # An assembling raw-row buffer counts as a resident
-                # chunk for the bounded-memory accounting.
-                self.gauge.acquire(1, 0)
-                buffer_open = True
-            buffer.append(payload)
-            if len(buffer) == self.chunk_rows:
-                yield from flush()
-        yield from flush()
+    def close(self) -> None:
+        """Close the spill file now rather than when the source is
+        collected; the source cannot be iterated afterwards."""
+        self._close_spill()
 
     def validate(self) -> None:
         """No-op: the metadata pass constructed every sparse id in
@@ -568,16 +618,15 @@ class ChunkedCSVSource(DataSource):
         the invariant ``trusted_indices`` relies on."""
 
     def sample_batch(self, n: int) -> Batch:
-        rows: List[Tuple[int, int, Dict[str, float], List[str]]] = []
-        store = QuarantineStore(max_rows=0)
-        for payload in self._classified_rows(store):
-            if payload is None:
-                continue
-            rows.append(payload)
-            if len(rows) == n:
+        head = np.empty((self._n_columns, min(n, self._n_rows)), dtype=np.int64)
+        filled = 0
+        for chunk in range(len(self._plan.sizes)):
+            if filled == head.shape[1]:
                 break
-        arrays = self._materialize(rows)
-        return self._chunk_batch(arrays, np.arange(len(rows)))
+            take = min(head.shape[1] - filled, self._plan.sizes[chunk])
+            head[:, filled : filled + take] = self._read_block(chunk)[:, :take]
+            filled += take
+        return self._as_batch(head)
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 The acceptance drill: a ``ChunkedCSVSource`` trains on a CSV >= 10x
 larger than its chunk budget while the :class:`ChunkMemoryGauge` proves
-that at no point do more than 2 chunks live in memory; the chunked
+that at no point, construction included, does more than 1 chunk live in
+memory; the chunked
 arrays are bit-identical to a full in-memory load; strict-mode errors
 keep the loader's file:line:column provenance; and the ``start_batch``
 resume cursor yields batches bit-identical to an uninterrupted epoch.
 """
+
+import csv
 
 import numpy as np
 import pytest
@@ -20,7 +23,13 @@ from repro.data.ingest import (
     IngestBudgetError,
     IngestPolicy,
 )
-from repro.data.loaders import ColumnSpec, export_csv_dataset, load_csv_dataset
+from repro.data.ingest import load_csv_dataset_quarantined
+from repro.data.loaders import (
+    ColumnSpec,
+    VocabularyMaps,
+    export_csv_dataset,
+    load_csv_dataset,
+)
 from repro.data.stream import (
     ChunkedCSVSource,
     InMemorySource,
@@ -154,15 +163,18 @@ class TestChunkedCSVSource:
         assert source.schema.vocab_sizes() == full.schema.vocab_sizes()
 
     def test_bounded_memory_over_10x_file(self, csv_path):
-        """>= 10 chunks per epoch, never more than 2 resident at once."""
+        """>= 10 chunks per epoch, never more than 1 resident at once:
+        the chunk the metadata pass fills, or the one being trained on."""
         source = ChunkedCSVSource(csv_path, chunk_rows=100)
         n_chunks = len(source._plan.sizes)
         assert n_chunks >= 10
+        assert source.gauge.peak_resident_chunks == 1  # the fill buffer
+        assert source.gauge.chunks_materialized == 0
         for batch in source.iter_batches(
             64, rng=np.random.default_rng(0), shuffle=True
         ):
             assert source.gauge.resident_chunks <= 2
-        assert source.gauge.peak_resident_chunks == 2
+        assert source.gauge.peak_resident_chunks == 1
         assert source.gauge.resident_chunks == 0
         assert source.gauge.resident_bytes == 0
         assert source.gauge.chunks_materialized == n_chunks
@@ -217,6 +229,219 @@ class TestChunkedCSVSource:
         np.testing.assert_array_equal(
             a.sparse["user_id"], b.sparse["user_id"]
         )
+
+
+def epoch_arrays(source, batch_size=64):
+    """One unshuffled epoch, concatenated back into whole columns."""
+    batches = list(source.iter_batches(batch_size, shuffle=False))
+    return {
+        "clicks": np.concatenate([b.clicks for b in batches]),
+        "conversions": np.concatenate([b.conversions for b in batches]),
+        **{
+            f"sparse.{c}": np.concatenate([b.sparse[c] for b in batches])
+            for c in batches[0].sparse
+        },
+        **{
+            f"dense.{c}": np.concatenate([b.dense[c] for b in batches])
+            for c in batches[0].dense
+        },
+    }
+
+
+def assert_arrays_match(arrays, dataset, rows=slice(None)):
+    """Byte equality of every column, keys included, against ``dataset``."""
+    expected = {
+        "clicks": dataset.clicks[rows],
+        "conversions": dataset.conversions[rows],
+        **{f"sparse.{c}": v[rows] for c, v in dataset.sparse.items()},
+        **{f"dense.{c}": v[rows] for c, v in dataset.dense.items()},
+    }
+    assert arrays.keys() == expected.keys()
+    for key, values in expected.items():
+        assert arrays[key].dtype == values.dtype, key
+        assert arrays[key].tobytes() == values.tobytes(), key
+
+
+def rewrite_csv(src, dst, edit):
+    """Copy a CSV, letting ``edit(i, row)`` return the row to write."""
+    with open(src, newline="") as handle:
+        header, *rows = list(csv.reader(handle))
+    with open(dst, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            writer.writerow(edit(i, dict(zip(header, row)), row, header))
+    return dst
+
+
+def copy_vocabularies(vocabularies):
+    return VocabularyMaps({k: dict(v) for k, v in vocabularies.maps.items()})
+
+
+class TestChunkedCSVParity:
+    """Unshuffled epochs equal the materialising loaders, byte for byte.
+
+    These pin what the chunked source must carry from its metadata pass
+    to every epoch: repaired labels and dense values, hashed ids, frozen
+    vocabulary lookups with OOV ids, and the head rows ``sample_batch``
+    returns across a chunk boundary.
+    """
+
+    @pytest.fixture(scope="class")
+    def spec(self, world):
+        train, _ = world
+        return ColumnSpec(
+            dense_features=tuple(train.dense),
+            wide_features=tuple(
+                f.name for f in train.schema.sparse if f.kind == "wide"
+            ),
+        )
+
+    @pytest.fixture(scope="class")
+    def dirty_path(self, csv_path, tmp_path_factory):
+        def edit(i, cells, row, header):
+            if i % 97 == 5:
+                cells["user_hist_ctr"] = "nan"
+            elif i % 89 == 7:
+                cells["item_hist_cvr"] = "inf" if i % 2 else "-inf"
+            elif i % 83 == 11:
+                cells["user_hist_ctr"] = "oops"
+            elif i % 61 == 3:
+                cells["click"], cells["conversion"] = "0", "1"
+            elif i == 400:
+                return row[:-1]  # ragged: always dropped
+            elif i == 401:
+                cells["click"] = "2"  # bad label: always dropped
+            return [cells[c] for c in header]
+
+        return rewrite_csv(
+            csv_path, tmp_path_factory.mktemp("parity") / "dirty.csv", edit
+        )
+
+    @pytest.mark.parametrize("on_bad_dense", ["impute", "clip"])
+    def test_quarantine_repairs_match_quarantined_load(
+        self, dirty_path, spec, on_bad_dense
+    ):
+        policy = IngestPolicy(
+            error_budget=0.5,
+            on_bad_dense=on_bad_dense,
+            on_label_inconsistency="repair",
+            dense_default=0.25,
+            dense_clip=3.0,
+        )
+        full = load_csv_dataset_quarantined(dirty_path, spec=spec, policy=policy)
+        assert full.report.repaired_rows > 0
+        assert full.report.dropped_rows == 2
+        source = ChunkedCSVSource(
+            dirty_path,
+            chunk_rows=100,
+            spec=spec,
+            policy=policy,
+            dense_stats=full.dense_stats,
+        )
+        assert source.report.reason_counts == full.report.reason_counts
+        assert source.vocabularies.maps == full.vocabularies.maps
+        assert_arrays_match(epoch_arrays(source), full.dataset)
+
+    def test_hashed_column_matches_full_load(self, csv_path, spec):
+        hashed = ColumnSpec(
+            dense_features=spec.dense_features,
+            wide_features=spec.wide_features,
+            hash_buckets={"user_id": 7, "item_id": 13},
+        )
+        full, _, stats = load_csv_dataset(csv_path, spec=hashed)
+        source = ChunkedCSVSource(
+            csv_path, chunk_rows=100, spec=hashed, dense_stats=stats
+        )
+        assert "user_id" not in source.vocabularies.maps
+        assert_arrays_match(epoch_arrays(source), full)
+
+    def test_frozen_vocabulary_split_with_oov_ids(
+        self, world, csv_path, spec, tmp_path
+    ):
+        _, test = world
+        _, vocabularies, stats = load_csv_dataset(csv_path, spec=spec)
+
+        def edit(i, cells, row, header):
+            if i % 7 == 0:
+                cells["user_id"] = f"unseen-{i}"
+            if i % 11 == 0:
+                cells["item_id"] = f"unseen-{i}"
+            return [cells[c] for c in header]
+
+        test_path = rewrite_csv(
+            export_csv_dataset(test, tmp_path / "test-clean.csv"),
+            tmp_path / "test.csv",
+            edit,
+        )
+        full, _, _ = load_csv_dataset(
+            test_path,
+            spec=spec,
+            vocabularies=copy_vocabularies(vocabularies),
+            freeze_vocabulary=True,
+            dense_stats=stats,
+        )
+        assert (full.sparse["user_id"] == 0).any()
+        assert (full.sparse["item_id"] == 0).any()
+        frozen = copy_vocabularies(vocabularies)
+        source = ChunkedCSVSource(
+            test_path,
+            chunk_rows=30,
+            spec=spec,
+            vocabularies=frozen,
+            freeze_vocabulary=True,
+            dense_stats=stats,
+        )
+        assert frozen.maps == vocabularies.maps  # frozen: nothing added
+        assert_arrays_match(epoch_arrays(source, batch_size=16), full)
+
+    def test_sample_batch_spans_chunks(self, csv_path, spec):
+        full, _, stats = load_csv_dataset(csv_path, spec=spec)
+        source = ChunkedCSVSource(
+            csv_path, chunk_rows=100, spec=spec, dense_stats=stats
+        )
+        probe = source.sample_batch(250)
+        assert probe.size == 250
+        arrays = {
+            "clicks": probe.clicks,
+            "conversions": probe.conversions,
+            **{f"sparse.{c}": v for c, v in probe.sparse.items()},
+            **{f"dense.{c}": v for c, v in probe.dense.items()},
+        }
+        assert_arrays_match(arrays, full, rows=slice(0, 250))
+        assert source.sample_batch(10**6).size == len(source)
+
+
+class TestChunkedCSVSnapshot:
+    def test_overwriting_the_csv_changes_no_batch(self, csv_path, tmp_path):
+        """The metadata pass parses the file once; epochs read the
+        spill, so the source is a snapshot of the file at construction."""
+        path = tmp_path / "live.csv"
+        path.write_bytes(csv_path.read_bytes())
+        source = ChunkedCSVSource(path, chunk_rows=100)
+        before = epoch_arrays(source)
+        probe = source.sample_batch(150)
+
+        def edit(i, cells, row, header):
+            cells["click"], cells["conversion"] = "1", "1"
+            return [cells[c] for c in header]
+
+        rewrite_csv(csv_path, path, edit)
+        after = epoch_arrays(source)
+        assert after.keys() == before.keys()
+        for key in before:
+            assert after[key].tobytes() == before[key].tobytes(), key
+        again = source.sample_batch(150)
+        assert again.clicks.tobytes() == probe.clicks.tobytes()
+        path.unlink()
+        assert len(list(source.iter_batches(64, shuffle=False))) > 0
+
+    def test_close_releases_the_spill(self, csv_path):
+        source = ChunkedCSVSource(csv_path, chunk_rows=100)
+        source.close()
+        source.close()  # idempotent
+        with pytest.raises(ValueError, match="closed file"):
+            list(source.iter_batches(64, shuffle=False))
 
 
 class TestChunkedCSVProvenance:

@@ -3,7 +3,8 @@
 The pool must compose with out-of-core sources without weakening
 either side's invariants: the parent streams chunks under the same
 ``peak_resident_chunks <= 2`` memory bound (workers receive already
-materialised shard slices, never file handles), and a mid-epoch
+materialised shard slices and never read the source's spill file), a
+pool fit leaves the parent's spill reads intact, and a mid-epoch
 checkpoint resumed into a fresh pool re-draws the same chunk/row
 permutations and lands on bit-identical parameters.
 """
@@ -76,6 +77,24 @@ def test_parallel_matches_serial_sharded_on_stream(csv_path):
 
     assert pooled_history.epoch_losses == serial_history.epoch_losses
     assert param_digest(pooled) == param_digest(serial)
+
+
+def test_serial_epoch_after_pool_fit_reads_identical_batches(csv_path):
+    """Forked workers inherit the spill's file description; reads use
+    explicit offsets, so a pool fit leaves the parent's reads intact."""
+
+    def epoch(source):
+        batches = source.iter_batches(100, rng=np.random.default_rng(3))
+        return [
+            (b.clicks.tobytes(), {k: v.tobytes() for k, v in b.sparse.items()})
+            for b in batches
+        ]
+
+    source = ChunkedCSVSource(csv_path, chunk_rows=256)
+    before = epoch(source)
+    model = build_model("dcmt", source.schema, MODEL_CONFIG)
+    create_engine(model, CONFIG).fit(source)
+    assert epoch(source) == before
 
 
 def test_mid_epoch_resume_redraws_identical_permutations(csv_path, tmp_path):

@@ -80,6 +80,22 @@ class TestSourceTransparency:
         assert param_digest(sourced) == param_digest(direct)
 
 
+class TestChunkGauge:
+    def test_rows_parsed_once_and_materialized_per_epoch(self, world, tmp_path):
+        """A 3-epoch fit parses the CSV once, at construction, and reads
+        every kept row back once per epoch."""
+        train, _ = world
+        source = ChunkedCSVSource(
+            export_csv_dataset(train, tmp_path / "train.csv"), chunk_rows=256
+        )
+        assert source.gauge.rows_parsed == source.report.total_rows
+        assert source.gauge.rows_materialized == 0
+        model = build_model("dcmt", source.schema, MODEL_CONFIG)
+        fit_model(model, source, TRAIN_CONFIG.with_overrides(epochs=3))
+        assert source.gauge.rows_parsed == source.report.total_rows
+        assert source.gauge.rows_materialized == 3 * len(source)
+
+
 class TestStreamingKillResume:
     def test_resume_matches_uninterrupted_run(self, csv_source, tmp_path):
         source = csv_source
