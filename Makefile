@@ -81,7 +81,7 @@ verify-month:
 verify-bench:
 	PYTHONPATH=src python3 -m pytest benchmarks/perf -q
 
-# Throughput-only benches (dense/sparse training + inference); writes
+# Throughput-only benches (eager and compiled training + inference); writes
 # BENCH_throughput.json at the repo root with measured rows/s, the
 # speedup over the pre-optimisation engine, and a profiled op breakdown.
 bench:

@@ -2,9 +2,8 @@
 
 Unlike the table/figure benches (one-shot artifact regenerations),
 these use pytest-benchmark's repeated timing to track the numpy
-engine's speed: rows/second for a DCMT training epoch (dense, sparse
-embedding-gradient, and compiled-plan paths) and for full-batch
-inference.
+engine's speed: rows/second for a DCMT training epoch (eager and
+compiled-plan paths) and for full-batch inference.
 
 Throughput is computed from the *median* round, not the mean -- a
 single GC pause or scheduler hiccup should not move the reported
@@ -22,11 +21,9 @@ import numpy as np
 import pytest
 
 from repro.autograd.plan import PlanRunner
-from repro.autograd.sparse import sparse_grads
 from repro.core.dcmt import DCMT
 from repro.data.batching import batch_iterator
 from repro.data.synthetic import SyntheticScenario
-from repro.nn.embedding import trusted_indices
 from repro.optim import Adam
 from repro.perf import OpProfiler
 
@@ -74,28 +71,12 @@ def _median_rows_per_second(benchmark, rows):
 
 
 def test_training_epoch_throughput(benchmark, world, bench_config):
-    """Dense gradient path: the engine default."""
+    """Eager engine step: forward, backward, Adam update."""
     train, _ = world
     benchmark.pedantic(_make_epoch(train, bench_config), rounds=3, iterations=1)
     rows_per_second = _median_rows_per_second(benchmark, ROWS)
     _RESULTS["train_dense_rows_per_s"] = rows_per_second
     print(f"\ntraining throughput (dense): {rows_per_second:,.0f} rows/s")
-    assert rows_per_second > 20_000
-
-
-def test_training_epoch_throughput_sparse(benchmark, world, bench_config):
-    """Sparse embedding grads + trusted indices: the Trainer defaults."""
-    train, _ = world
-    one_epoch = _make_epoch(train, bench_config)
-
-    def sparse_epoch():
-        with sparse_grads(True), trusted_indices():
-            one_epoch()
-
-    benchmark.pedantic(sparse_epoch, rounds=3, iterations=1)
-    rows_per_second = _median_rows_per_second(benchmark, ROWS)
-    _RESULTS["train_sparse_rows_per_s"] = rows_per_second
-    print(f"\ntraining throughput (sparse): {rows_per_second:,.0f} rows/s")
     assert rows_per_second > 20_000
 
 

@@ -18,19 +18,9 @@ Public surface:
 * :func:`~repro.autograd.grad_check.numerical_gradient` /
   :func:`~repro.autograd.grad_check.check_gradients` -- finite-difference
   gradient verification used by the tests.
-* :class:`~repro.autograd.sparse.SparseRowGrad` and the
-  :func:`~repro.autograd.sparse.sparse_grads` /
-  :func:`~repro.autograd.sparse.set_sparse_grads` toggles -- sparse
-  embedding gradients for ``take_rows``.
 """
 
 from repro.autograd.tensor import Tensor, no_grad, tensor
-from repro.autograd.sparse import (
-    SparseRowGrad,
-    set_sparse_grads,
-    sparse_grads,
-    sparse_grads_enabled,
-)
 from repro.autograd import ops
 from repro.autograd import functional
 from repro.autograd.grad_check import check_gradients, numerical_gradient
@@ -50,10 +40,6 @@ __all__ = [
     "functional",
     "check_gradients",
     "numerical_gradient",
-    "SparseRowGrad",
-    "set_sparse_grads",
-    "sparse_grads",
-    "sparse_grads_enabled",
     "CompiledPlan",
     "PlanMismatch",
     "PlanRunner",

@@ -13,9 +13,9 @@ graph nodes:
 * :func:`sigmoid_bce` -- binary log-loss straight from logits, using the
   stable ``max(z,0) - z*y + log1p(exp(-|z|))`` identity; its backward is
   the two-op ``(sigmoid(z) - y) * g``.
-* :func:`take_rows` -- optionally emits a coalesced
-  :class:`~repro.autograd.sparse.SparseRowGrad` instead of scattering
-  into an ``O(vocab x dim)`` dense zero array.
+* :func:`take_rows` -- the embedding lookup; its backward scatters
+  into a dense zero table with :func:`scatter_rows`, an
+  ``np.bincount`` kernel byte-identical to ``np.add.at``.
 
 All public ops report call counts / wall time / output bytes to the
 active :class:`~repro.perf.profiler.OpProfiler`; when none is installed
@@ -26,16 +26,11 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd import planmode as _planmode
-from repro.autograd.sparse import (
-    SparseRowGrad,
-    scatter_rows,
-    sparse_grads_enabled,
-)
 from repro.autograd.tensor import Tensor, _as_tensor, unbroadcast
 from repro.perf.profiler import active as _profiler_active
 
@@ -404,42 +399,69 @@ def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     return out
 
 
+def scatter_rows(
+    indices: np.ndarray,
+    grad: np.ndarray,
+    shape: Tuple[int, ...],
+    dtype: np.dtype = np.float64,
+) -> np.ndarray:
+    """Sum the rows of ``grad`` into a zero ``shape`` table at ``indices``.
+
+    Byte-identical to ``np.add.at(np.zeros(shape, dtype), indices,
+    grad)``: ``np.bincount`` over flat element indices adds its weights
+    in occurrence order starting from 0.0, which is exactly the
+    sequence of additions ``np.add.at`` performs, without its
+    per-element dispatch.  ``grad`` has shape ``indices.shape +
+    shape[1:]``.
+    Non-float64 data, empty ids and negative (wrapping) ids take the
+    literal ``np.add.at`` path.
+    """
+    flat_idx = np.asarray(indices).reshape(-1)
+    if (
+        grad.dtype != np.float64
+        or np.dtype(dtype) != np.float64
+        or flat_idx.size == 0
+        or flat_idx.min() < 0
+    ):
+        out = np.zeros(shape, dtype=dtype)
+        np.add.at(out, indices, grad)
+        return out
+    dim = 1
+    for extent in shape[1:]:
+        dim *= extent
+    if dim == 1:
+        flat = flat_idx
+    else:
+        flat = (flat_idx[:, None] * dim + np.arange(dim)).reshape(-1)
+    sums = np.bincount(
+        flat, weights=grad.reshape(-1), minlength=shape[0] * dim
+    )
+    return sums.reshape(shape)
+
+
 @_instrumented
 def take_rows(table: ArrayLike, indices: np.ndarray) -> Tensor:
     """Gather rows of a 2-D ``table`` by integer ``indices``.
 
-    This is the embedding-lookup primitive.  With sparse gradients off
-    the backward pass scatters gradients into a dense zero table with
-    :func:`~repro.autograd.sparse.scatter_rows` (duplicate indices
-    accumulate, bit-identical to ``np.add.at``).  When sparse gradients
-    are enabled (:func:`~repro.autograd.sparse.set_sparse_grads`) at the
-    time the op is *recorded*, the backward instead emits a coalesced
-    :class:`~repro.autograd.sparse.SparseRowGrad` -- bit-identical row
-    sums without ever materialising the ``O(vocab x dim)`` array.
+    This is the embedding-lookup primitive.  The backward pass scatters
+    gradients into a dense zero table with :func:`scatter_rows`
+    (duplicate indices accumulate, bit-identical to ``np.add.at``).
     """
     table = _as_tensor(table)
     idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
     if not np.issubdtype(idx.dtype, np.integer):
         raise TypeError(f"indices must be integers, got {idx.dtype}")
-    sparse = sparse_grads_enabled()
     if _planmode._REPLAY is not None:
-        return _planmode._REPLAY.run("take_rows", (table, idx), (sparse,))
+        return _planmode._REPLAY.run("take_rows", (table, idx), ())
     out_data = table.data[idx]
 
-    if sparse:
-
-        def backward(grad: np.ndarray, t=table, i=idx) -> Iterable:
-            return ((t, SparseRowGrad.from_lookup(i, grad, t.data.shape), True),)
-
-    else:
-
-        def backward(grad: np.ndarray, t=table, i=idx) -> Iterable:
-            full = scatter_rows(i, grad, t.data.shape, t.data.dtype)
-            return ((t, full, True),)
+    def backward(grad: np.ndarray, t=table, i=idx) -> Iterable:
+        full = scatter_rows(i, grad, t.data.shape, t.data.dtype)
+        return ((t, full, True),)
 
     out = Tensor._make(out_data, (table,), backward)
     if _planmode._TRACER is not None:
-        _planmode._TRACER.record("take_rows", out, (table, idx), (sparse,))
+        _planmode._TRACER.record("take_rows", out, (table, idx), ())
     return out
 
 

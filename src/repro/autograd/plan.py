@@ -40,10 +40,10 @@ training to the last ULP against eager.
 
 **Fallback contract.**  Before each replay the runner checks a
 :class:`PlanSignature` -- batch shapes, parameter identity (including
-``p.data`` identity, which changes on checkpoint restore), the sparse
--grad flag and train mode.  A ragged final batch runs that one step
-eagerly; a parameter-level change invalidates the plan and re-traces
-on the next full batch; an op the compiler does not support disables
+``p.data`` identity, which changes on checkpoint restore) and train
+mode.  A ragged final batch runs that one step eagerly; a
+parameter-level change invalidates the plan and re-traces on the next
+full batch; an op the compiler does not support disables
 the plan for the run (permanent eager).  A cursor/shape mismatch
 *during* replay raises :class:`PlanMismatch` and falls back for that
 step; three consecutive mismatches disable the plan.
@@ -52,14 +52,13 @@ step; three consecutive mismatches disable the plan.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.autograd import planmode as _planmode
 from repro.autograd.arena import Arena, IntervalAllocator
-from repro.autograd.sparse import SparseRowGrad, sparse_grads_enabled
 from repro.autograd.tensor import Tensor, _topological_order
 from repro.perf.profiler import active as _profiler_active
 from repro.utils.logging import get_logger
@@ -183,19 +182,16 @@ class PlanSignature:
     ``matches`` returns ``"ok"``, ``"batch"`` (this batch only -- e.g. a
     ragged final batch; run it eagerly, keep the plan) or ``"params"``
     (the model itself changed -- vocab growth, checkpoint restore,
-    sparse-grad toggle, train/eval flip; invalidate and re-trace).
+    train/eval flip; invalidate and re-trace).
     """
 
     def __init__(self, batch, model) -> None:
         self.batch_sig = _batch_key(batch)
         self.params = list(model.parameters())
         self.datas = [p.data for p in self.params]
-        self.sparse = sparse_grads_enabled()
         self.training = bool(getattr(model, "training", True))
 
     def matches(self, batch, model) -> str:
-        if sparse_grads_enabled() != self.sparse:
-            return "params"
         if bool(getattr(model, "training", True)) != self.training:
             return "params"
         # Identity of the recorded parameters' arrays is the real
@@ -451,15 +447,14 @@ class _Emission:
 
 
 class _Contrib:
-    __slots__ = ("order", "emission", "src_target", "role", "dst", "sparse")
+    __slots__ = ("order", "emission", "src_target", "role", "dst")
 
     def __init__(self, order: tuple, emission: _Emission) -> None:
         self.order = order  # (schedule pos of emitter, emission seq)
         self.emission = emission
         self.src_target: Optional["_Target"] = None  # for views
-        self.role = ""  # store|add|alias|copy|add_view|sparse_first|sparse_next
+        self.role = ""  # store|add|alias|copy|add_view
         self.dst: Optional[np.ndarray] = None
-        self.sparse = False
 
 
 class _Target:
@@ -467,7 +462,7 @@ class _Target:
 
     __slots__ = (
         "key", "kind", "node", "param", "shape", "dtype",
-        "contribs", "storage", "root_req", "consume_pos", "sparse",
+        "contribs", "storage", "root_req", "consume_pos",
     )
 
     def __init__(self, key, kind, shape, dtype, node=None, param=None) -> None:
@@ -481,7 +476,6 @@ class _Target:
         self.storage: Optional[np.ndarray] = None
         self.root_req = None  # interval request backing an alias chain
         self.consume_pos = -1
-        self.sparse = False
 
 
 def _emissions_for(node: _PlanNode) -> List[_Emission]:
@@ -1073,19 +1067,7 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
             em.contrib = c
             if em.mode == "view":
                 c.src_target = _own_target(targets, node, p)
-            if node.op == "take_rows" and node.attrs[0]:
-                c.sparse = True
-                t.sparse = True
             t.contribs.append(c)
-
-    # Sparse targets must be pure-sparse parameters (matches the eager
-    # merge semantics without densification).
-    for t in targets.values():
-        if t.sparse:
-            if t.kind != "param" or any(not c.sparse for c in t.contribs):
-                raise PlanUnsupported(
-                    "mixed sparse/dense gradient accumulation on one target"
-                )
 
     # Consumption positions (fused relu grads live until the affine).
     for key, t in targets.items():
@@ -1136,7 +1118,7 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
     # the sweep (optimizer reads them), so they never interval-share.
     pidx = 0
     for t in targets.values():
-        if t.kind == "param" and not t.sparse:
+        if t.kind == "param":
             t.storage = arena.slot(("pgrad", pidx), t.shape, t.dtype)
         pidx += 1
     # Pass 2: materialise interval-backed storage, then resolve alias
@@ -1151,11 +1133,6 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
 
     # Roles for the remaining contributions.
     for t in targets.values():
-        if t.sparse:
-            for n_, c in enumerate(t.contribs):
-                c.role = "sparse_first" if n_ == 0 else "sparse_next"
-                c.dst = None
-            continue
         for n_, c in enumerate(t.contribs):
             c.dst = t.storage
             if c.role == "alias":
@@ -1224,21 +1201,6 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
                         lambda d=c.dst, v=view: np.add(d, v, out=d)
                     )
                 continue
-            if c.role in ("sparse_first", "sparse_next"):
-                param = node.operands[em.k].param
-                shape = node.operands[em.k].shape
-                if c.role == "sparse_first":
-                    def run(param=param, shape=shape, i=j, g=gsrc):
-                        param.grad = SparseRowGrad.from_lookup(
-                            rt[i][1], g, shape
-                        )
-                else:
-                    def run(param=param, shape=shape, i=j, g=gsrc):
-                        param.grad = param.grad.merge(
-                            SparseRowGrad.from_lookup(rt[i][1], g, shape)
-                        )
-                actions.append(run)
-                continue
             # matmul/affine/take_rows backward kernels produce the
             # operand's shape directly; elementwise kernels produce the
             # (broadcast) output shape and are then unbroadcast-reduced.
@@ -1274,18 +1236,17 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
             plan.program.append(run_all)
 
     for t in targets.values():
-        if t.kind == "param" and not t.sparse:
+        if t.kind == "param":
             plan.param_binds.append(
                 lambda p=t.param, buf=t.storage: setattr(p, "grad", buf)
             )
 
     # Bytes of gradient storage rewritten (not reallocated) each replay:
-    # every dense non-alias target lives in a pre-assigned arena buffer.
+    # every non-alias target lives in a pre-assigned arena buffer.
     plan.grad_bytes = sum(
         t.storage.nbytes
         for t in targets.values()
         if t.storage is not None
-        and not t.sparse
         and t.contribs
         and t.contribs[0].role != "alias"
     )

@@ -21,10 +21,6 @@ Two engine-level properties keep the hot loop lean:
 
 Broadcasting is fully supported; gradients flowing back through a
 broadcast are summed over the broadcast axes (see :func:`unbroadcast`).
-Embedding-style gather ops may emit
-:class:`~repro.autograd.sparse.SparseRowGrad` objects instead of dense
-arrays; the engine merges sparse and dense contributions transparently
-and a leaf's ``.grad`` is then sparse (optimizers dispatch on the type).
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.autograd import planmode as _planmode
-from repro.autograd.sparse import SparseRowGrad
 from repro.perf.profiler import active as _profiler_active
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
@@ -219,30 +214,15 @@ class Tensor:
 
         ``owned=True`` asserts the caller hands over a freshly allocated
         buffer that nothing else references, letting the first write
-        adopt it instead of copying.  ``grad`` may be a dense array or a
-        :class:`SparseRowGrad`; mixed accumulation densifies.
+        adopt it instead of copying.
         """
         if not self.requires_grad:
-            return
-        if isinstance(grad, SparseRowGrad):
-            if self.grad is None:
-                self.grad = grad if owned else SparseRowGrad(
-                    grad.indices, grad.values.copy(), grad.shape
-                )
-            elif isinstance(self.grad, SparseRowGrad):
-                self.grad = self.grad.merge(grad)
-            else:
-                grad.add_to(self.grad)
             return
         if self.grad is None:
             if owned and grad.dtype == self.data.dtype:
                 self.grad = grad
             else:
                 self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
-        elif isinstance(self.grad, SparseRowGrad):
-            dense = self.grad.to_dense()
-            dense += grad
-            self.grad = dense
         else:
             self.grad += grad
 
@@ -348,7 +328,7 @@ class Tensor:
                 if not parent.requires_grad or pgrad is None:
                     continue
                 if powned:
-                    owned_bytes += _grad_nbytes(pgrad)
+                    owned_bytes += int(pgrad.nbytes)
                 key = id(parent)
                 existing = grads.get(key)
                 if existing is None:
@@ -638,34 +618,9 @@ def _kernel_label(fn: Callable) -> str:
     return label
 
 
-def _grad_nbytes(grad) -> int:
-    """Bytes of a gradient buffer (dense array or SparseRowGrad)."""
-    nbytes = getattr(grad, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    return int(grad.values.nbytes) + int(grad.indices.nbytes)
-
-
 def _merge_grad(entry: list, new) -> None:
     """Sum ``new`` into a scratch-space gradient ``[grad, owned]`` entry."""
     grad, owned = entry
-    new_sparse = isinstance(new, SparseRowGrad)
-    if isinstance(grad, SparseRowGrad):
-        if new_sparse:
-            entry[0] = grad.merge(new)
-        else:
-            dense = np.array(new, dtype=new.dtype, copy=True)
-            grad.add_to(dense)
-            entry[0] = dense
-        entry[1] = True
-        return
-    if new_sparse:
-        if not owned:
-            grad = np.array(grad, copy=True)
-            entry[0] = grad
-        new.add_to(grad)
-        entry[1] = True
-        return
     if owned:
         grad += new
     else:

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
-from repro.autograd.sparse import SparseRowGrad
 from repro.nn.module import Parameter
-from repro.optim.optimizer import (
-    Optimizer,
-    _active_rows_from_moments,
-    _instrument_step,
-)
+from repro.optim.optimizer import Optimizer, _instrument_step
 
 
 class Adam(Optimizer):
@@ -21,15 +16,6 @@ class Adam(Optimizer):
     Defaults match the paper's setting: ``lr=0.001`` (Section IV-A2).
     ``weight_decay`` implements the Eq. (14) L2 regularizer
     (``lambda_2``, paper default 1e-4).
-
-    Sparse row-gradients (from embedding lookups) take a row-sliced
-    update path that is **bit-exact** to the dense update: a row whose
-    moments are all zero and which receives no gradient is an exact
-    no-op under dense Adam (``m_hat = v_hat = 0`` => update ``0.0``), so
-    only the *active* rows -- rows ever touched by a gradient -- need
-    processing.  The active set is tracked per parameter as a boolean
-    mask and rebuilt lazily from the moment buffers after a state
-    restore, so the ``state_dict`` format is unchanged.
     """
 
     def __init__(
@@ -52,9 +38,6 @@ class Adam(Optimizer):
         self._step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-        # Lazily-built per-parameter active-row masks (None = rebuild
-        # from the moment buffers on next sparse update).
-        self._active: List[Optional[np.ndarray]] = [None] * len(self.params)
         # Scratch pool for the out= update kernels: buffers are borrowed
         # per parameter update and returned afterwards, so steady-state
         # steps allocate nothing.  ``_step_alloc_bytes`` /
@@ -87,7 +70,6 @@ class Adam(Optimizer):
         self._step_count = int(state["step_count"])
         self._load_moments(state["m"], self._m)
         self._load_moments(state["v"], self._v)
-        self._active = [None] * len(self.params)
 
     # -- scratch pool --------------------------------------------------
     def _borrow(self, shape, dtype) -> np.ndarray:
@@ -117,9 +99,6 @@ class Adam(Optimizer):
         bias2 = 1.0 - self.beta2**t
         for i, p in enumerate(self.params):
             grad = self._grad(p)
-            if isinstance(grad, SparseRowGrad):
-                self._sparse_update(i, p, grad, bias1, bias2)
-                continue
             self._dense_update(p.data, self._m[i], self._v[i], grad, bias1, bias2)
 
     def _dense_update(self, target, m, v, grad, bias1, bias2) -> None:
@@ -148,54 +127,3 @@ class Adam(Optimizer):
         s1 /= s2
         target -= s1
         self._release()
-
-    def _sparse_update(
-        self,
-        i: int,
-        p: Parameter,
-        grad: SparseRowGrad,
-        bias1: float,
-        bias2: float,
-    ) -> None:
-        m, v = self._m[i], self._v[i]
-        mask = self._active[i]
-        if mask is None:
-            mask = self._active[i] = _active_rows_from_moments((m, v))
-        mask[grad.indices] = True
-        rows = np.nonzero(mask)[0]
-        if 2 * rows.size > mask.size:
-            # Mostly-active table: the gather/scatter of the sliced path
-            # costs more than it saves; run the plain vectorised update
-            # on a densified gradient (identical arithmetic).
-            self._dense_rows_update(p, m, v, grad.to_dense(), bias1, bias2)
-            return
-        shape = (rows.size,) + p.data.shape[1:]
-        g = self._borrow(shape, p.data.dtype)
-        g[...] = 0
-        g[np.searchsorted(rows, grad.indices)] = grad.values
-        mr = self._borrow(shape, p.data.dtype)
-        vr = self._borrow(shape, p.data.dtype)
-        np.take(m, rows, axis=0, out=mr)
-        np.take(v, rows, axis=0, out=vr)
-        s1 = self._borrow(shape, p.data.dtype)
-        s2 = self._borrow(shape, p.data.dtype)
-        mr *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=s1)
-        mr += s1
-        vr *= self.beta2
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - self.beta2
-        vr += s1
-        m[rows] = mr
-        v[rows] = vr
-        np.divide(mr, bias1, out=s1)
-        np.divide(vr, bias2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += self.eps
-        s1 *= self.lr
-        s1 /= s2
-        p.data[rows] -= s1
-        self._release()
-
-    def _dense_rows_update(self, p, m, v, grad, bias1, bias2) -> None:
-        self._dense_update(p.data, m, v, grad, bias1, bias2)

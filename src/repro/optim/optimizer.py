@@ -1,25 +1,20 @@
 """Optimizer base class and gradient utilities.
 
-Gradients arriving from the autograd engine are either dense numpy
-arrays or :class:`~repro.autograd.sparse.SparseRowGrad` objects (emitted
-by ``take_rows`` for embedding tables when sparse gradients are on).
-The utilities here -- weight-decay folding and global-norm clipping --
-handle both forms; the concrete optimizers dispatch per parameter.
+Gradients arriving from the autograd engine are dense numpy arrays of
+the parameter's shape.  The utilities here are weight-decay folding and
+global-norm clipping.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from typing import Any, Dict, Iterable, List, Sequence, Union
+from typing import Any, Dict, Iterable, List, Sequence
 
 import numpy as np
 
-from repro.autograd.sparse import SparseRowGrad
 from repro.nn.module import Parameter
 from repro.perf.profiler import active as _profiler_active
-
-Grad = Union[np.ndarray, SparseRowGrad]
 
 
 def _instrument_step(fn):
@@ -100,48 +95,20 @@ class Optimizer:
                 )
             dst[...] = src
 
-    def _grad(self, p: Parameter) -> Grad:
-        """Parameter gradient with L2 weight decay folded in.
-
-        Weight decay adds ``2 * wd * p`` to *every* row, so a sparse
-        gradient densifies here -- the exact-semantics contract beats
-        keeping it sparse.  With ``weight_decay == 0`` (the common case
-        for embedding-heavy configs) sparse gradients pass through.
-        """
+    def _grad(self, p: Parameter) -> np.ndarray:
+        """Parameter gradient with L2 weight decay folded in."""
         grad = p.grad
         if grad is None:
             return np.zeros_like(p.data)
         if not self.weight_decay:
             return grad
-        if isinstance(grad, SparseRowGrad):
-            grad = grad.to_dense()
-            grad += 2.0 * self.weight_decay * p.data
-            return grad
         return grad + 2.0 * self.weight_decay * p.data
-
-
-def _active_rows_from_moments(moments: Sequence[np.ndarray]) -> np.ndarray:
-    """Boolean mask of rows where any moment buffer is non-zero.
-
-    A row whose moments are all exactly zero is indistinguishable from a
-    never-touched row: the dense update there is an exact no-op.  The
-    mask is therefore safely rebuildable from the buffers alone (no
-    extra state to checkpoint).
-    """
-    first = moments[0]
-    tail_axes = tuple(range(1, first.ndim))
-    mask = (first != 0).any(axis=tail_axes)
-    for m in moments[1:]:
-        mask |= (m != 0).any(axis=tail_axes)
-    return mask
 
 
 def clip_global_norm(params: Sequence[Parameter], max_norm: float) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the pre-clip norm (useful for logging training stability).
-    Sparse row-gradients contribute only their stored rows (implicit
-    zeros add nothing to the norm) and are scaled in place.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
@@ -150,10 +117,7 @@ def clip_global_norm(params: Sequence[Parameter], max_norm: float) -> float:
         grad = p.grad
         if grad is None:
             continue
-        if isinstance(grad, SparseRowGrad):
-            total += grad.sum_of_squares()
-        else:
-            total += float(np.sum(grad**2))
+        total += float(np.sum(grad**2))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / (norm + 1e-12)
@@ -161,8 +125,5 @@ def clip_global_norm(params: Sequence[Parameter], max_norm: float) -> float:
             grad = p.grad
             if grad is None:
                 continue
-            if isinstance(grad, SparseRowGrad):
-                grad.scale_(scale)
-            else:
-                grad *= scale
+            grad *= scale
     return norm

@@ -2,27 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable
 
 import numpy as np
 
-from repro.autograd.sparse import SparseRowGrad
 from repro.nn.module import Parameter
-from repro.optim.optimizer import (
-    Optimizer,
-    _active_rows_from_moments,
-    _instrument_step,
-)
+from repro.optim.optimizer import Optimizer, _instrument_step
 
 
 class SGD(Optimizer):
     """Vanilla/momentum SGD.
-
-    Sparse row-gradients: without momentum the update only touches the
-    gradient's rows (``p[rows] -= lr * values``), which is trivially
-    bit-exact to the dense update.  With momentum the velocity of every
-    previously-touched row keeps decaying, so the same active-row-mask
-    scheme as :class:`~repro.optim.adam.Adam` is used.
 
     Parameters
     ----------
@@ -51,7 +40,6 @@ class SGD(Optimizer):
         self.lr = lr
         self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._active: List[Optional[np.ndarray]] = [None] * len(self.params)
 
     def state_dict(self) -> Dict[str, Any]:
         state = super().state_dict()
@@ -67,42 +55,14 @@ class SGD(Optimizer):
         self.lr = float(state["lr"])
         self.momentum = float(state["momentum"])
         self._load_moments(state["velocity"], self._velocity)
-        self._active = [None] * len(self.params)
 
     @_instrument_step
     def step(self) -> None:
         for i, p in enumerate(self.params):
             grad = self._grad(p)
-            if isinstance(grad, SparseRowGrad):
-                self._sparse_update(i, p, grad)
-                continue
             if self.momentum:
                 v = self._velocity[i]
                 v *= self.momentum
                 v += grad
                 grad = v
             p.data -= self.lr * grad
-
-    def _sparse_update(self, i: int, p: Parameter, grad: SparseRowGrad) -> None:
-        if not self.momentum:
-            p.data[grad.indices] -= self.lr * grad.values
-            return
-        v = self._velocity[i]
-        mask = self._active[i]
-        if mask is None:
-            mask = self._active[i] = _active_rows_from_moments((v,))
-        mask[grad.indices] = True
-        rows = np.nonzero(mask)[0]
-        if 2 * rows.size > mask.size:
-            dense = grad.to_dense()
-            v *= self.momentum
-            v += dense
-            p.data -= self.lr * v
-            return
-        g = np.zeros((rows.size,) + p.data.shape[1:], dtype=p.data.dtype)
-        g[np.searchsorted(rows, grad.indices)] = grad.values
-        vr = v[rows]
-        vr *= self.momentum
-        vr += g
-        v[rows] = vr
-        p.data[rows] -= self.lr * vr

@@ -202,7 +202,6 @@ class MonthConfig:
     epochs: int = 4
     batch_size: int = 256
     learning_rate: float = 0.003
-    compile_plan: bool = True
 
     # -- evaluation / lifecycle ----------------------------------------
     eval_rows: int = 600
@@ -558,7 +557,7 @@ class MonthSimulation:
                 epochs=cfg.epochs,
                 batch_size=cfg.batch_size,
                 learning_rate=cfg.learning_rate,
-                compile_plan=cfg.compile_plan,
+                compile_plan=True,
                 seed=cfg.seed + order[name],
             )
             registry = ModelRegistry(self.workdir / f"registry_{name}")

@@ -26,11 +26,6 @@ class TrainConfig:
     #: Stop early when the validation CVR AUC has not improved for this
     #: many epochs (None disables early stopping).
     early_stopping_patience: Optional[int] = None
-    #: Embedding lookups emit coalesced sparse row-gradients instead of
-    #: dense ``O(vocab x dim)`` scatters.  Bit-exact to the dense path
-    #: (see ``tests/autograd/test_sparse_parity.py``); disable only when
-    #: debugging with raw ``.grad`` arrays.
-    sparse_embedding_grads: bool = True
     #: Record an op-level profile of the fit loop into
     #: ``TrainingHistory.op_profile`` (small constant overhead per op).
     profile_ops: bool = False

@@ -4,9 +4,8 @@
 
     forward -> loss -> backward -> clip -> step
 
-plus the invariants the loop depends on (dataset validation, sparse
-embedding gradients, trusted indices, the shuffle RNG, and bit-exact
-resume of the loop position).  Everything else -- checkpointing,
+plus the invariants the loop depends on (dataset validation, trusted
+indices, the shuffle RNG, and bit-exact resume of the loop position).  Everything else -- checkpointing,
 divergence guards, propensity monitoring, fault injection, profiling,
 LR scheduling, validation/early stopping -- attaches through the
 :class:`~repro.training.callbacks.Callback` hook protocol, so scaling
@@ -27,7 +26,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.autograd.plan import PlanRunner
-from repro.autograd.sparse import sparse_grads
 from repro.data.dataset import InteractionDataset
 from repro.data.stream import DataSource, as_source
 from repro.models.base import MultiTaskModel
@@ -172,8 +170,6 @@ class TrainingEngine:
             source.validate()
             if validation is not None:
                 validation.validate()
-            if self.config.sparse_embedding_grads:
-                stack.enter_context(sparse_grads(True))
             stack.enter_context(trusted_indices())
             self._enter_fit(ctx, stack)
             for epoch in range(start_epoch, self.config.epochs):
@@ -238,8 +234,8 @@ class TrainingEngine:
         """Acquire per-fit resources on ``ctx.stack`` (base: none).
 
         The sharded engine starts its worker pool here, so pool
-        teardown rides the same ``ExitStack`` that unwinds the sparse-
-        gradient and trusted-index modes -- including on exceptions.
+        teardown rides the same ``ExitStack`` that unwinds the
+        trusted-index mode -- including on exceptions.
         """
 
     def _forward(self, ctx: TrainingContext, runner: Optional[PlanRunner]):

@@ -3,9 +3,7 @@
 :class:`ShardedTrainingEngine` splits every batch into contiguous row
 shards (:func:`repro.data.stream.shard_batch`), computes per-shard
 gradients, and reduces them in a deterministic seeded order -- a
-weighted left-fold over shard index, sparse-aware so embedding
-gradients stay :class:`~repro.autograd.sparse.SparseRowGrad` end to
-end.  The per-shard compute and the reduction are the *same functions*
+weighted left-fold over shard index.  The per-shard compute and the reduction are the *same functions*
 whether shards run in a pool of forked ``multiprocessing`` workers or
 serially in-process, which is what makes the headline property cheap
 to state and test: **a K-worker parallel run is bit-exact with a
@@ -63,7 +61,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd.sparse import SparseRowGrad, sparse_grads
 from repro.data.dataset import Batch
 from repro.data.stream import as_source, shard_batch
 from repro.models.base import MultiTaskModel
@@ -156,24 +153,6 @@ def reduce_shard_losses(values: Sequence[float], sizes: Sequence[int]) -> float:
     return acc
 
 
-def _scaled(grad: Any, weight: float) -> Any:
-    if isinstance(grad, SparseRowGrad):
-        return SparseRowGrad(grad.indices, grad.values * weight, grad.shape)
-    return grad * weight
-
-
-def _accumulated(acc: Any, grad: Any) -> Any:
-    """Fold ``grad`` into ``acc`` (both already scaled; ``acc`` owned)."""
-    if isinstance(acc, SparseRowGrad):
-        if isinstance(grad, SparseRowGrad):
-            return acc.merge(grad)
-        return acc.add_to(grad)
-    if isinstance(grad, SparseRowGrad):
-        return grad.add_to(acc)
-    acc += grad
-    return acc
-
-
 def reduce_shard_grads(
     shard_grads: Sequence[List[Any]], sizes: Sequence[int]
 ) -> List[Any]:
@@ -181,9 +160,7 @@ def reduce_shard_grads(
 
     The fold visits shards strictly by index (never by arrival order),
     so the reduction is a pure function of the shard results -- the
-    deterministic seeded aggregation order of the tentpole.  Sparse
-    embedding gradients merge as :class:`SparseRowGrad` (union of rows,
-    searchsorted adds) without ever densifying; a shard that left a
+    deterministic seeded aggregation order.  A shard that left a
     parameter untouched (``None`` grad) contributes nothing.  With a
     single shard the gradients pass through untouched, keeping the
     degenerate K=1 case bit-exact with the plain engine.
@@ -198,8 +175,11 @@ def reduce_shard_grads(
             grad = grads[param_index]
             if grad is None:
                 continue
-            scaled = _scaled(grad, sizes[shard_index] / total)
-            acc = scaled if acc is None else _accumulated(acc, scaled)
+            scaled = grad * (sizes[shard_index] / total)
+            if acc is None:
+                acc = scaled
+            else:
+                acc += scaled
         reduced.append(acc)
     return reduced
 
@@ -273,22 +253,6 @@ def _send_task(conn, msg: Tuple[Any, ...]) -> int:
 # ----------------------------------------------------------------------
 # Worker process: heartbeat thread + shard-compute loop over a pipe.
 # ----------------------------------------------------------------------
-def _encode_grad(grad: Any) -> Any:
-    if grad is None:
-        return None
-    if isinstance(grad, SparseRowGrad):
-        return ("sparse", grad.indices, grad.values, grad.shape)
-    return ("dense", grad)
-
-
-def _decode_grad(payload: Any) -> Any:
-    if payload is None:
-        return None
-    if payload[0] == "sparse":
-        return SparseRowGrad(payload[1], payload[2], payload[3])
-    return payload[1]
-
-
 def _heartbeat_loop(conn, lock, slot, interval_s, stop) -> None:
     while not stop.wait(interval_s):
         try:
@@ -303,7 +267,6 @@ def _worker_main(
     slot: int,
     model: MultiTaskModel,
     shared: _SharedParameters,
-    sparse: bool,
     heartbeat_s: float,
 ) -> None:
     """Forked worker: receive tasks, compute shard gradients, reply.
@@ -326,10 +289,7 @@ def _worker_main(
         daemon=True,
     ).start()
     model.train()
-    with contextlib.ExitStack() as stack:
-        if sparse:
-            stack.enter_context(sparse_grads(True))
-        stack.enter_context(trusted_indices())
+    with trusted_indices():
         while True:
             try:
                 msg = conn.recv()
@@ -355,12 +315,7 @@ def _worker_main(
                     batch_index=batch_index,
                     shard_index=shard_index,
                 )
-                reply = (
-                    "result",
-                    task_id,
-                    value,
-                    [_encode_grad(g) for g in grads],
-                )
+                reply = ("result", task_id, value, grads)
             except Exception as exc:  # surfaced as a worker_error loss
                 reply = ("error", task_id, f"{type(exc).__name__}: {exc}")
             try:
@@ -452,7 +407,6 @@ def _spawn_workers(
                 slot,
                 model,
                 shared,
-                config.sparse_embedding_grads,
                 config.heartbeat_interval_s,
             ),
             name=f"trainer-worker-{slot}",
@@ -829,15 +783,12 @@ class WorkerSupervisor:
         if kind == "hb":
             return False
         if kind == "result":
-            _, task_id, value, encoded = msg
+            _, task_id, value, grads = msg
             handle.inflight = max(handle.inflight - 1, 0)
             handle.strikes = 0
             if task_id in pending:
                 shard_index, _, _ = pending.pop(task_id)
-                results[shard_index] = (
-                    value,
-                    [_decode_grad(g) for g in encoded],
-                )
+                results[shard_index] = (value, grads)
                 self.stats.results += 1
             else:
                 self.stats.stale_results += 1
@@ -1231,11 +1182,8 @@ class UnsupervisedWorkerPool:
                     continue
                 if msg[0] == "error":
                     raise WorkerPoolError(f"{handle.name} failed: {msg[2]}")
-                _, task_id, value, encoded = msg
-                results[task_id] = (
-                    value,
-                    [_decode_grad(g) for g in encoded],
-                )
+                _, task_id, value, grads = msg
+                results[task_id] = (value, grads)
         values = [results[i][0] for i in range(len(shards))]
         grads = [results[i][1] for i in range(len(shards))]
         return StepResult(

@@ -2,9 +2,8 @@
 
 ``TrainConfig.compile_plan`` must be invisible in every trained bit:
 same epoch losses, same final parameters (SHA-256 over every weight
-array), across DCMT and the baseline estimators, with sparse embedding
-gradients on and off, with dropout active, and through a checkpoint
-kill/resume that lands mid-plan.  These are pinned alongside the
+array), across DCMT and the baseline estimators, with dropout active,
+and through a checkpoint kill/resume that lands mid-plan.  These are pinned alongside the
 engine-golden suite: any plan kernel that drifts by one ULP fails here.
 """
 
@@ -67,20 +66,6 @@ class TestCompiledParity:
         assert stats.traces == 1, "the tape must be compiled exactly once"
         assert stats.replays > 0
         assert stats.disabled_reason is None
-
-    @pytest.mark.parametrize("sparse", [True, False])
-    def test_sparse_and_dense_grad_paths(self, world, sparse):
-        """Sparse embedding row-gradients replay bit-exactly too."""
-        train, _ = world
-        eager_hist, eager_model, _ = run(
-            train, "dcmt", compile_plan=False, sparse_embedding_grads=sparse
-        )
-        plan_hist, plan_model, engine = run(
-            train, "dcmt", compile_plan=True, sparse_embedding_grads=sparse
-        )
-        assert plan_hist.epoch_losses == eager_hist.epoch_losses
-        assert param_digest(plan_model) == param_digest(eager_model)
-        assert not engine.plan_runner.disabled
 
     def test_dropout_bit_exact(self, world):
         """Stochastic masks regenerate identically: replay re-executes the

@@ -161,3 +161,81 @@ class TestDeterminism:
 
         assert np.array_equal(run(42), run(42))
         assert not np.array_equal(run(42), run(43))
+
+
+class TestEmbeddingTableSteps:
+    """Optimizer steps on an embedding table fed by ``take_rows``.
+
+    The table's gradient is a dense array with zero rows where no id was
+    looked up; these tests pin what the optimizers do with those rows.
+    """
+
+    def setup_method(self):
+        rng = np.random.default_rng(13)
+        self.weights = rng.normal(size=(30, 4)) * 0.1
+        # Rows 25..29 are never looked up.
+        self.lookups = [
+            rng.integers(0, 25, size=16),
+            np.array([0, 0, 0, 7]),
+            rng.integers(0, 25, size=8),
+        ]
+
+    def _run(self, opt, table, dense_w, start, stop):
+        for step in range(start, stop):
+            gathered = ops.take_rows(table, self.lookups[step % len(self.lookups)])
+            loss = ((gathered * dense_w) * gathered).sum()
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+
+    def test_adam_untouched_rows_pristine(self):
+        table = Parameter(self.weights.copy())
+        opt = Adam([table, Parameter(np.linspace(-1.0, 1.0, 4))], lr=0.01)
+        self._run(opt, table, opt.params[1], 0, 12)
+        assert np.array_equal(table.data[25:], self.weights[25:])
+        assert np.all(opt._m[0][25:] == 0.0)
+        assert np.all(opt._v[0][25:] == 0.0)
+
+    def test_adam_state_roundtrip_continues_exact(self):
+        """Snapshot mid-run, restore into a fresh Adam, continue: the
+        result matches an uninterrupted run bit for bit."""
+        t_ref = Parameter(self.weights.copy())
+        w_ref = Parameter(np.linspace(-1.0, 1.0, 4))
+        opt_ref = Adam([t_ref, w_ref], lr=0.01)
+        self._run(opt_ref, t_ref, w_ref, 0, 10)
+
+        t = Parameter(self.weights.copy())
+        w = Parameter(np.linspace(-1.0, 1.0, 4))
+        opt = Adam([t, w], lr=0.01)
+        self._run(opt, t, w, 0, 4)
+        state = opt.state_dict()
+        opt2 = Adam([t, w], lr=0.01)
+        opt2.load_state_dict(state)
+        self._run(opt2, t, w, 4, 10)
+
+        assert np.array_equal(t.data, t_ref.data)
+        assert np.array_equal(w.data, w_ref.data)
+        for a, b in zip(opt2._m, opt_ref._m):
+            assert np.array_equal(a, b)
+        for a, b in zip(opt2._v, opt_ref._v):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_sgd_momentum_on_embedding_rows(self, momentum):
+        """A row looked up once keeps moving only through its velocity;
+        a row never looked up never moves."""
+        start = np.arange(12.0).reshape(6, 2)
+        table = Parameter(start.copy())
+        opt = SGD([table], lr=0.1, momentum=momentum)
+        expected = start[1].copy()
+        velocity = np.zeros(2)
+        for step in range(4):
+            opt.zero_grad()
+            ops.take_rows(table, np.array([1] if step == 0 else [2])).sum().backward()
+            opt.step()
+            velocity = velocity * momentum + (1.0 if step == 0 else 0.0)
+            expected = expected - 0.1 * velocity
+            assert np.array_equal(table.data[1], expected)
+        assert np.array_equal(table.data[[0, 3, 4, 5]], start[[0, 3, 4, 5]])
+        if momentum:
+            assert not np.array_equal(table.data[1], start[1] - 0.1)

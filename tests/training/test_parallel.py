@@ -198,6 +198,47 @@ class TestBitExactness:
         assert param_digest(pooled) == param_digest(serial)
 
 
+class _RecordGrads(Callback):
+    """Records each parameter's gradient after the first two backwards."""
+
+    def __init__(self):
+        self.steps = []
+
+    def on_backward_end(self, ctx):
+        if len(self.steps) < 2:
+            self.steps.append(
+                [(p.grad, p.data.shape) for p in ctx.model.parameters()]
+            )
+
+
+class TestDenseGrads:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(compile_plan=True),
+            dict(num_shards=2),
+            dict(num_workers=2),
+        ],
+        ids=["eager", "compiled", "serial_sharded", "pool"],
+    )
+    def test_every_grad_is_a_dense_array(self, world, overrides):
+        """Embedding tables included, the optimizer sees one plain
+        array of the parameter's shape per parameter (the compiled run's
+        second step is a replay)."""
+        train, _ = world
+        model = build_model("dcmt", train.schema, MODEL_CONFIG)
+        recorder = _RecordGrads()
+        create_engine(
+            model, make_config(epochs=1, **overrides), callbacks=[recorder]
+        ).fit(train)
+        assert len(recorder.steps) == 2
+        for grads in recorder.steps:
+            for grad, shape in grads:
+                assert type(grad) is np.ndarray
+                assert grad.shape == shape
+
+
 # ----------------------------------------------------------------------
 class _RebindAtEpochOne(Callback):
     """Restores the fit-start weights at epoch 1, then rebinds them."""

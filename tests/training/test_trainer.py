@@ -117,25 +117,6 @@ class TestTrainer:
 
         assert np.array_equal(run(), run())
 
-    def test_sparse_and_dense_paths_match(self, world):
-        """The trainer's default sparse embedding-grad path is bit-exact
-        against the dense engine default."""
-        train, _ = world
-
-        def run(sparse):
-            m = build_model(
-                "dcmt",
-                train.schema,
-                ModelConfig(embedding_dim=4, hidden_sizes=(8,), seed=3),
-            )
-            config = TrainConfig(
-                epochs=1, batch_size=512, seed=3, sparse_embedding_grads=sparse
-            )
-            Trainer(m, config).fit(train)
-            return m.predict(train.full_batch()).cvr
-
-        assert np.array_equal(run(True), run(False))
-
 
 class TestOpProfileIntegration:
     def test_profile_lands_in_history(self, world, model):
