@@ -17,11 +17,7 @@ Narrates the "losing a trainer worker mid-epoch" runbook from
 3. hang a worker instead, and watch the deadline/heartbeat ladder
    tell "slow" from "dead": strike, seeded-jitter backoff,
    re-dispatch, eventual loss;
-4. rerun the same kill schedule against an
-   :class:`~repro.training.parallel.UnsupervisedWorkerPool` (same
-   workers, no supervision) -- it aborts on the first kill, which is
-   the failure mode the supervisor exists to delete;
-5. break the quorum entirely and watch the engine degrade to
+4. break the quorum entirely and watch the engine degrade to
    single-process training mid-epoch rather than lose the run.
 
 Run with::
@@ -35,16 +31,11 @@ import pickle
 import numpy as np
 
 from repro.data import load_scenario
-from repro.data.stream import as_source
 from repro.models import ModelConfig, build_model
-from repro.reliability import TrainerFaultSpec, WorkerFault, WorkerPoolError
+from repro.reliability import TrainerFaultSpec, WorkerFault
 from repro.reliability.faults import WORKER_HANG, WORKER_KILL
 from repro.training import TrainConfig, create_engine
-from repro.training.parallel import (
-    ShardedTrainingEngine,
-    TrainerChaosDrill,
-    UnsupervisedWorkerPool,
-)
+from repro.training.parallel import ShardedTrainingEngine, TrainerChaosDrill
 
 MODEL_CONFIG = ModelConfig(embedding_dim=8, hidden_sizes=(16,), seed=0)
 CONFIG = TrainConfig(
@@ -156,29 +147,7 @@ def main():
     print("the hung worker kept heartbeating, so it was retried as a "
           "straggler before being benched and finally declared lost.")
 
-    # -- 4. the strawman -----------------------------------------------
-    banner("Unsupervised strawman on the same kill schedule")
-    pool = UnsupervisedWorkerPool(
-        factory(), CONFIG, fault_schedule=report.fault_schedule, watchdog_s=5.0
-    )
-    pool.start()
-    source = as_source(train)
-    rng = np.random.default_rng(CONFIG.seed)
-    try:
-        for epoch in range(CONFIG.epochs):
-            for i, batch in enumerate(
-                source.iter_batches(
-                    CONFIG.batch_size, rng=rng, shuffle=True, drop_last=False
-                )
-            ):
-                pool.compute_step(batch, epoch, i)
-        print("strawman survived?! (should not happen)")
-    except WorkerPoolError as exc:
-        print(f"strawman aborted: {exc}")
-    finally:
-        pool.stop()
-
-    # -- 5. quorum loss and fallback -----------------------------------
+    # -- 4. quorum loss and fallback -----------------------------------
     banner("Quorum loss: degrade to single-process, keep the run")
     quorum_config = CONFIG.with_overrides(num_workers=2, min_workers=2)
     model = factory()
@@ -192,7 +161,7 @@ def main():
         print(f"  {line}")
     print(f"fell back to single-process: {engine.fell_back}; "
           f"epochs completed: {history.n_epochs_run}/{quorum_config.epochs}")
-    print("\nAll five phases done: exact when healthy, degraded but alive "
+    print("\nAll four phases done: exact when healthy, degraded but alive "
           "when not, dead only by choice.")
 
 

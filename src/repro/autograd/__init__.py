@@ -29,7 +29,6 @@ from repro.autograd.plan import (
     PlanMismatch,
     PlanRunner,
     PlanUnsupported,
-    compile_plan,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "PlanMismatch",
     "PlanRunner",
     "PlanUnsupported",
-    "compile_plan",
 ]

@@ -35,7 +35,7 @@ in the same order as its eager counterpart (``out=`` variants of the
 same ufunc are bitwise-identical), the backward schedule is the exact
 reverse-topological order of the traced graph, and per-target
 accumulation replays the eager first-store / later-add semantics.
-``tests/autograd/test_plan_parity.py`` pins DCMT / ESMM / ESCM2
+``tests/autograd/test_plan_parity.py`` pins every registered model's
 training to the last ULP against eager.
 
 **Fallback contract.**  Before each replay the runner checks a
@@ -51,6 +51,7 @@ step; three consecutive mismatches disable the plan.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
@@ -437,13 +438,12 @@ _SUPPORTED_OPS = frozenset(
 class _Emission:
     """One gradient contribution from a node to one of its operands."""
 
-    __slots__ = ("k", "mode", "view_fn", "contrib")
+    __slots__ = ("k", "mode", "view_fn")
 
     def __init__(self, k: int, mode: str, view_fn=None) -> None:
         self.k = k
         self.mode = mode  # "view" | "compute"
         self.view_fn = view_fn  # for views: storage -> ndarray view
-        self.contrib: Optional["_Contrib"] = None
 
 
 class _Contrib:
@@ -1037,7 +1037,11 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
             plan.fused_pairs += 1
 
     # -- build targets & contributions (fusion applied) ----------------
+    # Keyed by (node, emission seq), never linked back from the
+    # emission: that cycle would keep the arena alive until the cyclic
+    # GC ran instead of freeing it with its runner.
     targets: Dict[Any, _Target] = {}
+    contribs: Dict[tuple, _Contrib] = {}
 
     def target_for(spec: _Operand) -> _Target:
         if spec.kind == _NODE:
@@ -1063,8 +1067,7 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
         for seq, em in enumerate(emissions[j]):
             spec = node.operands[em.k]
             t = target_for(spec)
-            c = _Contrib((p, seq), em)
-            em.contrib = c
+            c = contribs[j, seq] = _Contrib((p, seq), em)
             if em.mode == "view":
                 c.src_target = _own_target(targets, node, p)
             t.contribs.append(c)
@@ -1186,8 +1189,8 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
 
         bc = _BCtx(node, gsrc, rt, borrow)
 
-        for em in emissions[j]:
-            c = em.contrib
+        for seq, em in enumerate(emissions[j]):
+            c = contribs[j, seq]
             if em.mode == "view":
                 if c.role == "alias":
                     continue
@@ -1358,9 +1361,10 @@ class PlanExecutor:
 class PlanRunner:
     """Drives trace / replay / eager fallback for a training loop.
 
-    One runner per ``fit`` call.  ``forward`` returns the loss tensor;
-    ``backward`` must be handed that same tensor.  All fallback policy
-    lives here so the engine stays a plain step loop.
+    One runner per ``fit`` call, and one per pool worker.  ``forward``
+    returns the loss tensor; ``backward`` must be handed that same
+    tensor.  All fallback policy lives here so the engine stays a plain
+    step loop.
     """
 
     #: Consecutive mid-replay mismatches before the plan is disabled.
@@ -1404,7 +1408,10 @@ class PlanRunner:
                     self._mismatch_streak += 1
                     self.plan = None
                     if self._mismatch_streak >= self.MAX_MISMATCHES:
-                        self._disable(f"repeated replay mismatches: {exc}")
+                        self._disable(
+                            f"repeated replay mismatches: {exc}",
+                            logging.WARNING,
+                        )
                     else:
                         logger.warning(
                             "plan replay mismatch, falling back to eager: %s",
@@ -1459,7 +1466,9 @@ class PlanRunner:
         try:
             self.plan = _compile(tracer, loss, self.model, batch)
         except PlanUnsupported as exc:
-            self._disable(str(exc))
+            # Expected for models the compiler cannot lower: the run
+            # trains eagerly and ``stats.disabled_reason`` says why.
+            self._disable(str(exc), logging.INFO)
         return loss
 
     def _replay(self, batch) -> Tensor:
@@ -1472,24 +1481,9 @@ class PlanRunner:
         executor.finish(loss)
         return loss
 
-    def _disable(self, reason: str) -> None:
+    def _disable(self, reason: str, level: int) -> None:
         self._disabled = True
         self.plan = None
         self.stats.disabled_reason = reason
-        logger.warning("plan compilation disabled for this run: %s", reason)
+        logger.log(level, "plan compilation disabled for this run: %s", reason)
 
-
-def compile_plan(model, batch, expected_batch_size: Optional[int] = None):
-    """Explicitly trace + compile a plan for ``model`` on ``batch``.
-
-    Runs one full eager forward pass (advancing any module RNGs exactly
-    like a normal step) and returns a primed :class:`PlanRunner`.  The
-    training engine prefers lazy first-step tracing so the trace step's
-    forward is not wasted; this helper exists for benchmarks and tests
-    that want compilation up front.
-    """
-    runner = PlanRunner(model, expected_batch_size)
-    runner.forward(batch)
-    if runner.disabled:
-        raise PlanUnsupported(runner.stats.disabled_reason or "unsupported")
-    return runner

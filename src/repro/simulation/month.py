@@ -557,7 +557,6 @@ class MonthSimulation:
                 epochs=cfg.epochs,
                 batch_size=cfg.batch_size,
                 learning_rate=cfg.learning_rate,
-                compile_plan=True,
                 seed=cfg.seed + order[name],
             )
             registry = ModelRegistry(self.workdir / f"registry_{name}")

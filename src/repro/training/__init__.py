@@ -22,7 +22,6 @@ from repro.training.parallel import (
     ShardedTrainingEngine,
     TrainerChaosDrill,
     TrainerDrillReport,
-    UnsupervisedWorkerPool,
     WorkerSupervisor,
 )
 from repro.training.trainer import Trainer, default_callbacks
@@ -56,7 +55,6 @@ __all__ = [
     "ShardedTrainingEngine",
     "TrainerChaosDrill",
     "TrainerDrillReport",
-    "UnsupervisedWorkerPool",
     "WorkerSupervisor",
     "create_engine",
     "fit_model",

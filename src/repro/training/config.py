@@ -29,13 +29,6 @@ class TrainConfig:
     #: Record an op-level profile of the fit loop into
     #: ``TrainingHistory.op_profile`` (small constant overhead per op).
     profile_ops: bool = False
-    #: Compile the autograd tape into a reusable execution plan: the
-    #: first full-size step is traced, lowered to a pre-resolved ``out=``
-    #: kernel sequence backed by a buffer arena, and replayed on every
-    #: subsequent step.  Bit-exact to eager execution (see
-    #: ``tests/autograd/test_plan_parity.py``); ragged final batches and
-    #: shape/parameter changes fall back to eager automatically.
-    compile_plan: bool = False
     #: Cap the number of batches consumed per epoch (None = the whole
     #: source).  Meant for streaming sources, where an "epoch" over a
     #: production log can be arbitrarily long: it bounds wall-clock per
@@ -170,12 +163,6 @@ class TrainConfig:
             raise ValueError(
                 f"min_workers ({self.min_workers}) cannot exceed "
                 f"num_workers ({self.num_workers})"
-            )
-        if self.compile_plan and self.parallel_enabled:
-            raise ValueError(
-                "compile_plan is incompatible with the sharded engine: "
-                "plans are traced per-process over full-size batches, "
-                "workers replay shard-size batches"
             )
         return self
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.autograd.plan import PlanRunner
 from repro.data.dataset import InteractionDataset
-from repro.data.stream import DataSource, as_source
+from repro.data.stream import DataSource, as_source, shard_sizes
 from repro.models.base import MultiTaskModel
 from repro.nn.embedding import trusted_indices
 from repro.optim import Adam, clip_global_norm
@@ -79,8 +79,8 @@ class TrainingEngine:
         )
         self.callbacks: List[Callback] = list(callbacks)
         self._rng = np.random.default_rng(config.seed)
-        #: Plan runner of the most recent ``fit`` call (``None`` when
-        #: ``config.compile_plan`` is off); exposes trace/replay stats.
+        #: Plan runner of the most recent ``fit`` call (``None`` before
+        #: the first); exposes trace/replay stats.
         self.plan_runner: Optional[PlanRunner] = None
         #: ``model.parameters()``, walked once per ``fit``.  Vocabulary
         #: growth rebinds ``param.data``, never the ``Parameter``, and
@@ -125,12 +125,11 @@ class TrainingEngine:
             rng=self._rng,
             callbacks=hooks.callbacks,
         )
-        runner: Optional[PlanRunner] = None
-        if self.config.compile_plan:
-            runner = PlanRunner(
-                self.model, expected_batch_size=self.config.batch_size
-            )
-        self.plan_runner = runner
+        # Every step goes through the runner, which owns every eager
+        # fallback (the trace step, ragged batches, unlowerable ops).
+        runner = self.plan_runner = PlanRunner(
+            self.model, expected_batch_size=plan_rows(self.config)
+        )
         start_epoch = 0
         skip_batches = 0
 
@@ -238,29 +237,21 @@ class TrainingEngine:
         trusted-index mode -- including on exceptions.
         """
 
-    def _forward(self, ctx: TrainingContext, runner: Optional[PlanRunner]):
+    def _forward(self, ctx: TrainingContext, runner: PlanRunner):
         """Compute the batch loss; sets ``ctx.loss_value``.
 
         Returns an opaque handle passed back to :meth:`_backward` (the
         live loss tensor here; the sharded engine returns ``None`` and
         stashes aggregated gradients instead).
         """
-        if runner is not None:
-            loss = runner.forward(ctx.batch)
-        else:
-            loss = self.model.loss(ctx.batch)
+        loss = runner.forward(ctx.batch)
         ctx.loss_value = loss.item()
         return loss
 
-    def _backward(
-        self, ctx: TrainingContext, runner: Optional[PlanRunner], loss
-    ) -> None:
+    def _backward(self, ctx: TrainingContext, runner: PlanRunner, loss) -> None:
         """Populate every parameter's ``.grad`` for the pending step."""
         self.optimizer.zero_grad()
-        if runner is not None:
-            runner.backward(loss)
-        else:
-            loss.backward()
+        runner.backward(loss)
 
     # -- resume plumbing -----------------------------------------------
     def _resolve_resume(self, resume_from: "Path | str") -> TrainingSnapshot:
@@ -296,6 +287,17 @@ class TrainingEngine:
         when such layers are active.
         """
         return collect_module_rngs(self.model)
+
+
+def plan_rows(config: TrainConfig) -> int:
+    """Rows of the batches a fit traces its plan at: a full batch, or
+    its first shard when the fit is sharded.
+
+    Contiguous shards of a full batch have fixed sizes, so every venue
+    traces once and replays from then on; a ragged batch or a
+    re-sharded step misses the plan's signature and runs eagerly.
+    """
+    return shard_sizes(config.batch_size, config.effective_shards)[0]
 
 
 def collect_module_rngs(model: MultiTaskModel) -> List[np.random.Generator]:

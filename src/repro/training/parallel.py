@@ -38,10 +38,7 @@ Every supervision decision appends a line to a transcript keyed only
 by ``(epoch, batch, step)`` -- no wall-clock values, no detection-path
 detail -- so same-seed :class:`TrainerChaosDrill` runs produce
 bit-identical transcripts even though kills race between pipe-EOF and
-heartbeat-timeout detection.  :class:`UnsupervisedWorkerPool` is the
-strawman the drill beats: same workers, blocking collect, no
-heartbeats or deadlines -- one SIGKILL aborts it, one hang deadlocks
-it (a watchdog raises in tests so CI never hangs for real).
+heartbeat-timeout detection.
 """
 
 from __future__ import annotations
@@ -61,6 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd.plan import PlanRunner
 from repro.data.dataset import Batch
 from repro.data.stream import as_source, shard_batch
 from repro.models.base import MultiTaskModel
@@ -79,7 +77,7 @@ from repro.reliability.guards import GuardEvent
 from repro.reliability.timeouts import Deadline, jittered_backoff
 from repro.training.callbacks.base import Callback, TrainingContext
 from repro.training.config import TrainConfig
-from repro.training.engine import TrainingEngine, collect_module_rngs
+from repro.training.engine import TrainingEngine, collect_module_rngs, plan_rows
 from repro.training.history import TrainingHistory
 from repro.utils.logging import get_logger, log_event
 
@@ -115,7 +113,7 @@ def reseed_module_rngs(
 
 
 def compute_shard_gradients(
-    model: MultiTaskModel,
+    runner: PlanRunner,
     params: Sequence[Any],
     shard: Batch,
     rngs: Sequence[np.random.Generator],
@@ -127,18 +125,21 @@ def compute_shard_gradients(
 ) -> Tuple[float, List[Any]]:
     """Loss value and per-parameter gradients for one shard.
 
-    The single compute kernel of the parallel mode: workers call it on
-    their forked model copy, the serial sharded path calls it on the
-    parent model, and because it is the same function over the same
-    bits the two venues agree exactly.  ``params`` is
-    ``model.parameters()``, taken once per fit by the caller.
+    The single compute kernel of the parallel mode: workers call it
+    through the runner of their forked model copy, the serial sharded
+    path through the parent's runner, and because it is the same
+    function over the same bits the two venues agree exactly.
+    ``params`` is ``runner.model.parameters()``, taken once per fit by
+    the caller.  After a replayed step the returned arrays are the
+    plan's gradient buffers, which the runner's next replay rewrites in
+    place.
     """
     reseed_module_rngs(rngs, seed, epoch, batch_index, shard_index)
     for param in params:
         param.zero_grad()
-    loss = model.loss(shard)
+    loss = runner.forward(shard)
     value = loss.item()
-    loss.backward()
+    runner.backward(loss)
     return value, [p.grad for p in params]
 
 
@@ -267,25 +268,27 @@ def _worker_main(
     slot: int,
     model: MultiTaskModel,
     shared: _SharedParameters,
-    heartbeat_s: float,
+    config: TrainConfig,
 ) -> None:
     """Forked worker: receive tasks, compute shard gradients, reply.
 
     Workers are stateless between tasks: their parameters are
     read-only views of the shared mapping, which the parent refreshes
     before each step's dispatches, so a task carries only its shard and
-    the parent never has to resynchronise a survivor after a loss.  The
+    the parent never has to resynchronise a survivor after a loss (its
+    plan runner holds kernels and buffers, never training state).  The
     heartbeat thread shares the pipe under a lock; any traffic (beat or
     result) proves liveness to the supervisor.
     """
     params = model.parameters()
     shared.bind_readonly(params)
     rngs = collect_module_rngs(model)
+    runner = PlanRunner(model, expected_batch_size=plan_rows(config))
     lock = threading.Lock()
     stop = threading.Event()
     threading.Thread(
         target=_heartbeat_loop,
-        args=(conn, lock, slot, heartbeat_s, stop),
+        args=(conn, lock, slot, config.heartbeat_interval_s, stop),
         daemon=True,
     ).start()
     model.train()
@@ -306,7 +309,7 @@ def _worker_main(
             seed, epoch, batch_index = step_key
             try:
                 value, grads = compute_shard_gradients(
-                    model,
+                    runner,
                     params,
                     shard,
                     rngs,
@@ -407,7 +410,7 @@ def _spawn_workers(
                 slot,
                 model,
                 shared,
-                config.heartbeat_interval_s,
+                config,
             ),
             name=f"trainer-worker-{slot}",
             daemon=True,
@@ -990,7 +993,7 @@ class ShardedTrainingEngine(TrainingEngine):
             # loop, including when a callback or the kernel raises.
             stack.callback(self.supervisor.stop)
 
-    def _forward(self, ctx: TrainingContext, runner) -> None:
+    def _forward(self, ctx: TrainingContext, runner: PlanRunner) -> None:
         if self.supervisor is not None and not self._fallback:
             try:
                 result = self.supervisor.compute_step(
@@ -1023,20 +1026,26 @@ class ShardedTrainingEngine(TrainingEngine):
                 ctx.loss_value = result.loss_value
                 self._pending_grads = result.grads
                 return None
-        value, grads = self._serial_step(ctx)
+        value, grads = self._serial_step(ctx, runner)
         ctx.loss_value = value
         self._pending_grads = grads
         return None
 
-    def _serial_step(self, ctx: TrainingContext) -> Tuple[float, List[Any]]:
+    def _serial_step(
+        self, ctx: TrainingContext, runner: PlanRunner
+    ) -> Tuple[float, List[Any]]:
         """The in-process sharded step: the pool's bit-exact reference."""
         shards = shard_batch(ctx.batch, self._current_shards)
         sizes = [shard.size for shard in shards]
         values: List[float] = []
         grads: List[List[Any]] = []
         for shard_index, shard in enumerate(shards):
+            if grads:
+                # This shard's replay rewrites the plan's gradient
+                # buffers that the previous shard's results live in.
+                grads[-1] = [g if g is None else g.copy() for g in grads[-1]]
             value, shard_grads = compute_shard_gradients(
-                self.model,
+                runner,
                 self._params,
                 shard,
                 self._module_rngs,
@@ -1052,7 +1061,7 @@ class ShardedTrainingEngine(TrainingEngine):
             reduce_shard_grads(grads, sizes),
         )
 
-    def _backward(self, ctx: TrainingContext, runner, loss) -> None:
+    def _backward(self, ctx: TrainingContext, runner: PlanRunner, loss) -> None:
         self.optimizer.zero_grad()
         for param, grad in zip(self._params, self._pending_grads):
             param.grad = grad
@@ -1060,139 +1069,8 @@ class ShardedTrainingEngine(TrainingEngine):
 
 
 # ----------------------------------------------------------------------
-# The strawman and the drill.
+# The chaos drill.
 # ----------------------------------------------------------------------
-class UnsupervisedWorkerPool:
-    """Same workers, no supervision: the control arm of the chaos drill.
-
-    Dispatches shard ``i`` to worker ``i`` with blocking sends and
-    blocking per-worker collects -- no heartbeat interpretation, no
-    deadlines, no re-dispatch, no degradation.  On the fault schedules
-    the supervised pool shrugs off, this pool aborts (SIGKILL -> pipe
-    EOF -> :class:`WorkerPoolError`) or stalls forever on a hang.  The
-    optional ``watchdog_s`` exists only so tests observe the deadlock
-    as a raised :class:`WorkerPoolError` instead of hanging CI; a real
-    unsupervised trainer has no such rescue.
-    """
-
-    def __init__(
-        self,
-        model: MultiTaskModel,
-        config: TrainConfig,
-        *,
-        fault_schedule: Sequence[WorkerFault] = (),
-        watchdog_s: Optional[float] = None,
-    ) -> None:
-        if config.num_workers is None:
-            raise ValueError("UnsupervisedWorkerPool needs config.num_workers")
-        self.model = model
-        self.config = config
-        self.fault_schedule = list(fault_schedule)
-        self.watchdog_s = watchdog_s
-        self.workers: List[_WorkerHandle] = []
-        self._shared: Optional[_SharedParameters] = None
-        self.step = 0
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            return
-        self.workers, self._shared = _spawn_workers(
-            self.model, self.config, self.config.num_workers, time.monotonic
-        )
-        self._started = True
-
-    def stop(self) -> None:
-        if not self._started:
-            return
-        _stop_workers(self.workers)
-        self._shared = None
-        self._started = False
-
-    def _fault_payload(self, slot: int, step: int):
-        for fault in self.fault_schedule:
-            if fault.worker == slot and fault.active(step):
-                if fault.kind == WORKER_HANG:
-                    return "hang"
-                if fault.kind == WORKER_SLOW:
-                    return float(fault.latency_s)
-        return None
-
-    def compute_step(
-        self, batch: Batch, epoch: int, batch_index: int
-    ) -> StepResult:
-        if not self._started:
-            raise WorkerPoolError("worker pool is not running")
-        step = self.step
-        self.step += 1
-        for fault in self.fault_schedule:
-            if (
-                fault.kind == WORKER_KILL
-                and fault.start == step
-                and fault.worker < len(self.workers)
-            ):
-                handle = self.workers[fault.worker]
-                with contextlib.suppress(ProcessLookupError, OSError):
-                    os.kill(handle.process.pid, signal.SIGKILL)
-        shards = shard_batch(batch, len(self.workers))
-        sizes = [shard.size for shard in shards]
-        self._shared.publish()
-        for shard_index, shard in enumerate(shards):
-            handle = self.workers[shard_index]
-            try:
-                _send_task(
-                    handle.conn,
-                    (
-                        "task",
-                        shard_index,
-                        (self.config.seed, epoch, batch_index),
-                        shard,
-                        shard_index,
-                        self._fault_payload(handle.slot, step),
-                    ),
-                )
-            except (BrokenPipeError, OSError) as exc:
-                raise WorkerPoolError(
-                    f"{handle.name} died; the unsupervised pool has no "
-                    "survivor re-dispatch and cannot recover"
-                ) from exc
-        results: Dict[int, Tuple[float, List[Any]]] = {}
-        watchdog = (
-            Deadline(self.watchdog_s, time.monotonic)
-            if self.watchdog_s is not None
-            else None
-        )
-        for shard_index in range(len(shards)):
-            handle = self.workers[shard_index]
-            while shard_index not in results:
-                if watchdog is not None and watchdog.expired():
-                    raise WorkerPoolError(
-                        f"unsupervised pool stalled on {handle.name}; "
-                        "without the test watchdog this blocks forever"
-                    )
-                try:
-                    if not handle.conn.poll(0.05):
-                        continue
-                    msg = handle.conn.recv()
-                except (EOFError, ConnectionResetError, OSError) as exc:
-                    raise WorkerPoolError(
-                        f"{handle.name} died mid-shard; partial step lost"
-                    ) from exc
-                if msg[0] == "hb":
-                    continue
-                if msg[0] == "error":
-                    raise WorkerPoolError(f"{handle.name} failed: {msg[2]}")
-                _, task_id, value, grads = msg
-                results[task_id] = (value, grads)
-        values = [results[i][0] for i in range(len(shards))]
-        grads = [results[i][1] for i in range(len(shards))]
-        return StepResult(
-            reduce_shard_losses(values, sizes),
-            reduce_shard_grads(grads, sizes),
-            len(shards),
-        )
-
-
 @dataclass
 class TrainerDrillReport:
     """Everything a chaos drill run produced, for assertions and docs."""

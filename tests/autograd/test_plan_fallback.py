@@ -46,9 +46,7 @@ class TestRaggedBatchFallback:
         """2000 rows / batch 256 leaves a ragged 208-row tail each epoch:
         those steps drop to eager, the plan replays again next epoch."""
         train, _ = world
-        config = TrainConfig(
-            epochs=2, batch_size=256, learning_rate=0.01, seed=7, compile_plan=True
-        )
+        config = TrainConfig(epochs=2, batch_size=256, learning_rate=0.01, seed=7)
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
         engine = TrainingEngine(model, config)
         engine.fit(train)

@@ -132,8 +132,6 @@ class TestConfigValidation:
             dict(worker_backoff_jitter=-0.5),
             dict(min_workers=0),
             dict(num_workers=2, min_workers=3),
-            dict(num_workers=2, compile_plan=True),
-            dict(num_shards=2, compile_plan=True),
         ],
     )
     def test_rejects_invalid_parallel_knobs(self, overrides):
@@ -214,18 +212,13 @@ class _RecordGrads(Callback):
 class TestDenseGrads:
     @pytest.mark.parametrize(
         "overrides",
-        [
-            dict(),
-            dict(compile_plan=True),
-            dict(num_shards=2),
-            dict(num_workers=2),
-        ],
-        ids=["eager", "compiled", "serial_sharded", "pool"],
+        [dict(), dict(num_shards=2), dict(num_workers=2)],
+        ids=["default", "serial_sharded", "pool"],
     )
     def test_every_grad_is_a_dense_array(self, world, overrides):
         """Embedding tables included, the optimizer sees one plain
-        array of the parameter's shape per parameter (the compiled run's
-        second step is a replay)."""
+        array of the parameter's shape per parameter (each run's second
+        step is a plan replay)."""
         train, _ = world
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
         recorder = _RecordGrads()

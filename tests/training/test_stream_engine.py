@@ -65,16 +65,14 @@ def param_digest(model):
 
 class TestSourceTransparency:
     @pytest.mark.parametrize("name", PARITY_MODELS)
-    @pytest.mark.parametrize("compile_plan", [False, True])
-    def test_in_memory_source_is_bit_exact(self, world, name, compile_plan):
+    def test_in_memory_source_is_bit_exact(self, world, name):
         train, _ = world
-        config = TRAIN_CONFIG.with_overrides(compile_plan=compile_plan)
 
         direct = build_model(name, train.schema, MODEL_CONFIG)
-        direct_history = fit_model(direct, train, config)
+        direct_history = fit_model(direct, train, TRAIN_CONFIG)
 
         sourced = build_model(name, train.schema, MODEL_CONFIG)
-        sourced_history = fit_model(sourced, InMemorySource(train), config)
+        sourced_history = fit_model(sourced, InMemorySource(train), TRAIN_CONFIG)
 
         assert sourced_history.epoch_losses == direct_history.epoch_losses
         assert param_digest(sourced) == param_digest(direct)

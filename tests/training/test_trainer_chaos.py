@@ -22,11 +22,8 @@ from repro.models import ModelConfig, build_model
 from repro.reliability import TrainerFaultSpec, WorkerPoolError
 from repro.reliability.faults import WORKER_HANG, WORKER_KILL, WorkerFault
 from repro.training import TrainConfig
-from repro.training.parallel import (
-    ShardedTrainingEngine,
-    TrainerChaosDrill,
-    UnsupervisedWorkerPool,
-)
+from repro.training.parallel import ShardedTrainingEngine, TrainerChaosDrill
+from tests.training.unsupervised_pool import UnsupervisedWorkerPool
 
 pytestmark = [pytest.mark.parallel, pytest.mark.robustness]
 
