@@ -1,6 +1,6 @@
 # Convenience targets for the DCMT reproduction.
 
-.PHONY: install test bench bench-all report quickstart lint lint-clean verify verify-robustness verify-callbacks verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month verify-bench
+.PHONY: install test bench-all report quickstart lint lint-clean verify verify-robustness verify-callbacks verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month verify-bench
 
 install:
 	pip install -e . || python setup.py develop
@@ -81,13 +81,7 @@ verify-month:
 verify-bench:
 	PYTHONPATH=src python3 -m pytest benchmarks/perf -q
 
-# Throughput-only benches (eager and compiled training + inference); writes
-# BENCH_throughput.json at the repo root with measured rows/s, the
-# speedup over the pre-optimisation engine, and a profiled op breakdown.
-bench:
-	PYTHONPATH=src pytest benchmarks/test_throughput.py --benchmark-only -q
-
-# The full benchmark suite (paper tables/figures + throughput).
+# The paper-table/figure benches (pytest-benchmark, one timed run each).
 bench-all:
 	pytest benchmarks/ --benchmark-only
 

@@ -1,11 +1,10 @@
 """Buffer arena for compiled execution plans.
 
 The eager engine allocates every activation and gradient array afresh
-on every step; ``BENCH_throughput.json`` shows the resulting churn
-(tens of megabytes of ``bytes_total`` per profiled epoch on ``affine`` /
-``relu`` / ``concat`` / ``take_rows`` alone).  A compiled plan has a
-static graph, so every buffer's shape, dtype and *lifetime* are known
-up front.  The arena exploits that:
+on every step (tens of megabytes per epoch on ``affine`` / ``relu`` /
+``concat`` / ``take_rows`` alone).  A compiled plan has a static
+graph, so every buffer's shape, dtype and *lifetime* are known up
+front.  The arena exploits that:
 
 * **Persistent slots** (:meth:`Arena.slot`) hold forward activations
   and leaf gradients.  Allocated once on the first step, reused as
@@ -19,9 +18,8 @@ up front.  The arena exploits that:
   :meth:`Arena.release_scratch`) serves kernel-internal temporaries
   whose lifetime is a single kernel call.
 
-Every path records hit/miss statistics so the profiler can attribute
-arena reuse against the eager engine's allocation totals
-(:class:`ArenaStats` feeds ``BENCH_throughput.json``).
+Every path records hit/miss statistics in :class:`ArenaStats`, which
+``PlanRunner.arena_stats`` reports next to the plan's peak bytes.
 """
 
 from __future__ import annotations
@@ -60,8 +58,8 @@ class Arena:
     """Owns every buffer a compiled plan writes into.
 
     One arena per plan: buffers persist across steps, so steady-state
-    training allocates (almost) nothing -- the verification hook for
-    the profiler's ``bytes_peak`` tracking.
+    training allocates (almost) nothing; :attr:`bytes_peak` is the
+    whole footprint.
     """
 
     def __init__(self) -> None:

@@ -16,56 +16,20 @@ graph nodes:
 * :func:`take_rows` -- the embedding lookup; its backward scatters
   into a dense zero table with :func:`scatter_rows`, an
   ``np.bincount`` kernel byte-identical to ``np.add.at``.
-
-All public ops report call counts / wall time / output bytes to the
-active :class:`~repro.perf.profiler.OpProfiler`; when none is installed
-the per-call overhead is a single ``None`` check.
 """
 
 from __future__ import annotations
 
-import functools
-import time
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd import planmode as _planmode
 from repro.autograd.tensor import Tensor, _as_tensor, unbroadcast
-from repro.perf.profiler import active as _profiler_active
 
 ArrayLike = Union[Tensor, np.ndarray, float, int, list, tuple]
 
 
-def _instrumented(fn):
-    """Report call count, wall time and output bytes to the profiler.
-
-    During plan replay the op writes into a persistent arena buffer, so
-    its output bytes are *reused*, not allocated; the profiler records
-    them in the ``bytes_reused`` column instead of ``bytes_total``.
-    """
-    name = fn.__name__
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        profiler = _profiler_active()
-        if profiler is None:
-            return fn(*args, **kwargs)
-        started = time.perf_counter()
-        out = fn(*args, **kwargs)
-        elapsed = time.perf_counter() - started
-        data = getattr(out, "data", out)
-        nbytes = int(getattr(data, "nbytes", 0))
-        if _planmode._REPLAY is not None:
-            profiler.record(name, elapsed, 0, nbytes)
-        else:
-            profiler.record(name, elapsed, nbytes)
-        return out
-
-    return wrapper
-
-
-@_instrumented
 def exp(x: ArrayLike) -> Tensor:
     """Elementwise exponential."""
     x = _as_tensor(x)
@@ -82,7 +46,6 @@ def exp(x: ArrayLike) -> Tensor:
     return out
 
 
-@_instrumented
 def log(x: ArrayLike) -> Tensor:
     """Elementwise natural logarithm.
 
@@ -104,7 +67,6 @@ def log(x: ArrayLike) -> Tensor:
     return out
 
 
-@_instrumented
 def sigmoid(x: ArrayLike) -> Tensor:
     """Numerically stable logistic sigmoid.
 
@@ -136,7 +98,6 @@ def sigmoid(x: ArrayLike) -> Tensor:
     return out
 
 
-@_instrumented
 def tanh(x: ArrayLike) -> Tensor:
     """Elementwise hyperbolic tangent."""
     x = _as_tensor(x)
@@ -153,7 +114,6 @@ def tanh(x: ArrayLike) -> Tensor:
     return out
 
 
-@_instrumented
 def relu(x: ArrayLike) -> Tensor:
     """Elementwise rectified linear unit."""
     x = _as_tensor(x)
@@ -170,7 +130,6 @@ def relu(x: ArrayLike) -> Tensor:
     return out
 
 
-@_instrumented
 def leaky_relu(x: ArrayLike, negative_slope: float = 0.01) -> Tensor:
     """Leaky ReLU with configurable negative slope."""
     x = _as_tensor(x)
@@ -187,7 +146,6 @@ def leaky_relu(x: ArrayLike, negative_slope: float = 0.01) -> Tensor:
     return out
 
 
-@_instrumented
 def absolute(x: ArrayLike) -> Tensor:
     """Elementwise absolute value (subgradient 0 at the kink).
 
@@ -208,7 +166,6 @@ def absolute(x: ArrayLike) -> Tensor:
     return out
 
 
-@_instrumented
 def clip(x: ArrayLike, low: float, high: float) -> Tensor:
     """Clip values to ``[low, high]`` with straight-through-zero gradient.
 
@@ -231,7 +188,6 @@ def clip(x: ArrayLike, low: float, high: float) -> Tensor:
     return out
 
 
-@_instrumented
 def maximum(x: ArrayLike, y: ArrayLike) -> Tensor:
     """Elementwise maximum (gradient routed to the larger input)."""
     x, y = _as_tensor(x), _as_tensor(y)
@@ -252,7 +208,6 @@ def maximum(x: ArrayLike, y: ArrayLike) -> Tensor:
     return out
 
 
-@_instrumented
 def where(condition: ArrayLike, x: ArrayLike, y: ArrayLike) -> Tensor:
     """Differentiable ``numpy.where`` (condition carries no gradient)."""
     cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
@@ -273,7 +228,6 @@ def where(condition: ArrayLike, x: ArrayLike, y: ArrayLike) -> Tensor:
     return out
 
 
-@_instrumented
 def affine(x: ArrayLike, weight: ArrayLike, bias: Optional[ArrayLike] = None) -> Tensor:
     """Fused ``x @ weight + bias`` as a single graph node.
 
@@ -316,7 +270,6 @@ def affine(x: ArrayLike, weight: ArrayLike, bias: Optional[ArrayLike] = None) ->
     return out
 
 
-@_instrumented
 def sigmoid_bce(
     logits: ArrayLike,
     targets: ArrayLike,
@@ -356,7 +309,6 @@ def sigmoid_bce(
     return out
 
 
-@_instrumented
 def concat(tensors: Sequence[ArrayLike], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis``."""
     ts = [_as_tensor(t) for t in tensors]
@@ -380,7 +332,6 @@ def concat(tensors: Sequence[ArrayLike], axis: int = -1) -> Tensor:
     return out
 
 
-@_instrumented
 def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis."""
     ts = [_as_tensor(t) for t in tensors]
@@ -439,7 +390,6 @@ def scatter_rows(
     return sums.reshape(shape)
 
 
-@_instrumented
 def take_rows(table: ArrayLike, indices: np.ndarray) -> Tensor:
     """Gather rows of a 2-D ``table`` by integer ``indices``.
 
@@ -465,7 +415,6 @@ def take_rows(table: ArrayLike, indices: np.ndarray) -> Tensor:
     return out
 
 
-@_instrumented
 def softmax(x: ArrayLike, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis`` (used by MMoE/PLE gates)."""
     x = _as_tensor(x)
@@ -497,7 +446,6 @@ def dropout_mask(
     return keep / (1.0 - rate)
 
 
-@_instrumented
 def squeeze(x: ArrayLike, axis: Optional[int] = None) -> Tensor:
     """Remove a singleton axis (all singleton axes when ``axis`` is None)."""
     x = _as_tensor(x)

@@ -20,8 +20,8 @@ compiles that work away:
    (:class:`~repro.autograd.arena.IntervalAllocator`); pass-through
    gradients (reshape / sum-broadcast / concat slices) become static
    numpy *views* instead of copies; and two plan-level rewrite rules
-   fuse the profiler's hot backward pairs (affine-backward + relu
-   mask, concat-split gather).
+   fuse the hottest backward pairs (affine-backward + relu mask,
+   concat-split gather).
 3. **Replay** (:class:`PlanExecutor`) -- later steps re-run the
    model's Python ``loss`` (host-side numpy such as DCMT's detached
    propensity weights and ESCM2's SNIPS normalisers must see *current*
@@ -52,7 +52,6 @@ step; three consecutive mismatches disable the plan.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -61,7 +60,6 @@ import numpy as np
 from repro.autograd import planmode as _planmode
 from repro.autograd.arena import Arena, IntervalAllocator
 from repro.autograd.tensor import Tensor, _topological_order
-from repro.perf.profiler import active as _profiler_active
 from repro.utils.logging import get_logger
 
 logger = get_logger("plan")
@@ -1435,16 +1433,7 @@ class PlanRunner:
 
     def backward(self, loss: Tensor) -> None:
         if self._mode == "replay":
-            profiler = _profiler_active()
-            started = time.perf_counter() if profiler is not None else 0.0
             self.plan.run_backward()
-            if profiler is not None:
-                profiler.record(
-                    "backward",
-                    time.perf_counter() - started,
-                    0,
-                    self.plan.grad_bytes,
-                )
         else:
             loss.backward()
 

@@ -14,7 +14,7 @@ every primitive op:
 Keeping the two module-globals here (rather than in ``plan.py``) breaks
 the import cycle: ``tensor.py`` and ``ops.py`` import this leaf module,
 while ``plan.py`` imports ``tensor.py``.  The cost on the eager path is
-one ``None`` check per op call, the same budget as the profiler hook.
+one ``None`` check per op call.
 """
 
 from __future__ import annotations

@@ -26,13 +26,11 @@ broadcast are summed over the broadcast axes (see :func:`unbroadcast`).
 from __future__ import annotations
 
 import contextlib
-import time
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd import planmode as _planmode
-from repro.perf.profiler import active as _profiler_active
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -266,46 +264,10 @@ class Tensor:
                     f"{self.shape}"
                 )
 
-        profiler = _profiler_active()
-        started = time.perf_counter() if profiler is not None else 0.0
-
         topo = _topological_order(self)
         # id(node) -> [grad, owned]; popped as each node is visited, so
         # scratch buffers die as soon as their consumers have run.
         grads = {id(self): [grad, seed_owned]}
-        if profiler is None:
-            for node in topo:
-                entry = grads.pop(id(node), None)
-                if entry is None:
-                    continue
-                node_grad, node_owned = entry
-                backward_fn = node._backward
-                if backward_fn is None:
-                    node._accumulate(node_grad, owned=node_owned)
-                    continue
-                if node._retains_grad:
-                    # Copy: the buffer is still consumed by the closure below.
-                    node._accumulate(node_grad, owned=False)
-                for item in backward_fn(node_grad):
-                    if len(item) == 3:
-                        parent, pgrad, powned = item
-                    else:
-                        parent, pgrad = item
-                        powned = False
-                    if not parent.requires_grad or pgrad is None:
-                        continue
-                    key = id(parent)
-                    existing = grads.get(key)
-                    if existing is None:
-                        grads[key] = [pgrad, powned]
-                    else:
-                        _merge_grad(existing, pgrad)
-            return
-
-        # Profiled variant: identical semantics, plus per-kernel wall
-        # time and bytes of freshly allocated (owned) gradient buffers
-        # recorded as ``backward.<op>`` pseudo-ops.
-        total_bytes = 0
         for node in topo:
             entry = grads.pop(id(node), None)
             if entry is None:
@@ -316,9 +278,8 @@ class Tensor:
                 node._accumulate(node_grad, owned=node_owned)
                 continue
             if node._retains_grad:
+                # Copy: the buffer is still consumed by the closure below.
                 node._accumulate(node_grad, owned=False)
-            node_started = time.perf_counter()
-            owned_bytes = 0
             for item in backward_fn(node_grad):
                 if len(item) == 3:
                     parent, pgrad, powned = item
@@ -327,21 +288,12 @@ class Tensor:
                     powned = False
                 if not parent.requires_grad or pgrad is None:
                     continue
-                if powned:
-                    owned_bytes += int(pgrad.nbytes)
                 key = id(parent)
                 existing = grads.get(key)
                 if existing is None:
                     grads[key] = [pgrad, powned]
                 else:
                     _merge_grad(existing, pgrad)
-            total_bytes += owned_bytes
-            profiler.record(
-                "backward." + _kernel_label(backward_fn),
-                time.perf_counter() - node_started,
-                owned_bytes,
-            )
-        profiler.record("backward", time.perf_counter() - started, total_bytes)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -596,26 +548,6 @@ def _as_tensor(value: ArrayLike) -> Tensor:
 
 def _as_array(value: ArrayLike) -> np.ndarray:
     return value.data if isinstance(value, Tensor) else np.asarray(value)
-
-
-_KERNEL_LABELS: dict = {}
-
-
-def _kernel_label(fn: Callable) -> str:
-    """Human-readable op name for a backward closure, cached by code object.
-
-    ``Tensor.__add__.<locals>.backward`` -> ``add``;
-    ``relu.<locals>.backward`` -> ``relu``.
-    """
-    code = fn.__code__
-    label = _KERNEL_LABELS.get(code)
-    if label is None:
-        label = getattr(fn, "__qualname__", "op").split(".<locals>")[0]
-        if label.startswith("Tensor."):
-            label = label[len("Tensor."):]
-        label = label.strip("_") or "op"
-        _KERNEL_LABELS[code] = label
-    return label
 
 
 def _merge_grad(entry: list, new) -> None:

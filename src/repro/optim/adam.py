@@ -7,7 +7,7 @@ from typing import Any, Dict, Iterable, List
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.optim.optimizer import Optimizer, _instrument_step
+from repro.optim.optimizer import Optimizer
 
 
 class Adam(Optimizer):
@@ -40,13 +40,9 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.data) for p in self.params]
         # Scratch pool for the out= update kernels: buffers are borrowed
         # per parameter update and returned afterwards, so steady-state
-        # steps allocate nothing.  ``_step_alloc_bytes`` /
-        # ``_step_reused_bytes`` feed the profiler's ``optimizer.step``
-        # memory attribution.
+        # steps allocate nothing.
         self._scratch: Dict[tuple, List[np.ndarray]] = {}
         self._borrowed: List[tuple] = []
-        self._step_alloc_bytes = 0
-        self._step_reused_bytes = 0
 
     def state_dict(self) -> Dict[str, Any]:
         state = super().state_dict()
@@ -75,12 +71,7 @@ class Adam(Optimizer):
     def _borrow(self, shape, dtype) -> np.ndarray:
         key = (tuple(shape), np.dtype(dtype).str)
         pool = self._scratch.get(key)
-        if pool:
-            buf = pool.pop()
-            self._step_reused_bytes += buf.nbytes
-        else:
-            buf = np.empty(shape, dtype=dtype)
-            self._step_alloc_bytes += buf.nbytes
+        buf = pool.pop() if pool else np.empty(shape, dtype=dtype)
         self._borrowed.append((key, buf))
         return buf
 
@@ -89,11 +80,8 @@ class Adam(Optimizer):
             self._scratch.setdefault(key, []).append(buf)
         self._borrowed.clear()
 
-    @_instrument_step
     def step(self) -> None:
         self._step_count += 1
-        self._step_alloc_bytes = 0
-        self._step_reused_bytes = 0
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t

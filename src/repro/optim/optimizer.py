@@ -7,35 +7,11 @@ global-norm clipping.
 
 from __future__ import annotations
 
-import functools
-import time
 from typing import Any, Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.perf.profiler import active as _profiler_active
-
-
-def _instrument_step(fn):
-    """Report optimizer updates to the profiler as pseudo-op ``optimizer.step``."""
-
-    @functools.wraps(fn)
-    def wrapper(self):
-        profiler = _profiler_active()
-        if profiler is None:
-            return fn(self)
-        started = time.perf_counter()
-        out = fn(self)
-        profiler.record(
-            "optimizer.step",
-            time.perf_counter() - started,
-            getattr(self, "_step_alloc_bytes", 0),
-            getattr(self, "_step_reused_bytes", 0),
-        )
-        return out
-
-    return wrapper
 
 
 class Optimizer:

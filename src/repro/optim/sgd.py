@@ -7,7 +7,7 @@ from typing import Any, Dict, Iterable
 import numpy as np
 
 from repro.nn.module import Parameter
-from repro.optim.optimizer import Optimizer, _instrument_step
+from repro.optim.optimizer import Optimizer
 
 
 class SGD(Optimizer):
@@ -56,7 +56,6 @@ class SGD(Optimizer):
         self.momentum = float(state["momentum"])
         self._load_moments(state["velocity"], self._velocity)
 
-    @_instrument_step
     def step(self) -> None:
         for i, p in enumerate(self.params):
             grad = self._grad(p)

@@ -2,8 +2,8 @@
 
 The composable :class:`~repro.training.engine.TrainingEngine` owns the
 canonical step loop; production concerns (checkpoint/resume, divergence
-guards, propensity monitoring, fault injection, profiling, LR
-scheduling, validation/early stopping) attach as
+guards, propensity monitoring, fault injection, LR scheduling,
+validation/early stopping) attach as
 :mod:`~repro.training.callbacks`.  :class:`~repro.training.trainer.Trainer`
 is the backward-compatible facade that assembles the default stack from
 a :class:`~repro.reliability.ReliabilityConfig`, and
@@ -41,7 +41,6 @@ from repro.training.callbacks import (
     FaultInjectionCallback,
     LossGuardCallback,
     LRSchedulerCallback,
-    OpProfilerCallback,
     PropensityMonitorCallback,
     ValidationCallback,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "FaultInjectionCallback",
     "LossGuardCallback",
     "LRSchedulerCallback",
-    "OpProfilerCallback",
     "PropensityMonitorCallback",
     "ValidationCallback",
     "EvaluationResult",

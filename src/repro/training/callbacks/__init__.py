@@ -12,8 +12,6 @@ monolith is one class here, attachable to any
   pile-up warnings (PR 1's propensity monitoring);
 * :class:`FaultInjectionCallback` -- seeded batch corruption for chaos
   drills (PR 1's fault injection);
-* :class:`OpProfilerCallback` -- op-level profiling of the fit loop
-  (PR 2's profiler, ``TrainConfig.profile_ops``);
 * :class:`LRSchedulerCallback` -- per-epoch/per-batch LR schedules,
   guard-aware;
 * :class:`ValidationCallback` -- epoch-end evaluation and early stopping;
@@ -34,7 +32,6 @@ from repro.training.callbacks.faults import FaultInjectionCallback
 from repro.training.callbacks.guard import LossGuardCallback
 from repro.training.callbacks.lifecycle import LifecycleCallback
 from repro.training.callbacks.monitor import PropensityMonitorCallback
-from repro.training.callbacks.profiling import OpProfilerCallback
 from repro.training.callbacks.scheduling import LRSchedulerCallback
 from repro.training.callbacks.validation import ValidationCallback
 
@@ -48,7 +45,6 @@ __all__ = [
     "LifecycleCallback",
     "LossGuardCallback",
     "PropensityMonitorCallback",
-    "OpProfilerCallback",
     "LRSchedulerCallback",
     "ValidationCallback",
 ]

@@ -3,16 +3,14 @@
 :class:`~repro.training.engine.TrainingEngine` owns only the canonical
 step loop (forward -> loss -> backward -> clip -> step).  Everything
 else -- checkpointing, divergence guards, propensity monitoring, fault
-injection, profiling, LR scheduling, validation/early stopping -- is a
+injection, LR scheduling, validation/early stopping -- is a
 :class:`Callback` observing the loop through a fixed set of hooks.
 
 Hook ordering guarantees (per ``fit``):
 
 ``on_fit_start``
     Once, after ``model.train()`` and (on resume) after the snapshot has
-    been restored; ``ctx.stack`` is an open ``ExitStack`` that unwinds
-    when ``fit`` returns *or raises*, so callbacks may register context
-    managers (the profiler does).
+    been restored.
 ``on_epoch_start``
     Once per epoch, after the epoch counters and the epoch-start RNG
     state (``ctx.epoch_start_rng``) have been captured.
@@ -40,8 +38,9 @@ Hook ordering guarantees (per ``fit``):
     ``best_metric``/``stale``).  ``history.stopped_early`` set here ends
     the run after the remaining epoch-end hooks.
 ``on_fit_end``
-    Once, on normal completion only (after ``ctx.stack`` has closed),
-    just before the engine switches the model back to eval mode.
+    Once, on normal completion only (after the engine's per-fit
+    resources have been released), just before the engine switches the
+    model back to eval mode.
 ``on_resume``
     When ``fit(resume_from=...)`` restored a snapshot, before
     ``on_fit_start``; callbacks re-hydrate their own state from
@@ -53,8 +52,7 @@ Hook ordering guarantees (per ``fit``):
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -93,8 +91,6 @@ class TrainingContext:
     validation: Optional["InteractionDataset"]
     rng: np.random.Generator
     callbacks: Sequence["Callback"] = ()
-    #: ExitStack alive for the duration of the fit loop.
-    stack: Optional[contextlib.ExitStack] = None
 
     # -- loop position -------------------------------------------------
     epoch: int = 0

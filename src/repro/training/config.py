@@ -26,9 +26,6 @@ class TrainConfig:
     #: Stop early when the validation CVR AUC has not improved for this
     #: many epochs (None disables early stopping).
     early_stopping_patience: Optional[int] = None
-    #: Record an op-level profile of the fit loop into
-    #: ``TrainingHistory.op_profile`` (small constant overhead per op).
-    profile_ops: bool = False
     #: Cap the number of batches consumed per epoch (None = the whole
     #: source).  Meant for streaming sources, where an "epoch" over a
     #: production log can be arbitrarily long: it bounds wall-clock per

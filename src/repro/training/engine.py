@@ -5,11 +5,12 @@
     forward -> loss -> backward -> clip -> step
 
 plus the invariants the loop depends on (dataset validation, trusted
-indices, the shuffle RNG, and bit-exact resume of the loop position).  Everything else -- checkpointing,
-divergence guards, propensity monitoring, fault injection, profiling,
-LR scheduling, validation/early stopping -- attaches through the
-:class:`~repro.training.callbacks.Callback` hook protocol, so scaling
-features are "write a callback", not "edit the loop".
+indices, the shuffle RNG, and bit-exact resume of the loop position).
+Everything else -- checkpointing, divergence guards, propensity
+monitoring, fault injection, LR scheduling, validation/early stopping
+-- attaches through the :class:`~repro.training.callbacks.Callback`
+hook protocol, so scaling features are "write a callback", not "edit
+the loop".
 
 The legacy :class:`~repro.training.trainer.Trainer` facade assembles
 the default callback stack from a ``ReliabilityConfig`` and is
@@ -161,7 +162,6 @@ class TrainingEngine:
         self._params = self.model.parameters()
         self.model.train()
         with contextlib.ExitStack() as stack:
-            ctx.stack = stack
             hooks.fire("on_fit_start", ctx)
             # One pass over the source proves every sparse id is in
             # range, which lets the embedding layer skip its per-lookup
@@ -230,7 +230,7 @@ class TrainingEngine:
 
     # -- the step kernel (overridden by the sharded engine) ------------
     def _enter_fit(self, ctx: TrainingContext, stack: contextlib.ExitStack) -> None:
-        """Acquire per-fit resources on ``ctx.stack`` (base: none).
+        """Acquire per-fit resources on ``stack`` (base: none).
 
         The sharded engine starts its worker pool here, so pool
         teardown rides the same ``ExitStack`` that unwinds the
@@ -352,8 +352,8 @@ def fit_model(
     """One-call training through the engine.
 
     Builds the default callback stack (validation/early stopping, plus
-    whatever a :class:`~repro.reliability.ReliabilityConfig` arms and
-    the op profiler when ``config.profile_ops``), appends any extra
+    whatever a :class:`~repro.reliability.ReliabilityConfig` arms),
+    appends any extra
     ``callbacks``, and runs ``fit``.  This is the entry point the
     experiment runners and examples use; ``Trainer`` remains as the
     object-shaped facade over the same path.

@@ -4,15 +4,15 @@
 point returns -- the monolithic ``Trainer`` facade, the composable
 :class:`~repro.training.engine.TrainingEngine`, and the checkpoint
 subsystem all read and write the same structure.  ``to_dict`` /
-``from_dict`` are exact inverses (including guard ``events`` and the
-``op_profile``), so snapshots and experiment reports round-trip the
-history without hand-parsing dictionaries.
+``from_dict`` are exact inverses (including guard ``events``), so
+snapshots and experiment reports round-trip the history without
+hand-parsing dictionaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.reliability.guards import GuardEvent
 
@@ -26,9 +26,6 @@ class TrainingHistory:
     stopped_early: bool = False
     #: Guard interventions and structured warnings, in occurrence order.
     events: List[GuardEvent] = field(default_factory=list)
-    #: Op-level profile of the fit loop (``OpProfiler.summary()``)
-    #: recorded when ``TrainConfig.profile_ops`` is set.
-    op_profile: Optional[Dict[str, Any]] = None
 
     @property
     def n_epochs_run(self) -> int:
@@ -41,15 +38,15 @@ class TrainingHistory:
             "validation_cvr_auc": list(self.validation_cvr_auc),
             "stopped_early": self.stopped_early,
             "events": [event.to_dict() for event in self.events],
-            "op_profile": self.op_profile,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TrainingHistory":
+        # Unknown keys are dropped: snapshots written before the op
+        # profiler was removed still carry an ``op_profile`` entry.
         return cls(
             epoch_losses=list(data.get("epoch_losses", [])),
             validation_cvr_auc=list(data.get("validation_cvr_auc", [])),
             stopped_early=bool(data.get("stopped_early", False)),
             events=[GuardEvent.from_dict(e) for e in data.get("events", [])],
-            op_profile=data.get("op_profile"),
         )

@@ -42,7 +42,6 @@ from repro.training.callbacks import (
     CheckpointCallback,
     FaultInjectionCallback,
     LossGuardCallback,
-    OpProfilerCallback,
     PropensityMonitorCallback,
     ValidationCallback,
 )
@@ -85,8 +84,6 @@ def default_callbacks(
                 every_n_batches=reliability.checkpoint_every_n_batches,
             )
         )
-    if config.profile_ops:
-        callbacks.append(OpProfilerCallback())
     return callbacks
 
 

@@ -5,6 +5,12 @@ import pytest
 
 from repro.data import load_scenario
 from repro.models import ModelConfig, build_model
+from repro.reliability import (
+    CheckpointManager,
+    ReliabilityConfig,
+    load_snapshot,
+    save_snapshot,
+)
 from repro.training import TrainConfig, Trainer, evaluate_model
 from repro.training.trainer import TrainingHistory
 from repro.training.evaluation import EvaluationResult
@@ -118,30 +124,67 @@ class TestTrainer:
         assert np.array_equal(run(), run())
 
 
-class TestOpProfileIntegration:
-    def test_profile_lands_in_history(self, world, model):
-        train, _ = world
-        config = TrainConfig(epochs=1, batch_size=512, profile_ops=True)
-        history = Trainer(model, config).fit(train)
-        assert history.op_profile is not None
-        ops_seen = history.op_profile["ops"]
-        assert "backward" in ops_seen
-        assert "optimizer.step" in ops_seen
-        assert "take_rows" in ops_seen
-        assert ops_seen["backward"]["calls"] > 0
+class TestHistorySerialization:
+    def test_history_drops_legacy_op_profile(self):
+        """Histories saved while the trainer still had an op profiler
+        carry an ``op_profile`` key; loading one drops it."""
+        legacy = {
+            "epoch_losses": [0.7, 0.5],
+            "validation_cvr_auc": [0.61, 0.63],
+            "stopped_early": False,
+            "events": [],
+            "op_profile": {"ops": {"backward": {"calls": 4}}},
+        }
+        restored = TrainingHistory.from_dict(legacy)
+        assert restored.epoch_losses == [0.7, 0.5]
+        assert restored.validation_cvr_auc == [0.61, 0.63]
+        assert "op_profile" not in restored.to_dict()
 
-    def test_profile_off_by_default(self, world, model):
+    def test_resume_from_snapshot_with_legacy_op_profile(self, world, tmp_path):
+        """``fit(resume_from=...)`` accepts a checkpoint whose saved
+        history carries ``op_profile`` and still lands bit-exactly on
+        the uninterrupted run."""
         train, _ = world
-        history = Trainer(model, TrainConfig(epochs=1, batch_size=512)).fit(train)
-        assert history.op_profile is None
+        config = TrainConfig(epochs=2, batch_size=512, seed=3)
+        reliability = ReliabilityConfig(
+            checkpoint_dir=str(tmp_path), checkpoint_every_n_batches=2
+        )
+        model_config = ModelConfig(embedding_dim=4, hidden_sizes=(8,), seed=0)
 
-    def test_history_roundtrips_profile(self, world, model):
-        train, _ = world
-        config = TrainConfig(epochs=1, batch_size=512, profile_ops=True)
-        history = Trainer(model, config).fit(train)
-        restored = TrainingHistory.from_dict(history.to_dict())
-        assert restored.op_profile == history.op_profile
-        assert restored.epoch_losses == history.epoch_losses
+        reference = build_model("dcmt", train.schema, model_config)
+        expected = Trainer(reference, config).fit(train)
+
+        class Killed(RuntimeError):
+            pass
+
+        doomed = build_model("dcmt", train.schema, model_config)
+        trainer = Trainer(doomed, config, reliability=reliability)
+        real_step, calls = trainer.optimizer.step, [0]
+
+        def dying_step():
+            calls[0] += 1
+            if calls[0] > 11:
+                raise Killed
+            real_step()
+
+        trainer.optimizer.step = dying_step
+        with pytest.raises(Killed):
+            trainer.fit(train)
+        latest = CheckpointManager(tmp_path).latest()
+        snapshot = load_snapshot(latest)
+        snapshot.history["op_profile"] = {"ops": {"backward": {"calls": 10}}}
+        save_snapshot(snapshot, latest)
+
+        resumed = build_model(
+            "dcmt", train.schema, model_config.with_overrides(seed=99)
+        )
+        history = Trainer(resumed, config, reliability=reliability).fit(
+            train, resume_from=tmp_path
+        )
+        assert history.epoch_losses == expected.epoch_losses
+        assert "op_profile" not in history.to_dict()
+        for name, value in reference.state_dict().items():
+            assert np.array_equal(resumed.state_dict()[name], value)
 
     def test_history_roundtrips_events(self):
         """to_dict/from_dict are exact inverses, guard events included
@@ -169,13 +212,11 @@ class TestOpProfileIntegration:
                     action="warn",
                 ),
             ],
-            op_profile={"ops": {"backward": {"calls": 4}}},
         )
         restored = TrainingHistory.from_dict(history.to_dict())
         assert restored.epoch_losses == history.epoch_losses
         assert restored.validation_cvr_auc == history.validation_cvr_auc
         assert restored.stopped_early is True
-        assert restored.op_profile == history.op_profile
         assert len(restored.events) == 2
         for got, want in zip(restored.events, history.events):
             assert got.epoch == want.epoch
