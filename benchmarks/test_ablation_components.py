@@ -12,14 +12,14 @@ from benchmarks.conftest import run_once
 from repro.core.dcmt import DCMT
 from repro.data.synthetic import SyntheticScenario
 from repro.metrics.ranking import auc
-from repro.training import Trainer
+from repro.training import fit_model
 
 
 def _train_score(scenario, config, **dcmt_kwargs):
     train, test = scenario.generate()
     seed = config.seeds[0]
     model = DCMT(train.schema, config.model_config(seed), **dcmt_kwargs)
-    Trainer(model, config.train_config(seed)).fit(train)
+    fit_model(model, train, config.train_config(seed))
     preds = model.predict(test.full_batch())
     return auc(test.conversions, preds.cvr)
 
@@ -52,7 +52,7 @@ def test_ablation_propensity_floor(benchmark, bench_config):
                 config.with_overrides(propensity_floor=floor),
             )
             train, test = scenario.generate()
-            Trainer(model, bench_config.train_config(0)).fit(train)
+            fit_model(model, train, bench_config.train_config(0))
             preds = model.predict(test.full_batch())
             results[floor] = auc(test.conversions, preds.cvr)
         return results

@@ -11,7 +11,7 @@ from repro.core.dcmt import DCMT
 from repro.core.strategies import STRATEGIES
 from repro.data.synthetic import SyntheticScenario
 from repro.metrics.ranking import auc
-from repro.training import Trainer
+from repro.training import fit_model
 
 
 def test_counterfactual_strategies(benchmark, bench_config):
@@ -27,7 +27,7 @@ def test_counterfactual_strategies(benchmark, bench_config):
                 bench_config.model_config(seed),
                 cf_strategy=strategy,
             )
-            Trainer(model, bench_config.train_config(seed)).fit(train)
+            fit_model(model, train, bench_config.train_config(seed))
             preds = model.predict(test.full_batch())
             results[strategy] = {
                 "cvr_auc": auc(test.conversions, preds.cvr),

@@ -13,10 +13,9 @@ A production-shaped drill in three acts::
    the last good step, halves the learning rate, and training still
    ends with finite losses and finite weights.
 
-Acts 1 and 2 assemble their reliability features by hand as
-:class:`~repro.training.callbacks.Callback` objects on a bare
-:class:`~repro.training.TrainingEngine` -- the composable form of what
-``Trainer(model, config, reliability=...)`` wires up for you.
+Acts 1 and 2 assemble their reliability features as
+:class:`~repro.training.callbacks.Callback` objects passed to a bare
+:class:`~repro.training.TrainingEngine`'s ``fit(callbacks=...)``.
 3. **Chaos serving.**  The trained model serves pages while its
    primary scorer fails 30% of the time.  The circuit breaker opens
    and the fallback chain (shared CTR model, then popularity prior)
@@ -75,9 +74,7 @@ def act_1_kill_and_resume(train, test, checkpoint_dir: Path):
     # The doomed run: a bare engine with hand-assembled callbacks,
     # preempted after 9 optimizer steps.
     doomed = build_model("dcmt", train.schema, MODEL_CONFIG)
-    engine = TrainingEngine(
-        doomed, TRAIN_CONFIG, callbacks=checkpointing_callbacks(checkpoint_dir)
-    )
+    engine = TrainingEngine(doomed, TRAIN_CONFIG)
     real_step, calls = engine.optimizer.step, [0]
 
     def preemptible_step():
@@ -88,16 +85,23 @@ def act_1_kill_and_resume(train, test, checkpoint_dir: Path):
 
     engine.optimizer.step = preemptible_step
     try:
-        engine.fit(train, validation=test)
+        engine.fit(
+            train,
+            validation=test,
+            callbacks=checkpointing_callbacks(checkpoint_dir),
+        )
     except Preempted:
         print(f"  killed after {calls[0] - 1} steps; "
               f"{len(list(checkpoint_dir.glob('*.ckpt')))} snapshots on disk")
 
     # A fresh process: new model object, new engine, resume from disk.
     resumed = build_model("dcmt", train.schema, MODEL_CONFIG.with_overrides(seed=42))
-    history = TrainingEngine(
-        resumed, TRAIN_CONFIG, callbacks=checkpointing_callbacks(checkpoint_dir)
-    ).fit(train, validation=test, resume_from=checkpoint_dir)
+    history = TrainingEngine(resumed, TRAIN_CONFIG).fit(
+        train,
+        validation=test,
+        resume_from=checkpoint_dir,
+        callbacks=checkpointing_callbacks(checkpoint_dir),
+    )
 
     ref_state = reference.state_dict()
     identical = all(
@@ -114,9 +118,9 @@ def act_2_divergence_guard(train):
     model = build_model("dcmt", train.schema, MODEL_CONFIG)
     # Order matters: fault injection corrupts the batch *before* the
     # guard classifies its loss.
-    engine = TrainingEngine(
-        model,
-        TRAIN_CONFIG,
+    engine = TrainingEngine(model, TRAIN_CONFIG)
+    history = engine.fit(
+        train,
         callbacks=[
             FaultInjectionCallback(
                 FaultInjector(
@@ -126,7 +130,6 @@ def act_2_divergence_guard(train):
             LossGuardCallback(LossGuardConfig()),
         ],
     )
-    history = engine.fit(train)
     trips = [e for e in history.events if e.action == "rollback_lr_halved"]
     print(f"  guard trips: {len(trips)} "
           f"(reasons: {sorted({e.reason for e in trips})})")

@@ -25,7 +25,7 @@ from repro.simulation.feedback import (
     DelayedFeedbackConfig,
     DelayedFeedbackExperiment,
 )
-from repro.training import TrainConfig, Trainer, evaluate_model_streaming
+from repro.training import TrainConfig, evaluate_model_streaming, fit_model
 
 MODEL_CONFIG = ModelConfig(embedding_dim=8, hidden_sizes=(32, 16), seed=0)
 TRAIN_CONFIG = TrainConfig(epochs=3, batch_size=512, learning_rate=0.05, seed=0)
@@ -55,7 +55,7 @@ def streaming_tour(workdir: Path) -> None:
 
     model = DCMT(source.schema, MODEL_CONFIG)
     print(f"model: {sum(p.data.size for p in model.parameters())} parameters")
-    Trainer(model, TRAIN_CONFIG).fit(source)
+    fit_model(model, source, TRAIN_CONFIG)
     gauge = source.gauge
     print(
         f"trained {TRAIN_CONFIG.epochs} epochs; peak resident: "

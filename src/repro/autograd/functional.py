@@ -95,28 +95,6 @@ def weighted_mean(
     return (values * Tensor(w)).sum() * (1.0 / denominator)
 
 
-def mse_loss(pred: ArrayLike, target: ArrayLike, reduction: str = "mean") -> Tensor:
-    """Mean squared error (used by the DR imputation-error analysis)."""
-    pred = _as_tensor(pred)
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=float)
-    diff = pred - Tensor(t)
-    return _reduce(diff * diff, reduction)
-
-
-def l2_penalty(params) -> Tensor:
-    """Sum of squared entries over an iterable of tensors.
-
-    Implements the ``||theta||_F^2`` regularizer of Eq. (14).
-    """
-    total: Optional[Tensor] = None
-    for p in params:
-        term = (p * p).sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total
-
-
 def _reduce(loss: Tensor, reduction: str) -> Tensor:
     if reduction == "mean":
         return loss.mean()

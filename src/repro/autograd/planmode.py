@@ -32,11 +32,6 @@ def tracer():
     return _TRACER
 
 
-def replayer():
-    """The currently replaying executor, or ``None``."""
-    return _REPLAY
-
-
 def set_tracer(t) -> Optional[object]:
     """Install ``t`` as the active tracer; returns the previous one."""
     global _TRACER

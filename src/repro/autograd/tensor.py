@@ -53,11 +53,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def grad_enabled() -> bool:
-    """Return whether graph recording is currently enabled."""
-    return _GRAD_ENABLED
-
-
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` after a broadcast.
 

@@ -292,14 +292,3 @@ def config_for_day(
         if event.day <= day and event.overrides:
             overrides.update(event.overrides)
     return base.with_overrides(**overrides) if overrides else base
-
-
-def catalog_size_for_day(
-    base_items: int, events: Sequence[DriftEvent], day: int
-) -> int:
-    """Active catalog size after every churn event due by ``day``."""
-    return base_items + sum(
-        e.new_items
-        for e in events
-        if e.kind == CATALOG_CHURN and e.day <= day
-    )

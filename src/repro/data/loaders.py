@@ -263,6 +263,12 @@ def load_csv_dataset(
             i,
             spec.conversion_column,
         )
+        if conversions[i] == 1 and clicks[i] == 0:
+            raise ValueError(
+                f"{path}:{i + 2}: column {spec.conversion_column!r}: "
+                f"conversion recorded on an unclicked exposure; the behaviour "
+                f"path exposure->click->conversion is violated"
+            )
         for c in sparse_columns:
             raw = row[column_index[c]]
             if c in spec.hash_buckets:
@@ -281,16 +287,12 @@ def load_csv_dataset(
                     f"value {raw!r}"
                 ) from None
 
-    if np.any((conversions == 1) & (clicks == 0)):
-        raise ValueError(
-            f"{path}: conversions recorded on unclicked exposures; the "
-            f"behaviour path exposure->click->conversion is violated"
-        )
-
-    # Standardise dense columns with training-split statistics.
+    # Standardise dense columns with training-split statistics (a
+    # header-only file has none: identity, as in the other loaders).
     if dense_stats is None:
         dense_stats = {
-            c: (float(v.mean()), float(v.std()) or 1.0) for c, v in dense.items()
+            c: ((float(v.mean()), float(v.std()) or 1.0) if n else (0.0, 1.0))
+            for c, v in dense.items()
         }
     for c, values in dense.items():
         mean, std = dense_stats[c]

@@ -19,7 +19,6 @@ from repro.metrics.classification import (
 )
 from repro.metrics.causal import (
     dr_risk,
-    estimator_bias,
     ideal_risk,
     ipw_risk,
     log_loss_elementwise,
@@ -45,7 +44,6 @@ __all__ = [
     "naive_risk",
     "ipw_risk",
     "dr_risk",
-    "estimator_bias",
     "bootstrap_mean_ci",
     "relative_lift",
     "two_proportion_test",

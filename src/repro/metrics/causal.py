@@ -9,8 +9,9 @@ a model's predictions, they compute
 * the IPW risk (Eq. (5)),
 * the doubly-robust risk (Eq. (6)),
 
-and the bias of each w.r.t. the ideal risk (Definition II.1).  The
-test-suite uses them to verify the paper's claims numerically: IPW is
+whose bias w.r.t. the ideal risk (Definition II.1) is
+``|estimate - ideal|``.  The test-suite uses them to verify the
+paper's claims numerically: IPW is
 unbiased with oracle propensities, DR is unbiased when either the
 propensities or the imputed errors are exact, and the naive estimator
 is biased whenever data is MNAR.
@@ -74,8 +75,3 @@ def dr_risk(
     errors = log_loss_elementwise(labels, cvr_pred)
     delta = errors - e_hat
     return float((e_hat + o * delta / p).mean())
-
-
-def estimator_bias(estimated_risk: float, true_risk: float) -> float:
-    """Definition II.1: ``|E_O(risk) - ideal risk|`` for one realisation."""
-    return abs(estimated_risk - true_risk)

@@ -23,7 +23,7 @@ from repro.nn.embedding import Embedding
 from repro.nn.dropout import Dropout
 from repro.nn.activations import Activation, get_activation
 from repro.nn.gates import AITMTransfer, CrossStitchUnit, ExpertGroup, MMoEGate, PLELayer
-from repro.nn.serialization import load_checkpoint, peek_metadata, save_checkpoint
+from repro.nn.serialization import load_checkpoint, save_checkpoint
 from repro.nn import init
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "AITMTransfer",
     "save_checkpoint",
     "load_checkpoint",
-    "peek_metadata",
     "init",
 ]

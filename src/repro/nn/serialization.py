@@ -141,12 +141,6 @@ def load_optimizer_state(optimizer: Optimizer, path: "Path | str") -> Dict[str, 
     return meta
 
 
-def peek_metadata(path: "Path | str") -> Dict[str, Any]:
-    """Read only the metadata blob (cheap; no parameter loading)."""
-    with np.load(Path(path)) as archive:
-        return _decode_metadata(archive)
-
-
 def _decode_metadata(archive) -> Dict[str, Any]:
     if _META_KEY not in archive.files:
         return {}

@@ -9,7 +9,7 @@ implements the ``lambda_2 ||theta||^2`` term of Eq. (14) efficiently
 from repro.optim.optimizer import Optimizer, clip_global_norm
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.schedulers import ExponentialDecay, LinearWarmup, Scheduler, StepDecay
+from repro.optim.schedulers import Scheduler, StepDecay
 
 __all__ = [
     "Optimizer",
@@ -18,6 +18,4 @@ __all__ = [
     "clip_global_norm",
     "Scheduler",
     "StepDecay",
-    "ExponentialDecay",
-    "LinearWarmup",
 ]

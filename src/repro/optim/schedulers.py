@@ -44,35 +44,3 @@ class StepDecay(Scheduler):
 
     def _lr_at(self, step: int) -> float:
         return self.base_lr * self.gamma ** (step // self.period)
-
-
-class ExponentialDecay(Scheduler):
-    """``lr = base * gamma^step``."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95) -> None:
-        super().__init__(optimizer)
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-        self.gamma = gamma
-
-    def _lr_at(self, step: int) -> float:
-        return self.base_lr * self.gamma**step
-
-
-class LinearWarmup(Scheduler):
-    """Linear ramp from ~0 to the base rate over ``warmup_steps``.
-
-    Useful with the IPW losses, whose early gradients are noisy until
-    the propensity tower stabilises.
-    """
-
-    def __init__(self, optimizer: Optimizer, warmup_steps: int) -> None:
-        super().__init__(optimizer)
-        if warmup_steps < 1:
-            raise ValueError(f"warmup_steps must be >= 1, got {warmup_steps}")
-        self.warmup_steps = warmup_steps
-
-    def _lr_at(self, step: int) -> float:
-        if step >= self.warmup_steps:
-            return self.base_lr
-        return self.base_lr * step / self.warmup_steps

@@ -37,7 +37,6 @@ from repro.reliability.circuit import CircuitBreaker
 from repro.reliability.config import (
     AdmissionPolicy,
     FleetPolicy,
-    ReliabilityConfig,
     ServingPolicy,
 )
 from repro.reliability.drift import (
@@ -129,7 +128,6 @@ __all__ = [
     "verify_snapshot",
     "CircuitBreaker",
     "FleetPolicy",
-    "ReliabilityConfig",
     "ServingPolicy",
     "ReliabilityError",
     "CheckpointCorruptError",

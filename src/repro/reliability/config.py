@@ -1,70 +1,22 @@
-"""Reliability policies for the training and serving layers.
+"""Reliability policies for the serving layer.
 
-Two dataclasses, one per layer:
-
-* :class:`ReliabilityConfig` -- handed to ``Trainer``; switches on
-  periodic checksummed checkpoints, the loss guard, propensity
-  monitoring, and (for tests/drills) a fault injector on the batch
-  stream.  ``Trainer(model, config)`` without one behaves exactly as
-  before.
 * :class:`ServingPolicy` -- handed to ``RankingService``; bounds the
   retry loop and parameterises the circuit breaker guarding the
   primary scoring path.
+* :class:`FleetPolicy` -- handed to ``ServingFleet``; routing, hedging
+  and fleet-level shedding.
+* :class:`AdmissionPolicy` -- the bounded admission queue in front of
+  ``RankingService``.
+
+Training-side fault tolerance has no config object: checkpointing, the
+loss guard, propensity monitoring and fault injection are callbacks
+passed to ``fit`` (see :mod:`repro.training.callbacks`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-from repro.reliability.faults import FaultInjector
-from repro.reliability.guards import LossGuardConfig
-
-
-@dataclass
-class ReliabilityConfig:
-    """Fault-tolerance knobs for one training run."""
-
-    #: Directory for rotating checkpoints (None disables checkpointing).
-    checkpoint_dir: Optional[str] = None
-    #: Also snapshot mid-epoch every N batches (None: epoch ends only).
-    checkpoint_every_n_batches: Optional[int] = None
-    #: How many snapshots to retain; >= 2 recommended so a corrupt
-    #: newest file still leaves a recovery point.
-    keep_checkpoints: int = 3
-    #: Loss divergence guard (None disables guarding).
-    guard: Optional[LossGuardConfig] = field(default_factory=LossGuardConfig)
-    #: Warn when more than this fraction of sampled ``o_hat`` sits at
-    #: the clip boundary after an epoch.
-    propensity_collapse_threshold: float = 0.5
-    #: Rows sampled for the propensity check (0 disables the check).
-    propensity_check_sample: int = 2048
-    #: Batch corruptor for chaos drills (None: clean batches).
-    fault_injector: Optional[FaultInjector] = None
-
-    def __post_init__(self) -> None:
-        if self.keep_checkpoints < 1:
-            raise ValueError(
-                f"keep_checkpoints must be >= 1, got {self.keep_checkpoints}"
-            )
-        if (
-            self.checkpoint_every_n_batches is not None
-            and self.checkpoint_every_n_batches < 1
-        ):
-            raise ValueError(
-                "checkpoint_every_n_batches must be >= 1 or None, got "
-                f"{self.checkpoint_every_n_batches}"
-            )
-        if not 0.0 < self.propensity_collapse_threshold <= 1.0:
-            raise ValueError(
-                "propensity_collapse_threshold must be in (0, 1], got "
-                f"{self.propensity_collapse_threshold}"
-            )
-        if self.propensity_check_sample < 0:
-            raise ValueError(
-                "propensity_check_sample must be >= 0, got "
-                f"{self.propensity_check_sample}"
-            )
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ REPLICA_SLOWDOWN = "slowdown"
 REPLICA_NAN = "nan_predictions"
 _REPLICA_FAULT_KINDS = (REPLICA_KILL, REPLICA_SLOWDOWN, REPLICA_NAN)
 
-#: Trainer worker-pool fault kinds (the vocabulary of :class:`WorkerFault`).
+#: Training worker-pool fault kinds (the vocabulary of :class:`WorkerFault`).
 WORKER_KILL = "worker_kill"
 WORKER_HANG = "worker_hang"
 WORKER_SLOW = "worker_slow"
@@ -332,7 +332,7 @@ def build_fleet_fault_schedule(
 
 
 # ----------------------------------------------------------------------
-# Trainer worker faults: SIGKILL / hang / slow-worker events on a
+# Training worker faults: SIGKILL / hang / slow-worker events on a
 # seeded dispatch-step timeline, applied by the TrainerChaosDrill.
 # ----------------------------------------------------------------------
 

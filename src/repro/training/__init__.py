@@ -4,17 +4,15 @@ The composable :class:`~repro.training.engine.TrainingEngine` owns the
 canonical step loop; production concerns (checkpoint/resume, divergence
 guards, propensity monitoring, fault injection, LR scheduling,
 validation/early stopping) attach as
-:mod:`~repro.training.callbacks`.  :class:`~repro.training.trainer.Trainer`
-is the backward-compatible facade that assembles the default stack from
-a :class:`~repro.reliability.ReliabilityConfig`, and
-:func:`~repro.training.engine.fit_model` is the one-call functional
-form used by the experiment runners and examples.
+:mod:`~repro.training.callbacks` passed to ``fit``.
+:func:`~repro.training.engine.fit_model` is the one way to start a fit
+with the default validation/early-stopping stack; callers that need the
+engine object use :func:`~repro.training.engine.create_engine`.
 :mod:`~repro.training.evaluation` computes the offline metrics of
 Table IV plus the entire-space diagnostics enabled by the synthetic
 oracle.
 """
 
-from repro.reliability.config import ReliabilityConfig
 from repro.training.config import TrainConfig
 from repro.training.engine import TrainingEngine, create_engine, fit_model
 from repro.training.history import TrainingHistory
@@ -24,7 +22,6 @@ from repro.training.parallel import (
     TrainerDrillReport,
     WorkerSupervisor,
 )
-from repro.training.trainer import Trainer, default_callbacks
 from repro.training.evaluation import (
     EvaluationResult,
     StreamingAUC,
@@ -47,8 +44,6 @@ from repro.training.callbacks import (
 
 __all__ = [
     "TrainConfig",
-    "ReliabilityConfig",
-    "Trainer",
     "TrainingEngine",
     "TrainingHistory",
     "ShardedTrainingEngine",
@@ -57,7 +52,6 @@ __all__ = [
     "WorkerSupervisor",
     "create_engine",
     "fit_model",
-    "default_callbacks",
     "Callback",
     "CheckpointCallback",
     "FaultInjectionCallback",

@@ -1,8 +1,7 @@
 """Standalone callbacks for the composable training engine.
 
-Each production concern that used to live inside the ``Trainer.fit``
-monolith is one class here, attachable to any
-:class:`~repro.training.engine.TrainingEngine`:
+Each production concern of a fit is one class here, passed to
+``TrainingEngine.fit(callbacks=...)`` or ``fit_model(callbacks=...)``:
 
 * :class:`CheckpointCallback` -- periodic checksummed snapshots,
   mid-epoch and at epoch boundaries (PR 1's checkpoint/resume);
@@ -16,10 +15,7 @@ monolith is one class here, attachable to any
   guard-aware;
 * :class:`ValidationCallback` -- epoch-end evaluation and early stopping;
 * :class:`DriftReferenceCallback` -- freezes the training-time
-  feature/propensity/CVR distributions for the serving drift sentinels;
-* :class:`LifecycleCallback` -- publishes the finished model into the
-  versioned :class:`~repro.lifecycle.registry.ModelRegistry` as a
-  promotion-gate candidate.
+  feature/propensity/CVR distributions for the serving drift sentinels.
 
 See :mod:`repro.training.callbacks.base` for the hook protocol and its
 ordering guarantees.
@@ -30,7 +26,6 @@ from repro.training.callbacks.checkpoint import CheckpointCallback
 from repro.training.callbacks.drift import DriftReferenceCallback
 from repro.training.callbacks.faults import FaultInjectionCallback
 from repro.training.callbacks.guard import LossGuardCallback
-from repro.training.callbacks.lifecycle import LifecycleCallback
 from repro.training.callbacks.monitor import PropensityMonitorCallback
 from repro.training.callbacks.scheduling import LRSchedulerCallback
 from repro.training.callbacks.validation import ValidationCallback
@@ -42,7 +37,6 @@ __all__ = [
     "CheckpointCallback",
     "DriftReferenceCallback",
     "FaultInjectionCallback",
-    "LifecycleCallback",
     "LossGuardCallback",
     "PropensityMonitorCallback",
     "LRSchedulerCallback",

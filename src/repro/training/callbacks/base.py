@@ -32,8 +32,8 @@ Hook ordering guarantees (per ``fit``):
     (non-vetoed) batches.
 ``on_epoch_end``
     After the mean epoch loss has been appended to the history.
-    Callbacks run in registration order, which the default stack uses
-    to guarantee: propensity monitoring -> validation/early-stopping ->
+    Callbacks run in registration order, which a fault-tolerance stack
+    uses to guarantee: propensity monitoring -> validation/early-stopping ->
     epoch-boundary checkpoint (so the snapshot sees the fresh
     ``best_metric``/``stale``).  ``history.stopped_early`` set here ends
     the run after the remaining epoch-end hooks.
@@ -100,7 +100,7 @@ class TrainingContext:
     loss_value: float = float("nan")
     #: Set by a callback in ``on_loss_computed`` to veto the step.
     skip_step: bool = False
-    #: Trainer RNG state captured at the start of the current epoch
+    #: Engine RNG state captured at the start of the current epoch
     #: (what a mid-epoch snapshot must store to re-draw the shuffle).
     epoch_start_rng: Optional[Dict[str, Any]] = None
 

@@ -1,6 +1,6 @@
 """Divergence-guard callback: detect, roll back, decay the LR.
 
-Re-homes the ``Trainer`` monolith's loss-guard policy: a
+Re-homes the pre-engine monolith's loss-guard policy: a
 :class:`~repro.reliability.guards.LossGuard` classifies every batch
 loss in ``on_loss_computed``; on a trip the callback vetoes the
 optimizer step, rolls model and optimizer back to the last good

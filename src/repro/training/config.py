@@ -90,7 +90,7 @@ class TrainConfig:
         """Raise ``ValueError`` for nonsensical settings; returns self.
 
         Called automatically on construction and again by
-        ``Trainer.__init__`` (defence in depth: configs built through
+        ``TrainingEngine.__init__`` (defence in depth: configs built through
         ``dataclasses.replace`` tricks or deserialisation may bypass
         ``__post_init__`` semantics the caller expects).
         """

@@ -12,10 +12,11 @@ monitoring, fault injection, LR scheduling, validation/early stopping
 hook protocol, so scaling features are "write a callback", not "edit
 the loop".
 
-The legacy :class:`~repro.training.trainer.Trainer` facade assembles
-the default callback stack from a ``ReliabilityConfig`` and is
-bit-exact with the pre-engine monolith (see
-``tests/training/test_engine_golden.py``).
+:func:`fit_model` is the one way to start a fit with the default
+validation/early-stopping stack; callers that need the engine object
+(e.g. to reach its optimizer) use :func:`create_engine` and pass their
+callbacks to ``fit``.  The loop is bit-exact with the pre-engine
+monolith (see ``tests/training/test_engine_golden.py``).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.reliability.checkpoint import (
 )
 from repro.reliability.errors import CheckpointCorruptError
 from repro.training.callbacks.base import Callback, CallbackList, TrainingContext
+from repro.training.callbacks.validation import ValidationCallback
 from repro.training.config import TrainConfig
 from repro.training.history import TrainingHistory
 from repro.utils.logging import get_logger, log_event
@@ -57,11 +59,9 @@ class TrainingEngine:
         ||theta||^2`` regularizer of Eq. (14) is applied as optimizer
         weight decay.
     optimizer:
-        Optional pre-built optimizer (the ``Trainer`` facade shares its
-        own).  Defaults to the paper's Adam.
-    callbacks:
-        Default callback stack for every ``fit`` call; a ``fit``-level
-        ``callbacks=`` argument replaces it for that call.
+        Optional pre-built optimizer.  Defaults to the paper's Adam.
+
+    Callbacks reach a fit only through ``fit(callbacks=...)``.
     """
 
     def __init__(
@@ -69,7 +69,6 @@ class TrainingEngine:
         model: MultiTaskModel,
         config: TrainConfig,
         optimizer: Optional[Optimizer] = None,
-        callbacks: Sequence[Callback] = (),
     ) -> None:
         self.model = model
         self.config = config.validate()
@@ -78,7 +77,6 @@ class TrainingEngine:
             lr=config.learning_rate,
             weight_decay=config.weight_decay,
         )
-        self.callbacks: List[Callback] = list(callbacks)
         self._rng = np.random.default_rng(config.seed)
         #: Plan runner of the most recent ``fit`` call (``None`` before
         #: the first); exposes trace/replay stats.
@@ -94,7 +92,7 @@ class TrainingEngine:
         train: "InteractionDataset | DataSource",
         validation: Optional[InteractionDataset] = None,
         resume_from: "Path | str | None" = None,
-        callbacks: Optional[Sequence[Callback]] = None,
+        callbacks: Sequence[Callback] = (),
     ) -> TrainingHistory:
         """Run the step loop for up to ``config.epochs`` epochs.
 
@@ -114,7 +112,7 @@ class TrainingEngine:
         so continuation is bit-exact on streaming sources too.
         """
         source = as_source(train)
-        hooks = CallbackList(self.callbacks if callbacks is None else callbacks)
+        hooks = CallbackList(callbacks)
         ctx = TrainingContext(
             engine=self,
             model=self.model,
@@ -323,7 +321,6 @@ def create_engine(
     model: MultiTaskModel,
     config: TrainConfig,
     optimizer: Optional[Optimizer] = None,
-    callbacks: Sequence[Callback] = (),
 ) -> TrainingEngine:
     """Engine factory: the sharded engine when parallel knobs are set.
 
@@ -334,10 +331,8 @@ def create_engine(
     if config.parallel_enabled:
         from repro.training.parallel import ShardedTrainingEngine
 
-        return ShardedTrainingEngine(
-            model, config, optimizer=optimizer, callbacks=callbacks
-        )
-    return TrainingEngine(model, config, optimizer=optimizer, callbacks=callbacks)
+        return ShardedTrainingEngine(model, config, optimizer=optimizer)
+    return TrainingEngine(model, config, optimizer=optimizer)
 
 
 def fit_model(
@@ -345,24 +340,21 @@ def fit_model(
     train: "InteractionDataset | DataSource",
     config: Optional[TrainConfig] = None,
     validation: Optional[InteractionDataset] = None,
-    reliability=None,
     callbacks: Sequence[Callback] = (),
     resume_from: "Path | str | None" = None,
 ) -> TrainingHistory:
-    """One-call training through the engine.
+    """Train ``model`` with the paper's protocol (Adam + L2).
 
-    Builds the default callback stack (validation/early stopping, plus
-    whatever a :class:`~repro.reliability.ReliabilityConfig` arms),
-    appends any extra
-    ``callbacks``, and runs ``fit``.  This is the entry point the
-    experiment runners and examples use; ``Trainer`` remains as the
-    object-shaped facade over the same path.
+    The ``lambda_2 ||theta||^2`` regularizer of Eq. (14) is applied as
+    optimizer weight decay.  The fit runs validation/early stopping
+    (``config.early_stopping_patience``) first, then any extra
+    ``callbacks`` in order.  ``resume_from`` accepts a checkpoint file
+    or directory and continues that run bit-exactly.
     """
-    from repro.training.trainer import default_callbacks
-
     config = config or TrainConfig()
-    engine = create_engine(model, config)
-    stack = default_callbacks(config, reliability) + list(callbacks)
-    return engine.fit(
-        train, validation=validation, resume_from=resume_from, callbacks=stack
+    return create_engine(model, config).fit(
+        train,
+        validation=validation,
+        resume_from=resume_from,
+        callbacks=[ValidationCallback(config.early_stopping_patience), *callbacks],
     )

@@ -1,9 +1,9 @@
 """The per-run training record.
 
 :class:`TrainingHistory` is the single artifact every training entry
-point returns -- the monolithic ``Trainer`` facade, the composable
-:class:`~repro.training.engine.TrainingEngine`, and the checkpoint
-subsystem all read and write the same structure.  ``to_dict`` /
+point returns -- :func:`~repro.training.engine.fit_model`, the
+:class:`~repro.training.engine.TrainingEngine` it runs, and the
+checkpoint subsystem all read and write the same structure.  ``to_dict`` /
 ``from_dict`` are exact inverses (including guard ``events``), so
 snapshots and experiment reports round-trip the history without
 hand-parsing dictionaries.

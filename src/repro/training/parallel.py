@@ -928,10 +928,9 @@ class ShardedTrainingEngine(TrainingEngine):
         model: MultiTaskModel,
         config: TrainConfig,
         optimizer: Optional[Optimizer] = None,
-        callbacks: Sequence[Callback] = (),
         fault_schedule: Sequence[WorkerFault] = (),
     ) -> None:
-        super().__init__(model, config, optimizer=optimizer, callbacks=callbacks)
+        super().__init__(model, config, optimizer=optimizer)
         if not config.parallel_enabled:
             raise ValueError(
                 "ShardedTrainingEngine needs num_workers or num_shards > 1 "
@@ -968,9 +967,8 @@ class ShardedTrainingEngine(TrainingEngine):
         }
 
     # ------------------------------------------------------------------
-    def fit(self, train, validation=None, resume_from=None, callbacks=None):
-        resolved = list(self.callbacks if callbacks is None else callbacks)
-        resolved.append(ParallelStateCallback(self))
+    def fit(self, train, validation=None, resume_from=None, callbacks=()):
+        resolved = [*callbacks, ParallelStateCallback(self)]
         return super().fit(
             train,
             validation=validation,

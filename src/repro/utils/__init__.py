@@ -1,12 +1,9 @@
-"""Small shared utilities: seeding, hashing, and progress logging."""
+"""Small shared utilities: hashing and progress logging."""
 
-from repro.utils.rng import spawn_rngs, rng_from_seed
 from repro.utils.hashing import stable_bucket, stable_fraction, stable_hash64
 from repro.utils.logging import get_logger, log_event
 
 __all__ = [
-    "spawn_rngs",
-    "rng_from_seed",
     "stable_bucket",
     "stable_fraction",
     "stable_hash64",

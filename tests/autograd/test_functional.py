@@ -95,28 +95,3 @@ class TestWeightedMean:
         out = functional.weighted_mean(x, np.array([5.0]))
         out.backward()
         assert np.allclose(x.grad, [5.0])
-
-
-class TestMSEAndPenalty:
-    def test_mse_value(self):
-        loss = functional.mse_loss(Tensor([1.0, 3.0]), np.array([0.0, 0.0]))
-        assert np.isclose(loss.item(), 5.0)
-
-    def test_mse_gradient(self):
-        rng = np.random.default_rng(9)
-        t = rng.normal(size=5)
-        check_gradients(lambda x: functional.mse_loss(x, t), [rng.normal(size=5)])
-
-    def test_l2_penalty_value(self):
-        params = [Tensor([1.0, 2.0]), Tensor([[3.0]])]
-        assert np.isclose(functional.l2_penalty(params).item(), 14.0)
-
-    def test_l2_penalty_empty(self):
-        assert functional.l2_penalty([]).item() == 0.0
-
-    def test_l2_penalty_gradient(self):
-        rng = np.random.default_rng(2)
-        check_gradients(
-            lambda a, b: functional.l2_penalty([a, b]),
-            [rng.normal(size=(2, 2)), rng.normal(size=3)],
-        )

@@ -22,8 +22,8 @@ import pytest
 from repro.autograd.plan import PlanRunner
 from repro.data import load_scenario
 from repro.models import MODEL_REGISTRY, ModelConfig, build_model
-from repro.reliability import ReliabilityConfig
-from repro.training import Trainer, TrainConfig, TrainingEngine, create_engine
+from repro.training import TrainConfig, TrainingEngine, create_engine
+from tests.fit_callbacks import reliability_stack
 
 pytestmark = pytest.mark.plan
 
@@ -171,16 +171,20 @@ class TestCompiledKillResume:
         """
         train, test = world
         eager_hist, eager_model, _ = run_eager(train, "dcmt")
-        reliability = ReliabilityConfig(
-            checkpoint_dir=str(tmp_path), checkpoint_every_n_batches=2
-        )
+
+        def reliability():
+            return reliability_stack(
+                TRAIN_CONFIG,
+                checkpoint_dir=str(tmp_path),
+                checkpoint_every_n_batches=2,
+            )
 
         class Killed(RuntimeError):
             pass
 
         doomed = build_model("dcmt", train.schema, MODEL_CONFIG)
-        trainer = Trainer(doomed, TRAIN_CONFIG, reliability=reliability)
-        real_step, calls = trainer.optimizer.step, [0]
+        engine = create_engine(doomed, TRAIN_CONFIG)
+        real_step, calls = engine.optimizer.step, [0]
 
         def dying_step():
             calls[0] += 1
@@ -188,16 +192,16 @@ class TestCompiledKillResume:
                 raise Killed
             real_step()
 
-        trainer.optimizer.step = dying_step
+        engine.optimizer.step = dying_step
         with pytest.raises(Killed):
-            trainer.fit(train, validation=test)
+            engine.fit(train, validation=test, callbacks=reliability())
         assert list(Path(tmp_path).glob("*.ckpt"))
 
         resumed = build_model(
             "dcmt", train.schema, MODEL_CONFIG.with_overrides(seed=99)
         )
-        history = Trainer(resumed, TRAIN_CONFIG, reliability=reliability).fit(
-            train, validation=test, resume_from=tmp_path
+        history = create_engine(resumed, TRAIN_CONFIG).fit(
+            train, validation=test, resume_from=tmp_path, callbacks=reliability()
         )
         assert history.epoch_losses == eager_hist.epoch_losses
         assert param_digest(resumed) == param_digest(eager_model)

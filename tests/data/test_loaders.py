@@ -1,5 +1,7 @@
 """Tests for the real-data CSV loaders."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,27 @@ class TestLoadCsvDataset:
         path.write_text("user_id,click,conversion\nu1,0,1\n")
         with pytest.raises(ValueError, match="behaviour path"):
             load_csv_dataset(path)
+
+    def test_label_inconsistency_names_first_offending_line(self, tmp_path):
+        """Same ``file:line: column`` provenance as the streaming loader,
+        raised at the first bad row even when a later row is malformed."""
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "user_id,click,conversion\nu1,1,1\nu2,0,1\nu3,0,1\nu4,1\n"
+        )
+        with pytest.raises(ValueError, match=rf"{path}:3: column 'conversion'"):
+            load_csv_dataset(path)
+
+    def test_header_only_file_gets_identity_dense_stats(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("user_id,score,click,conversion\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dataset, _, stats = load_csv_dataset(
+                path, spec=ColumnSpec(dense_features=("score",))
+            )
+        assert stats == {"score": (0.0, 1.0)}
+        assert len(dataset) == 0
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

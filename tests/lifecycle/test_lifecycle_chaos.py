@@ -28,8 +28,6 @@ from repro.lifecycle import (
 from repro.reliability.drift import DriftReference, DriftThresholds
 from repro.reliability.errors import PromotionBlockedError
 from repro.simulation.feedback import FeedbackConfig, FeedbackLoopExperiment
-from repro.training import fit_model
-from repro.training.callbacks import DriftReferenceCallback, LifecycleCallback
 
 from tests.lifecycle.conftest import perturb
 
@@ -339,30 +337,3 @@ class TestFeedbackLoopIntegration:
         assert len(results) == 2
         assert all(r.champion_version is None for r in results)
         assert all(r.shed_pages == 0 for r in results)
-
-
-class TestLifecycleCallback:
-    def test_fit_publishes_a_candidate_with_provenance(
-        self, tmp_path, world, factory, train_config
-    ):
-        train, _, _ = world
-        registry = ModelRegistry(tmp_path / "registry")
-        drift_cb = DriftReferenceCallback(
-            sample=256, path=tmp_path / "reference.json"
-        )
-        lifecycle_cb = LifecycleCallback(
-            registry, drift_callback=drift_cb, note="callback drill"
-        )
-        model = factory()
-        fit_model(
-            model, train, train_config, callbacks=[drift_cb, lifecycle_cb]
-        )
-        assert lifecycle_cb.version is not None
-        entry = registry.get(lifecycle_cb.version.version)
-        assert entry.status == "candidate"
-        assert entry.params_digest == model_digest(model)
-        assert entry.note == "callback drill"
-        assert "final_train_loss" in entry.metrics
-        assert entry.drift_reference_path == str(tmp_path / "reference.json")
-        meta = lifecycle_cb.checkpoint_metadata(None)
-        assert meta == {"registry_version": entry.version}

@@ -106,7 +106,7 @@ class TestWeightDecay:
 
         pb = Parameter(w0.copy())
         opt_b = SGD([pb], lr=0.1)
-        loss_b = (pb * pb * pb).sum() + lam * functional.l2_penalty([pb])
+        loss_b = (pb * pb * pb).sum() + lam * (pb * pb).sum()
         loss_b.backward()
         opt_b.step()
 

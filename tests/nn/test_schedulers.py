@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.module import Parameter
-from repro.optim import SGD, ExponentialDecay, LinearWarmup, Scheduler, StepDecay
+from repro.optim import SGD, Scheduler, StepDecay
 
 
 def make_optimizer(lr=0.1):
@@ -31,42 +31,3 @@ class TestStepDecay:
             StepDecay(make_optimizer(), period=0)
         with pytest.raises(ValueError):
             StepDecay(make_optimizer(), period=1, gamma=0.0)
-
-
-class TestExponentialDecay:
-    def test_geometric(self):
-        scheduler = ExponentialDecay(make_optimizer(1.0), gamma=0.5)
-        assert np.isclose(scheduler.step(), 0.5)
-        assert np.isclose(scheduler.step(), 0.25)
-
-    def test_gamma_one_is_constant(self):
-        scheduler = ExponentialDecay(make_optimizer(0.3), gamma=1.0)
-        for _ in range(5):
-            assert np.isclose(scheduler.step(), 0.3)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialDecay(make_optimizer(), gamma=1.5)
-
-
-class TestLinearWarmup:
-    def test_ramps_then_holds(self):
-        scheduler = LinearWarmup(make_optimizer(0.4), warmup_steps=4)
-        lrs = [scheduler.step() for _ in range(6)]
-        assert np.allclose(lrs, [0.1, 0.2, 0.3, 0.4, 0.4, 0.4])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearWarmup(make_optimizer(), warmup_steps=0)
-
-    def test_training_with_warmup_converges(self):
-        p = Parameter(np.array([5.0]))
-        opt = SGD([p], lr=0.2)
-        scheduler = LinearWarmup(opt, warmup_steps=10)
-        for _ in range(100):
-            loss = (p * p).sum()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            scheduler.step()
-        assert abs(float(p.data[0])) < 1e-3

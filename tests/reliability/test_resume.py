@@ -20,9 +20,10 @@ from repro.reliability import (
     FaultInjector,
     FaultSpec,
     LossGuardConfig,
-    ReliabilityConfig,
 )
-from repro.training import TrainConfig, Trainer
+from repro.training import TrainConfig, create_engine
+from repro.training.callbacks import CheckpointCallback, PropensityMonitorCallback
+from tests.fit_callbacks import reliability_stack
 
 pytestmark = pytest.mark.robustness
 
@@ -39,11 +40,17 @@ MODEL_CONFIG = ModelConfig(embedding_dim=4, hidden_sizes=(8,), seed=0)
 TRAIN_CONFIG = TrainConfig(epochs=4, batch_size=256, learning_rate=0.01, seed=7)
 
 
-def quiet_reliability(**overrides):
-    """Reliability config with the noisy epoch-end checks disabled."""
+def quiet_reliability(config=TRAIN_CONFIG, **overrides):
+    """Reliability stack with the noisy epoch-end checks disabled."""
     defaults = dict(guard=None, propensity_check_sample=0)
     defaults.update(overrides)
-    return ReliabilityConfig(**defaults)
+    return reliability_stack(config, **defaults)
+
+
+def fit(model, config, train, validation=None, callbacks=(), resume_from=None):
+    return create_engine(model, config).fit(
+        train, validation=validation, resume_from=resume_from, callbacks=callbacks
+    )
 
 
 class KilledMidRun(Exception):
@@ -54,14 +61,8 @@ def train_and_kill(world, checkpoint_dir, die_after_steps):
     """Run training that 'crashes' after N optimizer steps."""
     train, test = world
     model = build_model("dcmt", train.schema, MODEL_CONFIG)
-    trainer = Trainer(
-        model,
-        TRAIN_CONFIG,
-        reliability=quiet_reliability(
-            checkpoint_dir=str(checkpoint_dir), checkpoint_every_n_batches=2
-        ),
-    )
-    original_step = trainer.optimizer.step
+    engine = create_engine(model, TRAIN_CONFIG)
+    original_step = engine.optimizer.step
     calls = {"n": 0}
 
     def dying_step():
@@ -70,9 +71,15 @@ def train_and_kill(world, checkpoint_dir, die_after_steps):
             raise KilledMidRun
         original_step()
 
-    trainer.optimizer.step = dying_step
+    engine.optimizer.step = dying_step
     with pytest.raises(KilledMidRun):
-        trainer.fit(train, validation=test)
+        engine.fit(
+            train,
+            validation=test,
+            callbacks=quiet_reliability(
+                checkpoint_dir=str(checkpoint_dir), checkpoint_every_n_batches=2
+            ),
+        )
 
 
 class TestBitExactResume:
@@ -80,9 +87,9 @@ class TestBitExactResume:
         train, test = world
         # Uninterrupted reference run.
         reference = build_model("dcmt", train.schema, MODEL_CONFIG)
-        ref_history = Trainer(
-            reference, TRAIN_CONFIG, reliability=quiet_reliability()
-        ).fit(train, validation=test)
+        ref_history = fit(
+            reference, TRAIN_CONFIG, train, test, callbacks=quiet_reliability()
+        )
 
         # Kill a checkpointing run mid-epoch 1 (8 batches per epoch).
         train_and_kill(world, tmp_path, die_after_steps=13)
@@ -90,18 +97,20 @@ class TestBitExactResume:
 
         # Resume in a FRESH process-equivalent: new model (different
         # init seed -- everything must come from the snapshot), new
-        # trainer.
+        # engine.
         resumed = build_model(
             "dcmt", train.schema, MODEL_CONFIG.with_overrides(seed=99)
         )
-        trainer = Trainer(
+        history = fit(
             resumed,
             TRAIN_CONFIG,
-            reliability=quiet_reliability(
+            train,
+            test,
+            callbacks=quiet_reliability(
                 checkpoint_dir=str(tmp_path), checkpoint_every_n_batches=2
             ),
+            resume_from=tmp_path,
         )
-        history = trainer.fit(train, validation=test, resume_from=tmp_path)
 
         ref_state = reference.state_dict()
         resumed_state = resumed.state_dict()
@@ -112,26 +121,34 @@ class TestBitExactResume:
     def test_resume_from_epoch_boundary(self, world, tmp_path):
         train, test = world
         reference = build_model("dcmt", train.schema, MODEL_CONFIG)
-        ref_history = Trainer(
-            reference, TRAIN_CONFIG, reliability=quiet_reliability()
-        ).fit(train, validation=test)
+        ref_history = fit(
+            reference, TRAIN_CONFIG, train, test, callbacks=quiet_reliability()
+        )
 
         # Train only the first two epochs, checkpointing at boundaries.
         short = build_model("dcmt", train.schema, MODEL_CONFIG)
-        Trainer(
+        short_config = TRAIN_CONFIG.with_overrides(epochs=2)
+        fit(
             short,
-            TRAIN_CONFIG.with_overrides(epochs=2),
-            reliability=quiet_reliability(checkpoint_dir=str(tmp_path)),
-        ).fit(train, validation=test)
+            short_config,
+            train,
+            test,
+            callbacks=quiet_reliability(
+                short_config, checkpoint_dir=str(tmp_path)
+            ),
+        )
 
         resumed = build_model(
             "dcmt", train.schema, MODEL_CONFIG.with_overrides(seed=55)
         )
-        history = Trainer(
+        history = fit(
             resumed,
             TRAIN_CONFIG,
-            reliability=quiet_reliability(checkpoint_dir=str(tmp_path)),
-        ).fit(train, validation=test, resume_from=tmp_path)
+            train,
+            test,
+            callbacks=quiet_reliability(checkpoint_dir=str(tmp_path)),
+            resume_from=tmp_path,
+        )
 
         ref_state = reference.state_dict()
         for key, value in resumed.state_dict().items():
@@ -146,21 +163,24 @@ class TestBitExactResume:
         newest.write_bytes(b"truncated garbage")
 
         resumed = build_model("dcmt", train.schema, MODEL_CONFIG)
-        trainer = Trainer(
-            resumed, TRAIN_CONFIG, reliability=quiet_reliability()
+        history = fit(
+            resumed,
+            TRAIN_CONFIG,
+            train,
+            test,
+            callbacks=quiet_reliability(),
+            resume_from=tmp_path,
         )
-        history = trainer.fit(train, validation=test, resume_from=tmp_path)
         assert history.n_epochs_run == TRAIN_CONFIG.epochs
         assert all(np.isfinite(x) for x in history.epoch_losses)
 
     def test_resume_from_empty_dir_raises(self, world, tmp_path):
         train, test = world
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
-        trainer = Trainer(model, TRAIN_CONFIG)
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(CheckpointCorruptError, match="no valid checkpoint"):
-            trainer.fit(train, validation=test, resume_from=empty)
+            fit(model, TRAIN_CONFIG, train, test, resume_from=empty)
 
     def test_early_stopping_state_survives_resume(self, world, tmp_path):
         train, test = world
@@ -168,20 +188,30 @@ class TestBitExactResume:
             epochs=5, early_stopping_patience=1
         )
         reference = build_model("dcmt", train.schema, MODEL_CONFIG)
-        ref_history = Trainer(
-            reference, config, reliability=quiet_reliability()
-        ).fit(train, validation=test)
+        ref_history = fit(
+            reference, config, train, test, callbacks=quiet_reliability(config)
+        )
 
         short = build_model("dcmt", train.schema, MODEL_CONFIG)
-        Trainer(
+        short_config = config.with_overrides(epochs=2)
+        fit(
             short,
-            config.with_overrides(epochs=2),
-            reliability=quiet_reliability(checkpoint_dir=str(tmp_path)),
-        ).fit(train, validation=test)
+            short_config,
+            train,
+            test,
+            callbacks=quiet_reliability(
+                short_config, checkpoint_dir=str(tmp_path)
+            ),
+        )
         resumed = build_model("dcmt", train.schema, MODEL_CONFIG)
-        history = Trainer(
-            resumed, config, reliability=quiet_reliability()
-        ).fit(train, validation=test, resume_from=tmp_path)
+        history = fit(
+            resumed,
+            config,
+            train,
+            test,
+            callbacks=quiet_reliability(config),
+            resume_from=tmp_path,
+        )
         assert history.stopped_early == ref_history.stopped_early
         assert history.epoch_losses == ref_history.epoch_losses
 
@@ -193,22 +223,23 @@ class TestLossGuardIntegration:
             FaultSpec(nan_feature_rate=0.2, nan_fraction=0.5), seed=3
         )
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
-        trainer = Trainer(
-            model,
-            TrainConfig(epochs=3, batch_size=256, learning_rate=0.01, seed=7),
-            reliability=ReliabilityConfig(
+        config = TrainConfig(epochs=3, batch_size=256, learning_rate=0.01, seed=7)
+        engine = create_engine(model, config)
+        history = engine.fit(
+            train,
+            callbacks=reliability_stack(
+                config,
                 guard=LossGuardConfig(),
                 fault_injector=injector,
                 propensity_check_sample=0,
             ),
         )
-        history = trainer.fit(train)
 
         trips = [e for e in history.events if e.reason == "non_finite_loss"]
         assert trips, "NaN batches must trip the guard"
         assert all(e.action == "rollback_lr_halved" for e in trips)
         # LR was halved at least once per distinct trip chain.
-        assert trainer.optimizer.lr < TRAIN_CONFIG.learning_rate
+        assert engine.optimizer.lr < TRAIN_CONFIG.learning_rate
         # Training completed with finite losses and finite weights.
         assert all(np.isfinite(x) for x in history.epoch_losses)
         for p in model.parameters():
@@ -228,12 +259,14 @@ class TestLossGuardIntegration:
     def test_clean_run_records_no_events(self, world):
         train, test = world
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
-        trainer = Trainer(
+        config = TrainConfig(epochs=2, batch_size=256, seed=7)
+        history = fit(
             model,
-            TrainConfig(epochs=2, batch_size=256, seed=7),
-            reliability=ReliabilityConfig(propensity_check_sample=0),
+            config,
+            train,
+            test,
+            callbacks=reliability_stack(config, propensity_check_sample=0),
         )
-        history = trainer.fit(train, validation=test)
         guard_trips = [e for e in history.events if e.action != "warn"]
         assert guard_trips == []
 
@@ -252,18 +285,21 @@ class TestConfigValidation:
             TrainConfig(early_stopping_patience=-1)
 
     def test_trainer_revalidates(self, world):
-        """Trainer.__init__ calls config.validate() explicitly."""
+        """The engine constructor calls config.validate() explicitly."""
         train, _ = world
         model = build_model("esmm", train.schema, MODEL_CONFIG)
         config = TrainConfig(epochs=1)
         object.__setattr__(config, "epochs", 0)  # bypass __post_init__
         with pytest.raises(ValueError, match="epochs"):
-            Trainer(model, config)
+            create_engine(model, config)
 
-    def test_reliability_config_validation(self):
-        with pytest.raises(ValueError):
-            ReliabilityConfig(keep_checkpoints=0)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(checkpoint_every_n_batches=0)
-        with pytest.raises(ValueError):
-            ReliabilityConfig(propensity_collapse_threshold=0.0)
+    def test_reliability_config_validation(self, tmp_path):
+        """The fault-tolerance callbacks reject nonsensical settings."""
+        with pytest.raises(ValueError, match="keep"):
+            CheckpointCallback(str(tmp_path), keep=0)
+        with pytest.raises(ValueError, match="every_n_batches"):
+            CheckpointCallback(str(tmp_path), every_n_batches=0)
+        with pytest.raises(ValueError, match="threshold"):
+            PropensityMonitorCallback(threshold=0.0)
+        with pytest.raises(ValueError, match="sample"):
+            PropensityMonitorCallback(sample=-1)

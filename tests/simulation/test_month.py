@@ -20,7 +20,6 @@ from repro.data.drift_schedule import (
     DriftEvent,
     DriftSchedulePolicy,
     build_drift_schedule,
-    catalog_size_for_day,
     config_for_day,
 )
 from repro.data.scenarios import scenario_config
@@ -146,15 +145,6 @@ class TestDriftSchedule:
         assert config_for_day(base, events, day=1).target_ctr == 0.11
         # Later events win field-by-field; churn folds to a no-op.
         assert config_for_day(base, events, day=5).target_ctr == 0.22
-
-    def test_catalog_size_for_day_accumulates_churn(self):
-        events = [
-            DriftEvent(day=2, tenant="x", kind=CATALOG_CHURN, new_items=5),
-            DriftEvent(day=6, tenant="x", kind=CATALOG_CHURN, new_items=3),
-        ]
-        assert catalog_size_for_day(100, events, day=1) == 100
-        assert catalog_size_for_day(100, events, day=2) == 105
-        assert catalog_size_for_day(100, events, day=9) == 108
 
     def test_describe_is_deterministic(self):
         event = DriftEvent(

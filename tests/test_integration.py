@@ -13,7 +13,7 @@ from repro.core import DCMT
 from repro.data import load_scenario
 from repro.metrics import auc
 from repro.models import ModelConfig, build_model
-from repro.training import TrainConfig, Trainer, evaluate_model
+from repro.training import TrainConfig, evaluate_model, fit_model
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def trained(medium_world):
     models = {}
     for name in ("naive", "esmm", "dcmt"):
         model = build_model(name, train.schema, config)
-        Trainer(model, tconfig).fit(train)
+        fit_model(model, train, tconfig)
         models[name] = model
     return models
 
@@ -88,21 +88,18 @@ class TestEndToEnd:
         assert a.cvr_auc_d == b.cvr_auc_d
 
     def test_downsampled_training_still_works(self, medium_world):
-        """Train on a non-click-downsampled log; the model remains
-        usable (documented variance trade-off)."""
-        from repro.data.sampling import downsample_non_clicks
-
+        """Train on a non-click-downsampled log (every click kept, 30%
+        of unclicked exposures); the model remains usable."""
         train, test, _ = medium_world
-        sub = downsample_non_clicks(
-            train, keep_rate=0.3, rng=np.random.default_rng(0)
-        )
+        keep = (train.clicks == 1) | (np.random.default_rng(0).random(len(train)) < 0.3)
+        sub = train.subset(np.flatnonzero(keep))
         model = build_model(
             "esmm",
             train.schema,
             ModelConfig(embedding_dim=8, hidden_sizes=(32, 16), seed=0),
         )
-        Trainer(
-            model, TrainConfig(epochs=3, batch_size=1024, learning_rate=0.003)
-        ).fit(sub)
+        fit_model(
+            model, sub, TrainConfig(epochs=3, batch_size=1024, learning_rate=0.003)
+        )
         result = evaluate_model(model, test)
         assert result.ctr_auc > 0.6

@@ -120,28 +120,25 @@ class TestTrainingRobustness:
         assert np.all(np.isfinite(preds.cvr))
 
     def test_trainer_with_batch_larger_than_dataset(self, world, config):
-        from repro.training import TrainConfig, Trainer
+        from repro.training import TrainConfig, fit_model
 
         model = build_model("esmm", world.schema, config)
-        trainer = Trainer(
-            model, TrainConfig(epochs=1, batch_size=10_000, learning_rate=0.01)
+        history = fit_model(
+            model, world, TrainConfig(epochs=1, batch_size=10_000, learning_rate=0.01)
         )
-        history = trainer.fit(world)
         assert np.isfinite(history.epoch_losses[0])
 
     def test_drop_last_with_tiny_dataset(self, world, config):
         """drop_last with batch > dataset would yield zero batches; the
         misconfiguration fails loudly instead of training on nothing
         (an empty epoch used to pass silently with loss 0.0)."""
-        from repro.training import TrainConfig, Trainer
+        from repro.training import TrainConfig, fit_model
 
         model = build_model("esmm", world.schema, config)
-        trainer = Trainer(
-            model,
-            TrainConfig(epochs=1, batch_size=10_000, drop_last=True),
-        )
         with pytest.raises(ValueError, match="would yield zero batches"):
-            trainer.fit(world)
+            fit_model(
+                model, world, TrainConfig(epochs=1, batch_size=10_000, drop_last=True)
+            )
 
 
 class TestSNIPSDegeneracy:

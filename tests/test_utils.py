@@ -1,38 +1,9 @@
-"""Tests for repro.utils (rng management, logging)."""
+"""Tests for repro.utils (logging)."""
 
 import logging
 
-import numpy as np
-import pytest
-
-from repro.utils import get_logger, rng_from_seed, spawn_rngs
+from repro.utils import get_logger
 from repro.utils.logging import enable_console_logging
-
-
-class TestRng:
-    def test_rng_from_seed_deterministic(self):
-        a = rng_from_seed(7).random(5)
-        b = rng_from_seed(7).random(5)
-        assert np.array_equal(a, b)
-
-    def test_spawn_count(self):
-        rngs = spawn_rngs(0, 4)
-        assert len(rngs) == 4
-
-    def test_spawn_streams_independent(self):
-        rngs = spawn_rngs(0, 3)
-        draws = [r.random(4) for r in rngs]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_spawn_reproducible(self):
-        a = spawn_rngs(42, 2)[1].random(3)
-        b = spawn_rngs(42, 2)[1].random(3)
-        assert np.array_equal(a, b)
-
-    def test_spawn_validation(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, 0)
 
 
 class TestLogging:

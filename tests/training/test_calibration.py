@@ -92,7 +92,7 @@ class TestOnModelPredictions:
         observed conversions."""
         from repro.data import load_scenario
         from repro.models import ModelConfig, build_model
-        from repro.training import TrainConfig, Trainer
+        from repro.training import TrainConfig, fit_model
 
         train, test, _ = load_scenario(
             "ae_es", n_users=60, n_items=80, n_train=6000, n_test=3000
@@ -100,8 +100,8 @@ class TestOnModelPredictions:
         model = build_model(
             "esmm", train.schema, ModelConfig(embedding_dim=4, hidden_sizes=(8,))
         )
-        Trainer(model, TrainConfig(epochs=2, batch_size=512, learning_rate=0.01)).fit(
-            train
+        fit_model(
+            model, train, TrainConfig(epochs=2, batch_size=512, learning_rate=0.01)
         )
         val_preds = model.predict(train.full_batch()).cvr
         test_preds = model.predict(test.full_batch()).cvr

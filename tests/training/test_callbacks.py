@@ -8,7 +8,7 @@ import pytest
 
 from repro.data import load_scenario
 from repro.models import ModelConfig, build_model
-from repro.optim import ExponentialDecay, LinearWarmup, StepDecay
+from repro.optim import StepDecay
 from repro.reliability import FaultInjector, FaultSpec, LossGuardConfig
 from repro.training import TrainConfig, TrainingEngine
 from repro.training.callbacks import (
@@ -85,8 +85,7 @@ class TestHookProtocol:
         train, _ = world
         trace = []
         config = make_config()
-        engine = TrainingEngine(model, config, callbacks=[Recorder(trace)])
-        engine.fit(train)
+        TrainingEngine(model, config).fit(train, callbacks=[Recorder(trace)])
 
         hooks = [h for _, h in trace]
         n_batches = -(-len(train) // config.batch_size)  # ceil div
@@ -112,12 +111,9 @@ class TestHookProtocol:
     def test_registration_order_within_hook(self, world, model):
         train, _ = world
         trace = []
-        engine = TrainingEngine(
-            model,
-            make_config(epochs=1),
-            callbacks=[Recorder(trace, "a"), Recorder(trace, "b")],
+        TrainingEngine(model, make_config(epochs=1)).fit(
+            train, callbacks=[Recorder(trace, "a"), Recorder(trace, "b")]
         )
-        engine.fit(train)
         starts = [name for name, hook in trace if hook == "fit_start"]
         assert starts == ["a", "b"]
 
@@ -137,10 +133,7 @@ class TestHookProtocol:
         trace = []
         veto = VetoSecond()
         config = make_config(epochs=1)
-        engine = TrainingEngine(
-            model, config, callbacks=[veto, Recorder(trace)]
-        )
-        engine.fit(train)
+        TrainingEngine(model, config).fit(train, callbacks=[veto, Recorder(trace)])
         hooks = [h for _, h in trace]
         n_batches = -(-len(train) // config.batch_size)
         assert veto.vetoed == 1
@@ -161,20 +154,22 @@ class TestHookProtocol:
 
         tape = LossTape()
         config = make_config(epochs=1)
-        history = TrainingEngine(model, config, callbacks=[tape]).fit(train)
+        history = TrainingEngine(model, config).fit(train, callbacks=[tape])
         n_batches = -(-len(train) // config.batch_size)
         assert len(tape.losses) == n_batches
         assert history.epoch_losses[0] == pytest.approx(np.mean(tape.losses))
 
-    def test_fit_level_callbacks_replace_engine_defaults(self, world, model):
+    def test_callbacks_do_not_outlive_their_fit(self, world, model):
+        """Callbacks reach a fit only through ``fit(callbacks=...)``: the
+        engine keeps none, so a later fit fires only its own."""
         train, _ = world
-        default_trace, fit_trace = [], []
-        engine = TrainingEngine(
-            model, make_config(epochs=1), callbacks=[Recorder(default_trace)]
-        )
-        engine.fit(train, callbacks=[Recorder(fit_trace)])
-        assert not default_trace
-        assert fit_trace
+        first_trace, second_trace = [], []
+        engine = TrainingEngine(model, make_config(epochs=1))
+        engine.fit(train, callbacks=[Recorder(first_trace)])
+        n_first = len(first_trace)
+        engine.fit(train, callbacks=[Recorder(second_trace)])
+        assert len(first_trace) == n_first
+        assert second_trace
 
 
 class TestLRSchedulerCallback:
@@ -187,15 +182,13 @@ class TestLRSchedulerCallback:
             def on_epoch_end(self, ctx):
                 lrs.append(ctx.optimizer.lr)
 
-        engine = TrainingEngine(
-            model,
-            config,
+        TrainingEngine(model, config).fit(
+            train,
             callbacks=[
-                LRSchedulerCallback(lambda opt: ExponentialDecay(opt, gamma=0.5)),
+                LRSchedulerCallback(lambda opt: StepDecay(opt, period=1, gamma=0.5)),
                 LrTape(),
             ],
         )
-        engine.fit(train)
         # LrTape runs after the scheduler at each epoch end.
         assert lrs == pytest.approx([0.005, 0.0025, 0.00125])
 
@@ -203,20 +196,18 @@ class TestLRSchedulerCallback:
         train, _ = world
         config = make_config(epochs=1)
         n_batches = -(-len(train) // config.batch_size)
-        warmup = 2 * n_batches  # never finishes warming up in one epoch
-        engine = TrainingEngine(
-            model,
-            config,
+        engine = TrainingEngine(model, config)
+        engine.fit(
+            train,
             callbacks=[
                 LRSchedulerCallback(
-                    lambda opt: LinearWarmup(opt, warmup_steps=warmup),
+                    lambda opt: StepDecay(opt, period=2, gamma=0.5),
                     interval="batch",
                 )
             ],
         )
-        engine.fit(train)
         assert engine.optimizer.lr == pytest.approx(
-            config.learning_rate * n_batches / warmup
+            config.learning_rate * 0.5 ** (n_batches // 2)
         )
 
     def test_prebuilt_scheduler_must_wrap_engine_optimizer(self, world, model):
@@ -226,11 +217,9 @@ class TestLRSchedulerCallback:
         )
         foreign_engine = TrainingEngine(other, make_config())
         scheduler = StepDecay(foreign_engine.optimizer, period=1)
-        engine = TrainingEngine(
-            model, make_config(), callbacks=[LRSchedulerCallback(scheduler)]
-        )
+        engine = TrainingEngine(model, make_config())
         with pytest.raises(ValueError, match="different optimizer"):
-            engine.fit(train)
+            engine.fit(train, callbacks=[LRSchedulerCallback(scheduler)])
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError, match="interval"):
@@ -240,11 +229,10 @@ class TestLRSchedulerCallback:
         """Schedulers compose with clip_global_norm in the step loop."""
         train, _ = world
         config = make_config(epochs=2, grad_clip=0.1)
-        history = TrainingEngine(
-            model,
-            config,
+        history = TrainingEngine(model, config).fit(
+            train,
             callbacks=[LRSchedulerCallback(lambda opt: StepDecay(opt, period=1))],
-        ).fit(train)
+        )
         assert all(np.isfinite(x) for x in history.epoch_losses)
         assert all(np.all(np.isfinite(p.data)) for p in model.parameters())
 
@@ -252,9 +240,9 @@ class TestLRSchedulerCallback:
         """ctx.lr_scale: the guard's decay multiplies the scheduled rate."""
         train, _ = world
         config = make_config(epochs=2)
-        engine = TrainingEngine(
-            model,
-            config,
+        engine = TrainingEngine(model, config)
+        history = engine.fit(
+            train,
             callbacks=[
                 FaultInjectionCallback(
                     FaultInjector(
@@ -262,10 +250,9 @@ class TestLRSchedulerCallback:
                     )
                 ),
                 LossGuardCallback(LossGuardConfig()),
-                LRSchedulerCallback(lambda opt: ExponentialDecay(opt, gamma=0.5)),
+                LRSchedulerCallback(lambda opt: StepDecay(opt, period=1, gamma=0.5)),
             ],
         )
-        history = engine.fit(train)
         trips = [e for e in history.events if e.action == "rollback_lr_halved"]
         assert trips, "fault injection should trip the guard"
         # Final lr = last scheduled rate x the cumulative guard decay.
@@ -285,16 +272,15 @@ class TestCheckpointMetadataProtocol:
             def checkpoint_metadata(self, ctx):
                 return {"experiment_tag": "callbacks-lane"}
 
-        engine = TrainingEngine(
-            model,
-            make_config(epochs=1),
+        TrainingEngine(model, make_config(epochs=1)).fit(
+            train,
+            validation=test,
             callbacks=[
                 ValidationCallback(),
                 CheckpointCallback(tmp_path),
                 TagContributor(),
             ],
         )
-        engine.fit(train, validation=test)
         manager = CheckpointManager(tmp_path, keep=1)
         snapshot = manager.load(manager.latest())
         assert snapshot.metadata["experiment_tag"] == "callbacks-lane"
@@ -305,7 +291,7 @@ class TestDriftReferenceCallback:
     def test_reference_captured_on_fit_end(self, world, model):
         train, _ = world
         callback = DriftReferenceCallback(sample=256, bins=8, seed=5)
-        TrainingEngine(model, make_config(), callbacks=[callback]).fit(train)
+        TrainingEngine(model, make_config()).fit(train, callbacks=[callback])
         reference = callback.reference
         assert reference is not None
         assert set(reference.dense) == set(train.dense)
@@ -317,7 +303,7 @@ class TestDriftReferenceCallback:
         train, _ = world
         path = tmp_path / "drift_reference.json"
         callback = DriftReferenceCallback(sample=256, path=path)
-        TrainingEngine(model, make_config(), callbacks=[callback]).fit(train)
+        TrainingEngine(model, make_config()).fit(train, callbacks=[callback])
         assert path.exists()
         loaded = DriftReference.load(path)
         np.testing.assert_allclose(
@@ -330,16 +316,15 @@ class TestDriftReferenceCallback:
 
         train, test = world
         path = tmp_path / "drift_reference.json"
-        engine = TrainingEngine(
-            model,
-            make_config(epochs=1),
+        TrainingEngine(model, make_config(epochs=1)).fit(
+            train,
+            validation=test,
             callbacks=[
                 ValidationCallback(),
                 CheckpointCallback(tmp_path),
                 DriftReferenceCallback(sample=128, path=path),
             ],
         )
-        engine.fit(train, validation=test)
         manager = CheckpointManager(tmp_path, keep=1)
         snapshot = manager.load(manager.latest())
         assert snapshot.metadata["drift_reference_path"] == str(path)
@@ -360,7 +345,7 @@ class TestDriftReferenceCallback:
 
         train, _ = world
         callback = DriftReferenceCallback(sample=512, seed=0)
-        TrainingEngine(model, make_config(), callbacks=[callback]).fit(train)
+        TrainingEngine(model, make_config()).fit(train, callbacks=[callback])
         sentinel = DriftSentinel(
             callback.reference, DriftThresholds(min_samples=100)
         )

@@ -91,9 +91,16 @@ class TestMain:
                 str(checkpoint),
             ]
         )
-        from repro.nn.serialization import peek_metadata
+        from repro.data.loaders import ColumnSpec, load_csv_split
+        from repro.models import ModelConfig, build_model
+        from repro.nn.serialization import load_checkpoint
 
-        meta = peek_metadata(checkpoint)
+        spec = ColumnSpec(dense_features=("user_hist_ctr", "item_hist_cvr"))
+        train, _ = load_csv_split(train_path, test_path, spec=spec)
+        model = build_model(
+            "dcmt", train.schema, ModelConfig(embedding_dim=4, hidden_sizes=(8,))
+        )
+        meta = load_checkpoint(model, checkpoint)
         assert meta["model"] == "dcmt"
 
 

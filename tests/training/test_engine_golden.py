@@ -1,13 +1,12 @@
-"""Golden parity: the engine reproduces the pre-refactor Trainer bit-exactly.
+"""Golden parity: the engine reproduces the pre-engine trainer bit-exactly.
 
 ``tests/training/data/engine_golden.json`` was captured from the
-monolithic ``Trainer.fit`` *before* it was decomposed into
-``TrainingEngine`` + callbacks.  These tests replay the exact same runs
-through the refactored code -- via the ``Trainer`` facade and via a raw
-engine with the default callback stack -- and demand identical epoch
-losses, validation AUCs, guard events, and final parameters (SHA-256
-over every weight array), both with the reliability stack fully armed
-and fully disabled, plus a bit-exact kill/resume leg.
+monolithic trainer *before* it was decomposed into ``TrainingEngine`` +
+callbacks.  These tests replay the exact same runs through the engine
+with the pre-engine callback order and demand identical epoch losses,
+validation AUCs, guard events, and final parameters (SHA-256 over every
+weight array), both with the reliability stack fully armed and fully
+disabled, plus a bit-exact kill/resume leg.
 """
 
 import hashlib
@@ -23,13 +22,10 @@ from repro.autograd.plan import PlanRunner
 from repro.data import load_scenario
 from repro.models import ModelConfig, build_model
 from repro.optim import Adam
-from repro.reliability import (
-    FaultInjector,
-    FaultSpec,
-    LossGuardConfig,
-    ReliabilityConfig,
-)
-from repro.training import Trainer, TrainConfig, TrainingEngine, default_callbacks
+from repro.reliability import FaultInjector, FaultSpec, LossGuardConfig
+from repro.training import TrainConfig, TrainingEngine, create_engine
+from repro.training.callbacks import ValidationCallback
+from tests.fit_callbacks import reliability_stack
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "engine_golden.json"
 
@@ -76,7 +72,8 @@ def norm_events(events):
 
 
 def full_reliability(tmp_path):
-    return ReliabilityConfig(
+    return reliability_stack(
+        TRAIN_CONFIG,
         checkpoint_dir=str(tmp_path),
         checkpoint_every_n_batches=2,
         guard=LossGuardConfig(),
@@ -128,20 +125,15 @@ def assert_matches(golden_leg, history, model):
 
 
 class TestGoldenParity:
-    def test_plain_run_via_facade(self, golden, world):
-        train, test = world
-        model = build_model("dcmt", train.schema, MODEL_CONFIG)
-        history = Trainer(model, TRAIN_CONFIG).fit(train, validation=test)
-        assert_matches(golden["plain"], history, model)
-
     def test_plain_run_via_raw_engine(self, golden, world):
-        """The engine + default stack is the facade, minus the sugar."""
+        """The engine plus validation alone is the pre-engine plain run."""
         train, test = world
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
-        engine = TrainingEngine(
-            model, TRAIN_CONFIG, callbacks=default_callbacks(TRAIN_CONFIG, None)
+        history = TrainingEngine(model, TRAIN_CONFIG).fit(
+            train,
+            validation=test,
+            callbacks=[ValidationCallback(TRAIN_CONFIG.early_stopping_patience)],
         )
-        history = engine.fit(train, validation=test)
         assert_matches(golden["plain"], history, model)
 
     def test_full_reliability_run(self, golden, world, tmp_path, monkeypatch):
@@ -149,9 +141,9 @@ class TestGoldenParity:
         train, test = world
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
         calls = count_step_calls(monkeypatch)
-        history = Trainer(
-            model, TRAIN_CONFIG, reliability=full_reliability(tmp_path)
-        ).fit(train, validation=test)
+        history = create_engine(model, TRAIN_CONFIG).fit(
+            train, validation=test, callbacks=full_reliability(tmp_path)
+        )
         assert_matches(golden["full"], history, model)
         assert calls == golden["full"]["op_calls"]
 
@@ -159,16 +151,20 @@ class TestGoldenParity:
         """A checkpointed run killed mid-epoch, then resumed, lands on
         the same parameters as the never-killed golden run."""
         train, test = world
-        reliability = ReliabilityConfig(
-            checkpoint_dir=str(tmp_path), checkpoint_every_n_batches=2
-        )
+
+        def reliability():
+            return reliability_stack(
+                TRAIN_CONFIG,
+                checkpoint_dir=str(tmp_path),
+                checkpoint_every_n_batches=2,
+            )
 
         class Killed(RuntimeError):
             pass
 
         doomed = build_model("dcmt", train.schema, MODEL_CONFIG)
-        trainer = Trainer(doomed, TRAIN_CONFIG, reliability=reliability)
-        real_step, calls = trainer.optimizer.step, [0]
+        engine = create_engine(doomed, TRAIN_CONFIG)
+        real_step, calls = engine.optimizer.step, [0]
 
         def dying_step():
             calls[0] += 1
@@ -176,16 +172,16 @@ class TestGoldenParity:
                 raise Killed
             real_step()
 
-        trainer.optimizer.step = dying_step
+        engine.optimizer.step = dying_step
         with pytest.raises(Killed):
-            trainer.fit(train, validation=test)
+            engine.fit(train, validation=test, callbacks=reliability())
         assert list(Path(tmp_path).glob("*.ckpt"))
 
         resumed = build_model(
             "dcmt", train.schema, MODEL_CONFIG.with_overrides(seed=99)
         )
-        history = Trainer(resumed, TRAIN_CONFIG, reliability=reliability).fit(
-            train, validation=test, resume_from=tmp_path
+        history = create_engine(resumed, TRAIN_CONFIG).fit(
+            train, validation=test, resume_from=tmp_path, callbacks=reliability()
         )
         assert history.epoch_losses == golden["plain"]["epoch_losses"]
         assert history.validation_cvr_auc == golden["plain"]["validation_cvr_auc"]

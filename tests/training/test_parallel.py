@@ -222,9 +222,9 @@ class TestDenseGrads:
         train, _ = world
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
         recorder = _RecordGrads()
-        create_engine(
-            model, make_config(epochs=1, **overrides), callbacks=[recorder]
-        ).fit(train)
+        create_engine(model, make_config(epochs=1, **overrides)).fit(
+            train, callbacks=[recorder]
+        )
         assert len(recorder.steps) == 2
         for grads in recorder.steps:
             for grad, shape in grads:

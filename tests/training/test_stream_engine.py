@@ -23,8 +23,8 @@ from repro.data import load_scenario
 from repro.data.loaders import export_csv_dataset
 from repro.data.stream import ChunkedCSVSource, InMemorySource
 from repro.models import ModelConfig, build_model
-from repro.reliability import ReliabilityConfig
-from repro.training import TrainConfig, Trainer, fit_model
+from repro.training import TrainConfig, create_engine, fit_model
+from tests.fit_callbacks import reliability_stack
 
 pytestmark = pytest.mark.stream
 
@@ -97,12 +97,16 @@ class TestChunkGauge:
 class TestStreamingKillResume:
     def test_resume_matches_uninterrupted_run(self, csv_source, tmp_path):
         source = csv_source
-        reliability = ReliabilityConfig(
-            checkpoint_dir=str(tmp_path), checkpoint_every_n_batches=2
-        )
+
+        def reliability():
+            return reliability_stack(
+                TRAIN_CONFIG,
+                checkpoint_dir=str(tmp_path),
+                checkpoint_every_n_batches=2,
+            )
 
         reference = build_model("dcmt", source.schema, MODEL_CONFIG)
-        history = Trainer(reference, TRAIN_CONFIG).fit(source)
+        history = fit_model(reference, source, TRAIN_CONFIG)
         expected_losses = history.epoch_losses
         expected_digest = param_digest(reference)
 
@@ -110,8 +114,8 @@ class TestStreamingKillResume:
             pass
 
         doomed = build_model("dcmt", source.schema, MODEL_CONFIG)
-        trainer = Trainer(doomed, TRAIN_CONFIG, reliability=reliability)
-        real_step, calls = trainer.optimizer.step, [0]
+        engine = create_engine(doomed, TRAIN_CONFIG)
+        real_step, calls = engine.optimizer.step, [0]
 
         def dying_step():
             calls[0] += 1
@@ -119,17 +123,17 @@ class TestStreamingKillResume:
                 raise Killed
             real_step()
 
-        trainer.optimizer.step = dying_step
+        engine.optimizer.step = dying_step
         with pytest.raises(Killed):
-            trainer.fit(source)
+            engine.fit(source, callbacks=reliability())
         assert list(Path(tmp_path).glob("*.ckpt"))
 
         resumed = build_model(
             "dcmt", source.schema, MODEL_CONFIG.with_overrides(seed=99)
         )
-        resumed_history = Trainer(
-            resumed, TRAIN_CONFIG, reliability=reliability
-        ).fit(source, resume_from=tmp_path)
+        resumed_history = create_engine(resumed, TRAIN_CONFIG).fit(
+            source, resume_from=tmp_path, callbacks=reliability()
+        )
         assert resumed_history.epoch_losses == expected_losses
         assert param_digest(resumed) == expected_digest
 

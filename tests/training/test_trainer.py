@@ -1,19 +1,20 @@
-"""Tests for the Trainer, TrainConfig, and evaluation harness."""
+"""Tests for ``fit_model``, TrainConfig, and the evaluation harness."""
 
 import numpy as np
 import pytest
 
 from repro.data import load_scenario
 from repro.models import ModelConfig, build_model
-from repro.reliability import (
-    CheckpointManager,
-    ReliabilityConfig,
-    load_snapshot,
-    save_snapshot,
+from repro.reliability import CheckpointManager, load_snapshot, save_snapshot
+from repro.training import (
+    TrainConfig,
+    TrainingHistory,
+    create_engine,
+    evaluate_model,
+    fit_model,
 )
-from repro.training import TrainConfig, Trainer, evaluate_model
-from repro.training.trainer import TrainingHistory
 from repro.training.evaluation import EvaluationResult
+from tests.fit_callbacks import reliability_stack
 
 
 @pytest.fixture(scope="module")
@@ -63,20 +64,22 @@ class TestTrainConfig:
 class TestTrainer:
     def test_loss_decreases_over_epochs(self, world, model):
         train, _ = world
-        trainer = Trainer(model, TrainConfig(epochs=4, batch_size=512, learning_rate=0.01))
-        history = trainer.fit(train)
+        history = fit_model(
+            model, train, TrainConfig(epochs=4, batch_size=512, learning_rate=0.01)
+        )
         assert history.n_epochs_run == 4
         assert history.epoch_losses[-1] < history.epoch_losses[0]
 
     def test_model_left_in_eval_mode(self, world, model):
         train, _ = world
-        Trainer(model, TrainConfig(epochs=1, batch_size=512)).fit(train)
+        fit_model(model, train, TrainConfig(epochs=1, batch_size=512))
         assert not model.training
 
     def test_validation_metrics_recorded(self, world, model):
         train, test = world
-        trainer = Trainer(model, TrainConfig(epochs=2, batch_size=512))
-        history = trainer.fit(train, validation=test)
+        history = fit_model(
+            model, train, TrainConfig(epochs=2, batch_size=512), validation=test
+        )
         assert len(history.validation_cvr_auc) == 2
 
     def test_early_stopping(self, world):
@@ -88,25 +91,25 @@ class TestTrainer:
         )
         # Patience 1 with a deliberately tiny lr: the metric plateaus
         # quickly and training must stop before 10 epochs.
-        trainer = Trainer(
+        history = fit_model(
             model,
+            train,
             TrainConfig(
                 epochs=10,
                 batch_size=512,
                 learning_rate=1e-6,
                 early_stopping_patience=1,
             ),
+            validation=test,
         )
-        history = trainer.fit(train, validation=test)
         assert history.stopped_early
         assert history.n_epochs_run < 10
 
     def test_grad_clip_none_allowed(self, world, model):
         train, _ = world
-        trainer = Trainer(
-            model, TrainConfig(epochs=1, batch_size=512, grad_clip=None)
+        history = fit_model(
+            model, train, TrainConfig(epochs=1, batch_size=512, grad_clip=None)
         )
-        history = trainer.fit(train)
         assert np.isfinite(history.epoch_losses[0])
 
     def test_deterministic(self, world):
@@ -118,7 +121,7 @@ class TestTrainer:
                 train.schema,
                 ModelConfig(embedding_dim=4, hidden_sizes=(8,), seed=7),
             )
-            Trainer(m, TrainConfig(epochs=1, batch_size=512, seed=7)).fit(train)
+            fit_model(m, train, TrainConfig(epochs=1, batch_size=512, seed=7))
             return m.predict(train.full_batch()).cvr
 
         assert np.array_equal(run(), run())
@@ -146,20 +149,23 @@ class TestHistorySerialization:
         the uninterrupted run."""
         train, _ = world
         config = TrainConfig(epochs=2, batch_size=512, seed=3)
-        reliability = ReliabilityConfig(
-            checkpoint_dir=str(tmp_path), checkpoint_every_n_batches=2
-        )
+
+        def reliability():
+            return reliability_stack(
+                config, checkpoint_dir=str(tmp_path), checkpoint_every_n_batches=2
+            )
+
         model_config = ModelConfig(embedding_dim=4, hidden_sizes=(8,), seed=0)
 
         reference = build_model("dcmt", train.schema, model_config)
-        expected = Trainer(reference, config).fit(train)
+        expected = fit_model(reference, train, config)
 
         class Killed(RuntimeError):
             pass
 
         doomed = build_model("dcmt", train.schema, model_config)
-        trainer = Trainer(doomed, config, reliability=reliability)
-        real_step, calls = trainer.optimizer.step, [0]
+        engine = create_engine(doomed, config)
+        real_step, calls = engine.optimizer.step, [0]
 
         def dying_step():
             calls[0] += 1
@@ -167,9 +173,9 @@ class TestHistorySerialization:
                 raise Killed
             real_step()
 
-        trainer.optimizer.step = dying_step
+        engine.optimizer.step = dying_step
         with pytest.raises(Killed):
-            trainer.fit(train)
+            engine.fit(train, callbacks=reliability())
         latest = CheckpointManager(tmp_path).latest()
         snapshot = load_snapshot(latest)
         snapshot.history["op_profile"] = {"ops": {"backward": {"calls": 10}}}
@@ -178,8 +184,8 @@ class TestHistorySerialization:
         resumed = build_model(
             "dcmt", train.schema, model_config.with_overrides(seed=99)
         )
-        history = Trainer(resumed, config, reliability=reliability).fit(
-            train, resume_from=tmp_path
+        history = create_engine(resumed, config).fit(
+            train, resume_from=tmp_path, callbacks=reliability()
         )
         assert history.epoch_losses == expected.epoch_losses
         assert "op_profile" not in history.to_dict()
@@ -232,7 +238,7 @@ class TestHistorySerialization:
 class TestEvaluation:
     def test_full_metric_set_with_oracle(self, world, model):
         train, test = world
-        Trainer(model, TrainConfig(epochs=1, batch_size=512)).fit(train)
+        fit_model(model, train, TrainConfig(epochs=1, batch_size=512))
         result = evaluate_model(model, test)
         assert isinstance(result, EvaluationResult)
         assert 0 < result.ctr_auc < 1
