@@ -10,7 +10,9 @@ test:
 
 # Static checks (ruff, configured in pyproject.toml).  Skips cleanly
 # when ruff is not installed so `make verify` works in minimal
-# environments; a real lint failure still fails the target.
+# environments; a real lint failure still fails the target.  The F401
+# unused-import rule also runs without ruff, in the tier-1 suite
+# (tests/test_unused_imports.py).
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src/ tests/ examples/ benchmarks/; \
@@ -18,10 +20,10 @@ lint:
 		echo "ruff not installed; skipping lint"; \
 	fi
 
-# The CI gate: lint, the robustness, ingest, lifecycle, fleet, plan,
-# stream, parallel and month lanes, the benchmark's self-tests, then
+# The CI gate: lint, the robustness, callbacks, ingest, lifecycle,
+# fleet, plan, stream, parallel and month lanes, the benchmark's self-tests, then
 # the full tier-1 suite from a clean checkout -- every PR runs all of it.
-verify: lint verify-robustness verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month verify-bench
+verify: lint verify-robustness verify-callbacks verify-ingest verify-lifecycle verify-fleet verify-plan verify-stream verify-parallel verify-month verify-bench
 	PYTHONPATH=src python -m pytest -x -q tests/
 
 # Every test tagged `robustness`: degenerate-batch hardening plus the
@@ -36,7 +38,7 @@ verify-ingest:
 	PYTHONPATH=src pytest -m ingest tests/
 
 # Every test tagged `callbacks`: the training-engine hook protocol
-# (ordering, vetoes, LR scheduling, checkpoint metadata).
+# (ordering, vetoes, guard LR decay, checkpoint metadata).
 verify-callbacks:
 	PYTHONPATH=src pytest -m callbacks tests/
 
@@ -51,7 +53,7 @@ verify-fleet:
 	PYTHONPATH=src pytest -m fleet tests/
 
 # Every test tagged `plan`: compiled execution-plan parity (bit-exact
-# vs eager across models, optimizers, checkpoints) and the
+# vs eager across models and checkpoints) and the
 # shape-signature fallback policy.
 verify-plan:
 	PYTHONPATH=src pytest -m plan tests/

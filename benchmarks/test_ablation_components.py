@@ -5,9 +5,6 @@ self-normalisation on/off, propensity clipping floors, and learned vs
 oracle propensities.
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.conftest import run_once
 from repro.core.dcmt import DCMT
 from repro.data.synthetic import SyntheticScenario

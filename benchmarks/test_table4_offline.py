@@ -10,7 +10,7 @@ additionally averages 3 seeds, as in the paper's 5-repeat protocol.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.configs import BASELINE_MODELS, ExperimentConfig
+from repro.experiments.configs import ExperimentConfig
 from repro.experiments.table4_offline import run_table4
 
 

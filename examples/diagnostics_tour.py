@@ -7,7 +7,6 @@ propensity, and post-hoc calibration::
     python examples/diagnostics_tour.py
 """
 
-from repro.core import DCMT
 from repro.data import load_scenario
 from repro.metrics import expected_calibration_error
 from repro.metrics.diagnostics import (

@@ -5,25 +5,20 @@ GPUs.  Offline we re-implement the identical math on CPU: a ``Tensor``
 wrapping a numpy array, a tape-free graph of differentiable operations,
 and a topological-order backward pass.  Gradients of every primitive are
 verified against central finite differences in the test-suite
-(``tests/autograd``).
+(``tests/grad_check.py``).
 
 Public surface:
 
 * :class:`~repro.autograd.tensor.Tensor` -- the differentiable array.
-* :func:`~repro.autograd.tensor.tensor` -- convenience constructor.
 * :mod:`~repro.autograd.ops` -- primitive operations (``exp``, ``log``,
   ``sigmoid``, ``relu``, ``concat``, ``take_rows`` ...).
 * :mod:`~repro.autograd.functional` -- composite losses (binary
   cross-entropy and weighted variants used by the CVR estimators).
-* :func:`~repro.autograd.grad_check.numerical_gradient` /
-  :func:`~repro.autograd.grad_check.check_gradients` -- finite-difference
-  gradient verification used by the tests.
 """
 
-from repro.autograd.tensor import Tensor, no_grad, tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.autograd import ops
 from repro.autograd import functional
-from repro.autograd.grad_check import check_gradients, numerical_gradient
 from repro.autograd.plan import (
     CompiledPlan,
     PlanMismatch,
@@ -33,12 +28,9 @@ from repro.autograd.plan import (
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "ops",
     "functional",
-    "check_gradients",
-    "numerical_gradient",
     "CompiledPlan",
     "PlanMismatch",
     "PlanRunner",

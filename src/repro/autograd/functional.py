@@ -4,8 +4,9 @@ The paper's losses are all built from the binary log-loss
 ``e(y, y_hat) = -y log(y_hat) - (1-y) log(1-y_hat)`` (Eq. (1)), possibly
 weighted per-sample by inverse propensities.  We provide:
 
-* :func:`binary_cross_entropy` -- per-sample log-loss on probabilities.
-* :func:`bce_with_logits` -- numerically stable log-loss on logits.
+* :func:`binary_cross_entropy` -- per-sample log-loss on probabilities;
+  on a direct ``ops.sigmoid`` output it fuses into one numerically
+  stable logits-space node (``ops.sigmoid_bce``).
 * :func:`weighted_mean` -- weighted reduction used by the IPW/DR/DCMT
   losses (weights are plain numpy arrays; gradients never flow through
   importance weights, matching the stop-gradient on propensities used
@@ -56,20 +57,6 @@ def binary_cross_entropy(
     p = ops.clip(probs, EPS, 1.0 - EPS)
     loss = -(Tensor(y) * ops.log(p) + Tensor(1.0 - y) * ops.log(1.0 - p))
     return _reduce(loss, reduction)
-
-
-def bce_with_logits(
-    logits: ArrayLike, targets: ArrayLike, reduction: str = "mean"
-) -> Tensor:
-    """Numerically stable binary log-loss on raw logits.
-
-    Uses the identity ``log(1 + e^z) = max(z, 0) + log(1 + e^-|z|)`` so
-    that neither branch overflows.
-    """
-    logits = _as_tensor(logits)
-    y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=float)
-    # loss = max(z,0) - z*y + log(1 + exp(-|z|)), fused into one node.
-    return _reduce(ops.sigmoid_bce(logits, y), reduction)
 
 
 def weighted_mean(

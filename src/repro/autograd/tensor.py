@@ -577,10 +577,3 @@ def _topological_order(root: Tensor) -> List[Tensor]:
                 stack.append((parent, False))
     order.reverse()
     return order
-
-
-def tensor(
-    data: ArrayLike, requires_grad: bool = False, name: Optional[str] = None
-) -> Tensor:
-    """Convenience constructor mirroring ``numpy.array``."""
-    return Tensor(data, requires_grad=requires_grad, name=name)

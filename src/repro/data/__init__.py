@@ -32,7 +32,6 @@ from repro.data.stream import (
     ChunkMemoryGauge,
     DataSource,
     InMemorySource,
-    ReplaySource,
     as_source,
 )
 from repro.data.stats import DatasetStatistics, dataset_statistics
@@ -81,7 +80,6 @@ __all__ = [
     "InMemorySource",
     "ChunkedCSVSource",
     "ChunkMemoryGauge",
-    "ReplaySource",
     "as_source",
     "DatasetStatistics",
     "dataset_statistics",

@@ -14,7 +14,7 @@ training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -90,8 +90,7 @@ class InteractionDataset:
     #: moment of exposure (clicks are treated as instantaneous) and the
     #: moment the conversion was attributed (NaN where no conversion
     #: ever happens).  Emitted by delay-enabled synthetic scenarios;
-    #: they drive :meth:`censored_as_of` and the time-ordered
-    #: :class:`~repro.data.stream.ReplaySource`.
+    #: they drive :meth:`censored_as_of`.
     exposure_times: Optional[np.ndarray] = None
     conversion_times: Optional[np.ndarray] = None
     #: Optional per-row training weights (delayed-feedback importance
@@ -204,6 +203,46 @@ class InteractionDataset:
             exposure_times=take(self.exposure_times),
             conversion_times=take(self.conversion_times),
             weights=take(self.weights),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["InteractionDataset"]) -> "InteractionDataset":
+        """Row-concatenate logs that share one schema and feature set.
+
+        Name and schema come from the first part.  An optional column
+        (oracles, actions, timestamps, weights) is kept only when every
+        part carries it.  A single part is returned as it is.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        first = parts[0]
+
+        def cat(column: str) -> Optional[np.ndarray]:
+            columns = [getattr(p, column) for p in parts]
+            if any(c is None for c in columns):
+                return None
+            return np.concatenate(columns)
+
+        return cls(
+            name=first.name,
+            schema=first.schema,
+            sparse={
+                k: np.concatenate([p.sparse[k] for p in parts])
+                for k in first.sparse
+            },
+            dense={
+                k: np.concatenate([p.dense[k] for p in parts])
+                for k in first.dense
+            },
+            clicks=cat("clicks"),
+            conversions=cat("conversions"),
+            oracle_ctr=cat("oracle_ctr"),
+            oracle_cvr=cat("oracle_cvr"),
+            oracle_conversion=cat("oracle_conversion"),
+            actions=cat("actions"),
+            exposure_times=cat("exposure_times"),
+            conversion_times=cat("conversion_times"),
+            weights=cat("weights"),
         )
 
     def censored_as_of(self, now: float) -> "InteractionDataset":

@@ -7,7 +7,7 @@ This module inverts the contract: a :class:`DataSource` is *iterated*
 in ``Batch``-shaped shards, with only the cheap global facts (row
 count, schema, vocabularies, dense statistics) known up front.
 
-Three implementations:
+Two implementations:
 
 * :class:`InMemorySource` wraps an :class:`InteractionDataset` and
   delegates to :func:`repro.data.batching.batch_iterator`, so it is
@@ -22,9 +22,6 @@ Three implementations:
   reads back.  Peak memory is 1 chunk -- the one being filled at
   construction or trained on -- no matter how large the file; a
   :class:`ChunkMemoryGauge` proves it.
-* :class:`ReplaySource` replays a timestamped dataset in event-time
-  order (the shape of a production click log), for delayed-feedback
-  experiments.
 
 Design notes
 ------------
@@ -627,71 +624,6 @@ class ChunkedCSVSource(DataSource):
             head[:, filled : filled + take] = self._read_block(chunk)[:, :take]
             filled += take
         return self._as_batch(head)
-
-
-# ----------------------------------------------------------------------
-class ReplaySource(DataSource):
-    """Replay a timestamped dataset in event-time order.
-
-    The shape of a production training stream: exposures arrive ordered
-    by ``exposure_times``, never shuffled.  ``iter_batches`` therefore
-    rejects ``shuffle=True`` -- time order *is* the contract.
-    """
-
-    def __init__(self, dataset: InteractionDataset, name: Optional[str] = None):
-        if dataset.exposure_times is None:
-            raise ValueError(
-                "ReplaySource needs exposure_times; generate the dataset "
-                "with conversion delays enabled"
-            )
-        self.dataset = dataset
-        self.name = name or f"{dataset.name}-replay"
-        self.schema = dataset.schema
-        #: Stable sort: ties replay in log order, deterministically.
-        self.order = np.argsort(dataset.exposure_times, kind="stable")
-
-    def __len__(self) -> int:
-        return len(self.dataset)
-
-    def iter_batches(
-        self,
-        batch_size: int,
-        rng: Optional[np.random.Generator] = None,
-        shuffle: bool = True,
-        drop_last: bool = False,
-        start_batch: int = 0,
-    ) -> Iterator[Batch]:
-        if shuffle:
-            raise ValueError(
-                "ReplaySource is time-ordered; pass shuffle=False "
-                "(TrainConfig(shuffle=False) when training)"
-            )
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if drop_last and batch_size > len(self.dataset):
-            raise ValueError(
-                f"drop_last=True with batch_size={batch_size} > "
-                f"len(dataset)={len(self.dataset)} would yield zero batches"
-            )
-        return self._iterate(batch_size, drop_last, start_batch)
-
-    def _iterate(
-        self, batch_size: int, drop_last: bool, start_batch: int
-    ) -> Iterator[Batch]:
-        n = len(self.dataset)
-        for batch_index, start in enumerate(range(0, n, batch_size)):
-            idx = self.order[start : start + batch_size]
-            if drop_last and len(idx) < batch_size:
-                break
-            if batch_index < start_batch:
-                continue
-            yield slice_batch(self.dataset, idx)
-
-    def validate(self) -> None:
-        self.dataset.validate()
-
-    def sample_batch(self, n: int) -> Batch:
-        return slice_batch(self.dataset, self.order[: min(n, len(self.dataset))])
 
 
 # ----------------------------------------------------------------------

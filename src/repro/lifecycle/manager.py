@@ -24,7 +24,7 @@ continual-training run has a deterministic, assertable transcript.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.data.dataset import InteractionDataset

@@ -11,7 +11,6 @@
 """
 
 from repro.metrics.ranking import auc, grouped_auc
-from repro.metrics.ranking_at_k import ndcg_at_k, precision_at_k, recall_at_k
 from repro.metrics.classification import (
     expected_calibration_error,
     log_loss,
@@ -33,9 +32,6 @@ from repro.metrics.stats import (
 __all__ = [
     "auc",
     "grouped_auc",
-    "precision_at_k",
-    "recall_at_k",
-    "ndcg_at_k",
     "log_loss",
     "expected_calibration_error",
     "prediction_summary",

@@ -16,12 +16,12 @@ The layer zoo covers exactly what the paper's architectures need:
 * :mod:`~repro.nn.init` -- weight initializers.
 """
 
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import Module, Parameter
 from repro.nn.linear import Linear
 from repro.nn.mlp import MLP
 from repro.nn.embedding import Embedding
 from repro.nn.dropout import Dropout
-from repro.nn.activations import Activation, get_activation
+from repro.nn.activations import get_activation
 from repro.nn.gates import AITMTransfer, CrossStitchUnit, ExpertGroup, MMoEGate, PLELayer
 from repro.nn.serialization import load_checkpoint, save_checkpoint
 from repro.nn import init
@@ -29,12 +29,10 @@ from repro.nn import init
 __all__ = [
     "Module",
     "Parameter",
-    "Sequential",
     "Linear",
     "MLP",
     "Embedding",
     "Dropout",
-    "Activation",
     "get_activation",
     "ExpertGroup",
     "MMoEGate",

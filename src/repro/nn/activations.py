@@ -1,4 +1,4 @@
-"""Activation functions as modules and by-name lookup."""
+"""Activation functions by name."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from typing import Callable
 
 from repro.autograd import ops
 from repro.autograd.tensor import Tensor
-from repro.nn.module import Module
 
 _ACTIVATIONS = {
     "relu": ops.relu,
@@ -30,14 +29,3 @@ def get_activation(name: str) -> Callable[[Tensor], Tensor]:
             f"unknown activation {name!r}; choose from {sorted(_ACTIVATIONS)}"
         ) from None
 
-
-class Activation(Module):
-    """An activation as a module (usable inside :class:`Sequential`)."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__()
-        self.name = name
-        self._fn = get_activation(name)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self._fn(x)

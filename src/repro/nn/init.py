@@ -30,25 +30,11 @@ def xavier_uniform(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-limit, limit, size=tuple(shape))
 
 
-def xavier_normal(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal."""
-    fan_in, fan_out = _fans(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=tuple(shape))
-
-
 def he_uniform(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming uniform, suited to ReLU hidden layers."""
     fan_in, _ = _fans(shape)
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=tuple(shape))
-
-
-def he_normal(shape: Tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal."""
-    fan_in, _ = _fans(shape)
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=tuple(shape))
 
 
 def _fans(shape: Sequence[int]) -> Tuple[int, int]:

@@ -29,8 +29,8 @@ class Linear(Module):
     bias:
         Whether to add a bias term.
     weight_init:
-        One of ``"xavier_uniform"``, ``"xavier_normal"``, ``"he_uniform"``,
-        ``"he_normal"``.  Defaults to He uniform (the towers use ReLU).
+        ``"he_uniform"`` (the default; the towers use ReLU) or
+        ``"xavier_uniform"``.
     """
 
     def __init__(

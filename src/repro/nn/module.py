@@ -110,25 +110,6 @@ class Module:
             param.data[...] = value
 
 
-class Sequential(Module):
-    """Apply a list of modules in order."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = list(layers)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __getitem__(self, index: int) -> Module:
-        return self.layers[index]
-
-
 def _walk(value, name: str) -> Iterator[Tuple[str, Parameter]]:
     if isinstance(value, Parameter):
         yield name, value

@@ -8,10 +8,8 @@ future-proof (no pickled classes).
 
 All writes are atomic (temp file + ``os.replace``), so a crash during
 a save never leaves a truncated archive under the final name.
-``save_optimizer_state`` / ``load_optimizer_state`` round-trip the
-optimizer's moment buffers and step counter through the same format,
-which is what makes resumed training bit-exact (Adam's bias correction
-depends on the step count; its update direction on the moments).
+Optimizer state travels in the training snapshots of
+:mod:`repro.reliability.checkpoint`, not here.
 """
 
 from __future__ import annotations
@@ -19,14 +17,11 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.nn.module import Module
-
-if TYPE_CHECKING:  # avoid the repro.optim <-> repro.nn import cycle
-    from repro.optim.optimizer import Optimizer
 
 _META_KEY = "__metadata__"
 FORMAT_VERSION = 1
@@ -86,59 +81,6 @@ def load_checkpoint(module: Module, path: "Path | str") -> Dict[str, Any]:
         )
     module.load_state_dict(state)
     return metadata
-
-
-def save_optimizer_state(
-    optimizer: Optimizer,
-    path: "Path | str",
-    metadata: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write the optimizer's resumable state (moments, step count).
-
-    The layout mirrors :func:`save_checkpoint`: moment buffers become
-    arrays keyed ``<buffer>.<index>``; every scalar entry of
-    ``optimizer.state_dict()`` lands in the JSON metadata blob.
-    """
-    path = Path(path)
-    state = optimizer.state_dict()
-    arrays: Dict[str, np.ndarray] = {}
-    scalars: Dict[str, Any] = {}
-    array_lens: Dict[str, int] = {}
-    for key, value in state.items():
-        if isinstance(value, (list, tuple)) and all(
-            isinstance(item, np.ndarray) for item in value
-        ):
-            array_lens[key] = len(value)
-            for i, item in enumerate(value):
-                arrays[f"{key}.{i}"] = item
-        else:
-            scalars[key] = value
-    meta = dict(metadata or {})
-    meta["format_version"] = FORMAT_VERSION
-    meta["optimizer_scalars"] = scalars
-    meta["optimizer_array_lens"] = array_lens
-    blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    if not path.name.endswith(".npz"):
-        path = path.with_name(path.name + ".npz")
-    _atomic_savez(path, {**arrays, _META_KEY: blob})
-
-
-def load_optimizer_state(optimizer: Optimizer, path: "Path | str") -> Dict[str, Any]:
-    """Restore state written by :func:`save_optimizer_state`.
-
-    Returns the user metadata.  Raises ``ValueError`` when the stored
-    state belongs to a different optimizer class or the moment shapes
-    do not match the optimizer's parameters.
-    """
-    with np.load(Path(path)) as archive:
-        meta = _decode_metadata(archive)
-        arrays = {key: archive[key] for key in archive.files if key != _META_KEY}
-    state: Dict[str, Any] = dict(meta.pop("optimizer_scalars"))
-    for key, length in meta.pop("optimizer_array_lens").items():
-        state[key] = [arrays[f"{key}.{i}"] for i in range(length)]
-    optimizer.load_state_dict(state)
-    meta.pop("format_version", None)
-    return meta
 
 
 def _decode_metadata(archive) -> Dict[str, Any]:

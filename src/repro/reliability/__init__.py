@@ -9,8 +9,7 @@ failures survivable:
 * :mod:`~repro.reliability.checkpoint` -- checksummed atomic snapshots
   of the full training state (parameters, Adam moments, RNG streams,
   history) with rotation and corruption-tolerant recovery;
-* :mod:`~repro.reliability.guards` -- NaN/spike loss detection and
-  propensity-collapse monitoring;
+* :mod:`~repro.reliability.guards` -- NaN/spike loss detection;
 * :mod:`~repro.reliability.faults` / :mod:`~repro.reliability.chaos` --
   deterministic fault injection for batches and the scoring path, used
   by tests to prove the guards fire;
@@ -54,7 +53,6 @@ from repro.reliability.errors import (
     CheckpointCorruptError,
     DivergenceError,
     PromotionBlockedError,
-    PropensityCollapseWarning,
     RegistryCorruptError,
     ReliabilityError,
     ReplicaUnavailableError,
@@ -74,7 +72,6 @@ from repro.reliability.health import (
     HEALTHY,
     SHEDDING,
     FleetHealthMonitor,
-    FleetHealthPolicy,
     HealthMonitor,
     HealthPolicy,
     HealthTransition,
@@ -94,8 +91,6 @@ from repro.reliability.guards import (
     GuardEvent,
     LossGuard,
     LossGuardConfig,
-    propensity_collapse_fraction,
-    warn_on_propensity_collapse,
 )
 
 __all__ = [
@@ -117,7 +112,6 @@ __all__ = [
     "SHEDDING",
     "CRITICAL",
     "FleetHealthMonitor",
-    "FleetHealthPolicy",
     "HealthMonitor",
     "HealthPolicy",
     "HealthTransition",
@@ -135,7 +129,6 @@ __all__ = [
     "PromotionBlockedError",
     "RegistryCorruptError",
     "ScoringUnavailableError",
-    "PropensityCollapseWarning",
     "WorkerPoolError",
     "Deadline",
     "cap_to_deadline",
@@ -153,6 +146,4 @@ __all__ = [
     "GuardEvent",
     "LossGuard",
     "LossGuardConfig",
-    "propensity_collapse_fraction",
-    "warn_on_propensity_collapse",
 ]

@@ -15,7 +15,6 @@ returns a full page while the circuit breaker's state is observable.
 from __future__ import annotations
 
 import time
-from typing import Optional
 
 import numpy as np
 

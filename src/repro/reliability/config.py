@@ -9,7 +9,7 @@
   ``RankingService``.
 
 Training-side fault tolerance has no config object: checkpointing, the
-loss guard, propensity monitoring and fault injection are callbacks
+loss guard and fault injection are callbacks
 passed to ``fit`` (see :mod:`repro.training.callbacks`).
 """
 

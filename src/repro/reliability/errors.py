@@ -2,9 +2,7 @@
 
 Every failure the subsystem can surface derives from
 :class:`ReliabilityError`, so callers can catch one base class at the
-process boundary.  The structured warnings (propensity collapse) are
-``Warning`` subclasses rather than exceptions: they signal statistical
-degradation that training can survive, not a hard fault.
+process boundary.
 """
 
 from __future__ import annotations
@@ -95,14 +93,4 @@ class PromotionBlockedError(ReliabilityError):
     vouch for: unknown, explicitly rejected by the promotion gate, or
     failing bit-exact load-back verification.  The current champion
     keeps serving.
-    """
-
-
-class PropensityCollapseWarning(UserWarning):
-    """The propensity head is piling up at the clip boundary.
-
-    Inverse-propensity weights ``1/o_hat`` diverge as propensities
-    collapse toward 0 or 1; clipping bounds the weights but silently
-    biases the estimator.  This warning surfaces the pile-up as a
-    structured signal instead of letting the bias pass unnoticed.
     """

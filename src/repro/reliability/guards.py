@@ -1,4 +1,4 @@
-"""Divergence guards: loss anomaly detection and propensity monitoring.
+"""Divergence guards: loss anomaly detection.
 
 :class:`LossGuard` watches the per-batch loss stream for two failure
 signatures:
@@ -13,26 +13,20 @@ The guard only *detects*; the trainer decides what to do on a trip
 :class:`GuardEvent`).  Keeping the policy in the trainer means the
 guard is reusable for any loop that produces a scalar series.
 
-``propensity_collapse_fraction`` quantifies the other production
-failure mode of causal CVR estimators: ``o_hat`` piling up at the clip
-boundary, where ``1/o_hat`` weights are silently saturated and the
-debiasing is no longer doing what the math says.
+The other production failure mode of causal CVR estimators -- ``o_hat``
+piling up at the clip boundary, where ``1/o_hat`` weights saturate --
+is checked on every candidate by the promotion gate's
+``propensity_floor`` check (:mod:`repro.lifecycle.gate`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
-
-from repro.reliability.errors import PropensityCollapseWarning
-from repro.utils.logging import get_logger
-
-logger = get_logger("reliability.guards")
 
 
 @dataclass(frozen=True)
@@ -137,48 +131,3 @@ class LossGuard:
     def recent_losses(self) -> list:
         """Copy of the rolling window (checkpointed for exact resume)."""
         return list(self._recent)
-
-
-# ----------------------------------------------------------------------
-def propensity_collapse_fraction(
-    propensities: np.ndarray, floor: float
-) -> float:
-    """Fraction of ``o_hat`` at or beyond the clip boundary.
-
-    Raw (pre-clip) propensities below ``floor`` or above ``1 - floor``
-    would be saturated by :func:`repro.core.losses.clip_propensity`;
-    a high fraction means the IPW weights are effectively constants and
-    the estimator is quietly biased.
-    """
-    if not 0.0 < floor < 0.5:
-        raise ValueError(f"floor must be in (0, 0.5), got {floor}")
-    p = np.asarray(propensities, dtype=float)
-    if p.size == 0:
-        return 0.0
-    collapsed = (p <= floor) | (p >= 1.0 - floor)
-    return float(collapsed.mean())
-
-
-def warn_on_propensity_collapse(
-    propensities: np.ndarray,
-    floor: float,
-    threshold: float = 0.5,
-    context: str = "",
-) -> Optional[float]:
-    """Emit a structured :class:`PropensityCollapseWarning` on pile-up.
-
-    Returns the collapsed fraction when it exceeds ``threshold`` (and a
-    warning was issued), otherwise None.
-    """
-    fraction = propensity_collapse_fraction(propensities, floor)
-    if fraction <= threshold:
-        return None
-    message = (
-        f"propensity collapse: {fraction:.1%} of o_hat at the clip "
-        f"boundary (floor={floor})"
-    )
-    if context:
-        message = f"{message} [{context}]"
-    warnings.warn(message, PropensityCollapseWarning, stacklevel=2)
-    logger.warning(message)
-    return fraction

@@ -27,7 +27,9 @@ per-arm dashboards (the canary controller's health view).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
+
+from repro.reliability.config import FleetPolicy
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -181,28 +183,6 @@ class HealthMonitor:
         self._calm = 0
 
 
-@dataclass(frozen=True)
-class FleetHealthPolicy:
-    """Replica quorum thresholds for the fleet-level state machine."""
-
-    #: Available-replica fraction below which the fleet is DEGRADED
-    #: (and starts shedding a deterministic slice of traffic to protect
-    #: the survivors before total failure).
-    degraded_quorum: float = 0.75
-    #: Consecutive clean evaluations before stepping down one level.
-    recovery_grace: int = 3
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.degraded_quorum <= 1.0:
-            raise ValueError(
-                f"degraded_quorum must be in (0, 1], got {self.degraded_quorum}"
-            )
-        if self.recovery_grace < 1:
-            raise ValueError(
-                f"recovery_grace must be >= 1, got {self.recovery_grace}"
-            )
-
-
 @dataclass
 class FleetHealthMonitor:
     """HEALTHY -> DEGRADED -> CRITICAL from replica availability.
@@ -215,10 +195,12 @@ class FleetHealthMonitor:
     fallback rather than dropping pages.  Escalation is immediate;
     de-escalation steps down one level after ``recovery_grace``
     consecutive clean evaluations, with the same re-arm-on-fresh-signal
-    hysteresis as the replica machine.
+    hysteresis as the replica machine.  Its thresholds are the
+    ``degraded_quorum`` and ``recovery_grace`` of the fleet's
+    :class:`~repro.reliability.config.FleetPolicy`.
     """
 
-    policy: FleetHealthPolicy = field(default_factory=FleetHealthPolicy)
+    policy: FleetPolicy = field(default_factory=FleetPolicy)
     _state: str = HEALTHY
     _steps: int = 0
     _calm: int = 0

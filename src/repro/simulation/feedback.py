@@ -177,24 +177,6 @@ class FeedbackLoopExperiment:
             conversions=conversions,
         )
 
-    @staticmethod
-    def _concat(datasets: List[InteractionDataset]) -> InteractionDataset:
-        first = datasets[0]
-        return InteractionDataset(
-            name=first.name,
-            schema=first.schema,
-            sparse={
-                k: np.concatenate([d.sparse[k] for d in datasets])
-                for k in first.sparse
-            },
-            dense={
-                k: np.concatenate([d.dense[k] for d in datasets])
-                for k in first.dense
-            },
-            clicks=np.concatenate([d.clicks for d in datasets]),
-            conversions=np.concatenate([d.conversions for d in datasets]),
-        )
-
     # ------------------------------------------------------------------
     def run(
         self, initial_log: InteractionDataset, test_set: InteractionDataset
@@ -215,7 +197,7 @@ class FeedbackLoopExperiment:
         ]
         results: List[RoundMetrics] = []
         for round_index in range(self.config.rounds):
-            training = self._concat(pool)
+            training = InteractionDataset.concat(pool)
             model = self.model_factory()
             fit_model(model, training, self.train_config)
             serving_model = model

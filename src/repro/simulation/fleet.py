@@ -58,7 +58,6 @@ from repro.reliability.health import (
     DEGRADED,
     SHEDDING,
     FleetHealthMonitor,
-    FleetHealthPolicy,
 )
 from repro.reliability.timeouts import cap_to_deadline, jittered_backoff
 from repro.simulation.serving import Deadline, RankingService
@@ -264,12 +263,7 @@ class ServingFleet:
         self._rng = np.random.default_rng(seed)
         self._clock = clock or time.monotonic
         self._sleep = sleeper or time.sleep
-        self.health = FleetHealthMonitor(
-            FleetHealthPolicy(
-                degraded_quorum=self.policy.degraded_quorum,
-                recovery_grace=self.policy.recovery_grace,
-            )
-        )
+        self.health = FleetHealthMonitor(self.policy)
         self.stats = FleetStats()
         self.transcript: List[FleetEvent] = []
         #: Registry version the replicas were loaded from (set by

@@ -68,7 +68,7 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -402,37 +402,6 @@ def _schema_with_item_vocab(schema: FeatureSchema, vocab: int) -> FeatureSchema:
     return FeatureSchema(sparse=sparse, dense=list(schema.dense))
 
 
-def _concat_datasets(parts: Sequence[InteractionDataset]) -> InteractionDataset:
-    """Row-concatenate logs that share one schema and column set."""
-    if len(parts) == 1:
-        return parts[0]
-    first = parts[0]
-
-    def cat(pick):
-        columns = [pick(p) for p in parts]
-        if any(c is None for c in columns):
-            return None
-        return np.concatenate(columns)
-
-    return InteractionDataset(
-        name=first.name,
-        schema=first.schema,
-        sparse={
-            k: np.concatenate([p.sparse[k] for p in parts])
-            for k in first.sparse
-        },
-        dense={
-            k: np.concatenate([p.dense[k] for p in parts])
-            for k in first.dense
-        },
-        clicks=cat(lambda p: p.clicks),
-        conversions=cat(lambda p: p.conversions),
-        oracle_cvr=cat(lambda p: p.oracle_cvr),
-        exposure_times=cat(lambda p: p.exposure_times),
-        conversion_times=cat(lambda p: p.conversion_times),
-    )
-
-
 @dataclass
 class _Tenant:
     """Everything one tenant carries through the month."""
@@ -755,7 +724,7 @@ class MonthSimulation:
         parts = [ds for d, ds in t.log if d >= window_start]
         view = lifecycle_retrain_view(
             t.world,
-            _concat_datasets(parts),
+            InteractionDataset.concat(parts),
             now,
             correction=correction,
             weight_cap=cfg.weight_cap,
@@ -1223,7 +1192,7 @@ class MonthSimulation:
                             "after vocab growth",
                         )
                 day_log = (
-                    _concat_datasets(day_parts) if day_parts else None
+                    InteractionDataset.concat(day_parts) if day_parts else None
                 )
                 if day_log is not None:
                     t.log.append((day, day_log))

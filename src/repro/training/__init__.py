@@ -2,8 +2,7 @@
 
 The composable :class:`~repro.training.engine.TrainingEngine` owns the
 canonical step loop; production concerns (checkpoint/resume, divergence
-guards, propensity monitoring, fault injection, LR scheduling,
-validation/early stopping) attach as
+guards, fault injection, validation/early stopping) attach as
 :mod:`~repro.training.callbacks` passed to ``fit``.
 :func:`~repro.training.engine.fit_model` is the one way to start a fit
 with the default validation/early-stopping stack; callers that need the
@@ -37,8 +36,6 @@ from repro.training.callbacks import (
     CheckpointCallback,
     FaultInjectionCallback,
     LossGuardCallback,
-    LRSchedulerCallback,
-    PropensityMonitorCallback,
     ValidationCallback,
 )
 
@@ -56,8 +53,6 @@ __all__ = [
     "CheckpointCallback",
     "FaultInjectionCallback",
     "LossGuardCallback",
-    "LRSchedulerCallback",
-    "PropensityMonitorCallback",
     "ValidationCallback",
     "EvaluationResult",
     "evaluate_model",

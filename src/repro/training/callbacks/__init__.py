@@ -7,12 +7,8 @@ Each production concern of a fit is one class here, passed to
   mid-epoch and at epoch boundaries (PR 1's checkpoint/resume);
 * :class:`LossGuardCallback` -- NaN/spike detection with rollback and
   LR decay (PR 1's divergence guards);
-* :class:`PropensityMonitorCallback` -- epoch-end ``o_hat`` clip-boundary
-  pile-up warnings (PR 1's propensity monitoring);
 * :class:`FaultInjectionCallback` -- seeded batch corruption for chaos
   drills (PR 1's fault injection);
-* :class:`LRSchedulerCallback` -- per-epoch/per-batch LR schedules,
-  guard-aware;
 * :class:`ValidationCallback` -- epoch-end evaluation and early stopping;
 * :class:`DriftReferenceCallback` -- freezes the training-time
   feature/propensity/CVR distributions for the serving drift sentinels.
@@ -26,8 +22,6 @@ from repro.training.callbacks.checkpoint import CheckpointCallback
 from repro.training.callbacks.drift import DriftReferenceCallback
 from repro.training.callbacks.faults import FaultInjectionCallback
 from repro.training.callbacks.guard import LossGuardCallback
-from repro.training.callbacks.monitor import PropensityMonitorCallback
-from repro.training.callbacks.scheduling import LRSchedulerCallback
 from repro.training.callbacks.validation import ValidationCallback
 
 __all__ = [
@@ -38,7 +32,5 @@ __all__ = [
     "DriftReferenceCallback",
     "FaultInjectionCallback",
     "LossGuardCallback",
-    "PropensityMonitorCallback",
-    "LRSchedulerCallback",
     "ValidationCallback",
 ]

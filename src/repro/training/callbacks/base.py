@@ -2,9 +2,8 @@
 
 :class:`~repro.training.engine.TrainingEngine` owns only the canonical
 step loop (forward -> loss -> backward -> clip -> step).  Everything
-else -- checkpointing, divergence guards, propensity monitoring, fault
-injection, LR scheduling, validation/early stopping -- is a
-:class:`Callback` observing the loop through a fixed set of hooks.
+else -- checkpointing, divergence guards, fault injection,
+validation/early stopping, drift references -- is a :class:`Callback` observing the loop through a fixed set of hooks.
 
 Hook ordering guarantees (per ``fit``):
 
@@ -33,8 +32,8 @@ Hook ordering guarantees (per ``fit``):
 ``on_epoch_end``
     After the mean epoch loss has been appended to the history.
     Callbacks run in registration order, which a fault-tolerance stack
-    uses to guarantee: propensity monitoring -> validation/early-stopping ->
-    epoch-boundary checkpoint (so the snapshot sees the fresh
+    uses to guarantee: validation/early-stopping -> epoch-boundary
+    checkpoint (so the snapshot sees the fresh
     ``best_metric``/``stale``).  ``history.stopped_early`` set here ends
     the run after the remaining epoch-end hooks.
 ``on_fit_end``
@@ -113,11 +112,6 @@ class TrainingContext:
     # -- early stopping ------------------------------------------------
     best_metric: float = float("-inf")
     stale: int = 0
-
-    #: Cumulative LR decay applied by guard trips; the LR-scheduler
-    #: callback multiplies its scheduled rate by this so a guard halving
-    #: survives the next scheduler step.
-    lr_scale: float = 1.0
 
     # ------------------------------------------------------------------
     def collect_checkpoint_metadata(self) -> Dict[str, Any]:

@@ -75,7 +75,6 @@ class LossGuardCallback(Callback):
         self._rollback(ctx)
         new_lr = max(ctx.optimizer.lr * guard.config.lr_factor, guard.config.min_lr)
         ctx.optimizer.lr = new_lr
-        ctx.lr_scale *= guard.config.lr_factor
         event = GuardEvent(
             epoch=ctx.epoch,
             batch=ctx.batch_index,

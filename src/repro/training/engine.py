@@ -6,11 +6,10 @@
 
 plus the invariants the loop depends on (dataset validation, trusted
 indices, the shuffle RNG, and bit-exact resume of the loop position).
-Everything else -- checkpointing, divergence guards, propensity
-monitoring, fault injection, LR scheduling, validation/early stopping
--- attaches through the :class:`~repro.training.callbacks.Callback`
-hook protocol, so scaling features are "write a callback", not "edit
-the loop".
+Everything else -- checkpointing, divergence guards, fault injection,
+validation/early stopping -- attaches through the
+:class:`~repro.training.callbacks.Callback` hook protocol, so scaling
+features are "write a callback", not "edit the loop".
 
 :func:`fit_model` is the one way to start a fit with the default
 validation/early-stopping stack; callers that need the engine object
@@ -33,7 +32,6 @@ from repro.data.stream import DataSource, as_source, shard_sizes
 from repro.models.base import MultiTaskModel
 from repro.nn.embedding import trusted_indices
 from repro.optim import Adam, clip_global_norm
-from repro.optim.optimizer import Optimizer
 from repro.reliability.checkpoint import (
     CheckpointManager,
     TrainingSnapshot,
@@ -57,22 +55,15 @@ class TrainingEngine:
     model, config:
         The model to train and the loop knobs.  The ``lambda_2
         ||theta||^2`` regularizer of Eq. (14) is applied as optimizer
-        weight decay.
-    optimizer:
-        Optional pre-built optimizer.  Defaults to the paper's Adam.
+        weight decay of the paper's Adam.
 
     Callbacks reach a fit only through ``fit(callbacks=...)``.
     """
 
-    def __init__(
-        self,
-        model: MultiTaskModel,
-        config: TrainConfig,
-        optimizer: Optional[Optimizer] = None,
-    ) -> None:
+    def __init__(self, model: MultiTaskModel, config: TrainConfig) -> None:
         self.model = model
         self.config = config.validate()
-        self.optimizer = optimizer or Adam(
+        self.optimizer = Adam(
             model.parameters(),
             lr=config.learning_rate,
             weight_decay=config.weight_decay,
@@ -317,11 +308,7 @@ def collect_module_rngs(model: MultiTaskModel) -> List[np.random.Generator]:
 
 
 # ----------------------------------------------------------------------
-def create_engine(
-    model: MultiTaskModel,
-    config: TrainConfig,
-    optimizer: Optional[Optimizer] = None,
-) -> TrainingEngine:
+def create_engine(model: MultiTaskModel, config: TrainConfig) -> TrainingEngine:
     """Engine factory: the sharded engine when parallel knobs are set.
 
     ``num_workers``/``num_shards`` unset returns the plain
@@ -331,8 +318,8 @@ def create_engine(
     if config.parallel_enabled:
         from repro.training.parallel import ShardedTrainingEngine
 
-        return ShardedTrainingEngine(model, config, optimizer=optimizer)
-    return TrainingEngine(model, config, optimizer=optimizer)
+        return ShardedTrainingEngine(model, config)
+    return TrainingEngine(model, config)
 
 
 def fit_model(

@@ -63,7 +63,6 @@ from repro.data.dataset import Batch
 from repro.data.stream import as_source, shard_batch
 from repro.models.base import MultiTaskModel
 from repro.nn.embedding import trusted_indices
-from repro.optim.optimizer import Optimizer
 from repro.reliability.errors import WorkerPoolError
 from repro.reliability.faults import (
     WORKER_HANG,
@@ -927,10 +926,9 @@ class ShardedTrainingEngine(TrainingEngine):
         self,
         model: MultiTaskModel,
         config: TrainConfig,
-        optimizer: Optional[Optimizer] = None,
         fault_schedule: Sequence[WorkerFault] = (),
     ) -> None:
-        super().__init__(model, config, optimizer=optimizer)
+        super().__init__(model, config)
         if not config.parallel_enabled:
             raise ValueError(
                 "ShardedTrainingEngine needs num_workers or num_shards > 1 "

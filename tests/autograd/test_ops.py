@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients, ops
+from repro.autograd import Tensor, ops
+from tests.grad_check import check_gradients
 
 
 class TestForwardValues:

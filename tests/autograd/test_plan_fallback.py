@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.autograd.plan import PlanRunner
-from repro.autograd.tensor import Tensor, tensor
+from repro.autograd.tensor import Tensor
 from repro.data import load_scenario
 from repro.data.batching import batch_iterator
 from repro.models import ModelConfig, build_model
@@ -147,7 +147,7 @@ class _SliceModel:
         return [self.w]
 
     def loss(self, batch) -> Tensor:
-        clicks = tensor(batch.clicks.astype(np.float64))
+        clicks = Tensor(batch.clicks.astype(np.float64))
         scored = self.w[: clicks.data.shape[0]] * clicks
         return (scored * scored).sum()
 

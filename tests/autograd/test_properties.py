@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.autograd import Tensor, check_gradients, functional, ops
+from repro.autograd import Tensor, functional, ops
+from tests.grad_check import check_gradients
 
 finite_floats = st.floats(
     min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False, width=64

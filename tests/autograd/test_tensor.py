@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, no_grad, tensor
+from repro.autograd import Tensor, no_grad
 from repro.autograd.tensor import unbroadcast
 
 
@@ -31,7 +31,7 @@ class TestConstruction:
         assert np.array_equal(a.data, b.data)
 
     def test_tensor_helper(self):
-        t = tensor([1.0], requires_grad=True, name="x")
+        t = Tensor([1.0], requires_grad=True, name="x")
         assert t.requires_grad
         assert t.name == "x"
 

@@ -1,7 +1,6 @@
 """Numerical verification of Theorem III.1 and its fine print."""
 
 import numpy as np
-import pytest
 
 from repro.core.theory import (
     counterfactual_identity_gap,

@@ -1,4 +1,6 @@
-"""Tests for InteractionDataset invariants and space splits."""
+"""Tests for InteractionDataset invariants, space splits and concat."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,3 +104,36 @@ class TestDerivedQuantities:
 
     def test_len(self):
         assert len(tiny_dataset([1, 0, 0], [0, 0, 0])) == 3
+
+
+class TestConcat:
+    def weighted(self, clicks, conversions, oracle_conversion, weights):
+        return replace(
+            tiny_dataset(clicks, conversions, oracle_conversion=oracle_conversion),
+            weights=np.asarray(weights, dtype=float),
+            actions=np.asarray(clicks),
+        )
+
+    def test_weights_and_oracle_columns_survive(self):
+        a = self.weighted([1, 0], [1, 0], [1, 1], [2.0, 1.0])
+        b = self.weighted([1, 1, 0], [0, 1, 0], [0, 1, 0], [1.0, 3.0, 1.0])
+        joined = InteractionDataset.concat([a, b])
+        assert len(joined) == 5
+        np.testing.assert_array_equal(joined.sparse["user_id"], [0, 1, 0, 1, 2])
+        np.testing.assert_array_equal(joined.weights, [2.0, 1.0, 1.0, 3.0, 1.0])
+        np.testing.assert_array_equal(joined.oracle_conversion, [1, 1, 0, 1, 0])
+        np.testing.assert_array_equal(joined.oracle_ctr, np.full(5, 0.5))
+        np.testing.assert_array_equal(joined.oracle_cvr, np.full(5, 0.3))
+        np.testing.assert_array_equal(joined.actions, [1, 0, 1, 1, 0])
+
+    def test_column_missing_from_one_part_is_dropped(self):
+        a = self.weighted([1, 0], [1, 0], [1, 1], [2.0, 1.0])
+        b = tiny_dataset([1, 0], [0, 0])
+        joined = InteractionDataset.concat([a, b])
+        assert joined.weights is None
+        assert not joined.has_oracle
+        np.testing.assert_array_equal(joined.clicks, [1, 0, 1, 0])
+
+    def test_single_part_returned_as_is(self):
+        a = tiny_dataset([1, 0], [1, 0])
+        assert InteractionDataset.concat([a]) is a

@@ -16,7 +16,6 @@ import pytest
 
 from repro.data import load_scenario
 from repro.data.batching import batch_iterator
-from repro.data.dataset import InteractionDataset
 from repro.data.ingest import (
     BAD_DENSE,
     MALFORMED_ROW,
@@ -33,7 +32,6 @@ from repro.data.loaders import (
 from repro.data.stream import (
     ChunkedCSVSource,
     InMemorySource,
-    ReplaySource,
     as_source,
 )
 
@@ -500,52 +498,3 @@ class TestChunkedCSVProvenance:
         policy = IngestPolicy(error_budget=0.25, on_bad_dense="drop")
         with pytest.raises(IngestBudgetError):
             ChunkedCSVSource(path, chunk_rows=4, spec=self.SPEC, policy=policy)
-
-
-# ----------------------------------------------------------------------
-class TestReplaySource:
-    @pytest.fixture(scope="class")
-    def timed(self):
-        train, _, _ = load_scenario(
-            "ae_es",
-            n_users=30,
-            n_items=40,
-            n_train=600,
-            n_test=100,
-            conversion_delay_mean_hours=24.0,
-            conversion_delay_item_spread=0.8,
-        )
-        return train
-
-    def test_replays_in_event_time_order(self, timed):
-        source = ReplaySource(timed)
-        seen = np.concatenate(
-            [b.clicks for b in source.iter_batches(100, shuffle=False)]
-        )
-        order = np.argsort(timed.exposure_times, kind="stable")
-        np.testing.assert_array_equal(seen, timed.clicks[order])
-
-    def test_shuffle_is_rejected(self, timed):
-        source = ReplaySource(timed)
-        with pytest.raises(ValueError, match="time-ordered"):
-            source.iter_batches(100, rng=np.random.default_rng(0), shuffle=True)
-
-    def test_needs_timestamps(self, world):
-        train, _ = world
-        with pytest.raises(ValueError, match="exposure_times"):
-            ReplaySource(train)
-
-    def test_drop_last_oversized_batch_is_an_error(self, timed):
-        source = ReplaySource(timed)
-        with pytest.raises(ValueError, match="zero batches"):
-            source.iter_batches(
-                len(timed) + 1, shuffle=False, drop_last=True
-            )
-
-    def test_start_batch_resumes_the_tape(self, timed):
-        source = ReplaySource(timed)
-        full = collect(source.iter_batches(64, shuffle=False))
-        resumed = collect(
-            source.iter_batches(64, shuffle=False, start_batch=3)
-        )
-        assert_batches_equal(resumed, full[3:])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.scenarios import SCENARIO_PRESETS, load_scenario, scenario_config
-from repro.data.stats import dataset_statistics, selection_bias_summary
+from repro.data.stats import selection_bias_summary
 from repro.data.synthetic import (
     ScenarioConfig,
     SyntheticScenario,

@@ -1,7 +1,6 @@
 """Unit tests for Table4Result analytics (no training involved)."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.table4_offline import CellResult, Table4Result
 

@@ -2,9 +2,9 @@
 
 Registration order is load-bearing (see
 :mod:`repro.training.callbacks.base`): fault injection corrupts the
-batch before the guard classifies its loss; at epoch end the propensity
-monitor and validation run before the checkpoint save, so the snapshot
-carries fresh events and early-stopping state.  Pass the list to
+batch before the guard classifies its loss; at epoch end validation
+runs before the checkpoint save, so the snapshot carries fresh
+early-stopping state.  Pass the list to
 ``create_engine(model, config).fit(callbacks=...)``.
 """
 
@@ -13,7 +13,6 @@ from repro.training.callbacks import (
     CheckpointCallback,
     FaultInjectionCallback,
     LossGuardCallback,
-    PropensityMonitorCallback,
     ValidationCallback,
 )
 
@@ -24,20 +23,15 @@ def reliability_stack(
     checkpoint_dir=None,
     checkpoint_every_n_batches=None,
     guard=LossGuardConfig(),
-    propensity_check_sample=2048,
     fault_injector=None,
 ):
-    """Fault injection, loss guard, propensity monitor, validation, then
-    checkpointing; ``None`` (or a zero sample) leaves a stage out."""
+    """Fault injection, loss guard, validation, then checkpointing;
+    ``None`` leaves a stage out."""
     callbacks = []
     if fault_injector is not None:
         callbacks.append(FaultInjectionCallback(fault_injector))
     if guard is not None:
         callbacks.append(LossGuardCallback(guard))
-    if propensity_check_sample > 0:
-        callbacks.append(
-            PropensityMonitorCallback(sample=propensity_check_sample, threshold=0.5)
-        )
     callbacks.append(ValidationCallback(patience=config.early_stopping_patience))
     if checkpoint_dir is not None:
         callbacks.append(

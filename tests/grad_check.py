@@ -1,8 +1,7 @@
-"""Finite-difference gradient verification.
+"""Finite-difference gradient verification for the test-suite.
 
-Every primitive in :mod:`repro.autograd.ops` is checked against central
-differences in the test-suite.  These helpers are also exported so that
-downstream users can verify custom compositions.
+Every primitive in :mod:`repro.autograd.ops`, the composite losses and
+the layers are checked against the central differences computed here.
 """
 
 from __future__ import annotations

@@ -1,19 +1,12 @@
-"""Tests for Linear, MLP, Embedding, Dropout, Activation, init."""
+"""Tests for Linear, MLP, Embedding, Dropout, activations, init."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients
-from repro.nn import (
-    MLP,
-    Activation,
-    Dropout,
-    Embedding,
-    Linear,
-    get_activation,
-    init,
-)
+from repro.autograd import Tensor
+from repro.nn import MLP, Dropout, Embedding, Linear, get_activation, init
 from repro.nn.embedding import trusted_indices
+from tests.grad_check import check_gradients
 
 
 class TestLinear:
@@ -161,7 +154,7 @@ class TestDropoutAndActivations:
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_activation_module(self, rng):
-        act = Activation("tanh")
+        act = get_activation("tanh")
         assert np.allclose(act(Tensor([0.0])).data, [0.0])
 
     def test_unknown_activation_lists_options(self):
@@ -180,8 +173,10 @@ class TestInit:
         limit = np.sqrt(6.0 / 200)
         assert np.all(np.abs(w) <= limit)
 
-    def test_he_normal_scale(self, rng):
-        w = init.he_normal((2000, 50), rng)
+    def test_he_uniform_bounds(self, rng):
+        w = init.he_uniform((2000, 50), rng)
+        limit = np.sqrt(6.0 / 2000)
+        assert np.all(np.abs(w) <= limit)
         assert abs(w.std() - np.sqrt(2.0 / 2000)) < 0.005
 
     def test_zeros(self):

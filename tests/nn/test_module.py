@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn import MLP, Dropout, Linear, Module, Parameter, Sequential
+from repro.nn import Dropout, Linear, Module, Parameter
+
+
+class LinearDropout(Module):
+    """A linear layer followed by dropout (train/eval propagation)."""
+
+    def __init__(self, rng):
+        super().__init__()
+        self.linear = Linear(4, 4, rng)
+        self.dropout = Dropout(0.5, rng)
+
+    def forward(self, x):
+        return self.dropout(self.linear(x))
 
 
 class TwoTower(Module):
@@ -53,7 +65,7 @@ class TestDiscovery:
 
 class TestModes:
     def test_train_eval_propagate(self, rng):
-        model = Sequential(Linear(4, 4, rng), Dropout(0.5, rng))
+        model = LinearDropout(rng)
         model.eval()
         assert all(not m.training for m in model.modules())
         model.train()
@@ -106,14 +118,3 @@ class TestStateDict:
         with pytest.raises(ValueError):
             model.load_state_dict(state)
 
-
-class TestSequential:
-    def test_applies_in_order(self, rng):
-        model = Sequential(Linear(2, 3, rng), Linear(3, 1, rng))
-        out = model(Tensor(np.ones((5, 2))))
-        assert out.shape == (5, 1)
-
-    def test_len_and_getitem(self, rng):
-        model = Sequential(Linear(2, 3, rng), Linear(3, 1, rng))
-        assert len(model) == 2
-        assert isinstance(model[0], Linear)

@@ -1,4 +1,4 @@
-"""Tests for SGD, Adam, weight decay, and gradient clipping."""
+"""Tests for Adam, weight decay, and gradient clipping."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.autograd import Tensor, functional, ops
 from repro.nn import MLP, Linear
 from repro.nn.module import Parameter
-from repro.optim import SGD, Adam, clip_global_norm
+from repro.optim import Adam, clip_global_norm
 from repro.optim.optimizer import Optimizer
 
 
@@ -17,17 +17,13 @@ def quadratic_param(value=5.0):
 class TestValidation:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_bad_lr(self):
         with pytest.raises(ValueError):
-            SGD([quadratic_param()], lr=0.0)
+            Adam([quadratic_param()], lr=0.0)
         with pytest.raises(ValueError):
             Adam([quadratic_param()], lr=-1.0)
-
-    def test_bad_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_param()], momentum=1.0)
 
     def test_bad_betas(self):
         with pytest.raises(ValueError):
@@ -35,7 +31,7 @@ class TestValidation:
 
     def test_bad_weight_decay(self):
         with pytest.raises(ValueError):
-            SGD([quadratic_param()], weight_decay=-0.1)
+            Adam([quadratic_param()], weight_decay=-0.1)
 
     def test_base_step_not_implemented(self):
         opt = Optimizer([quadratic_param()])
@@ -54,14 +50,6 @@ class TestConvergence:
             opt.step()
         return float(p.data[0])
 
-    def test_sgd_minimizes_quadratic(self):
-        final = self._minimize(lambda ps: SGD(ps, lr=0.1))
-        assert abs(final) < 1e-3
-
-    def test_sgd_momentum_minimizes(self):
-        final = self._minimize(lambda ps: SGD(ps, lr=0.05, momentum=0.9))
-        assert abs(final) < 1e-3
-
     def test_adam_minimizes_quadratic(self):
         final = self._minimize(lambda ps: Adam(ps, lr=0.1), steps=400)
         assert abs(final) < 1e-3
@@ -74,7 +62,7 @@ class TestConvergence:
         first_loss = None
         for _ in range(150):
             logits = ops.squeeze(model(Tensor(X)), axis=1)
-            loss = functional.bce_with_logits(logits, y)
+            loss = functional.binary_cross_entropy(ops.sigmoid(logits), y)
             if first_loss is None:
                 first_loss = loss.item()
             opt.zero_grad()
@@ -86,7 +74,7 @@ class TestConvergence:
 class TestWeightDecay:
     def test_decay_shrinks_unused_weights(self):
         p = quadratic_param(1.0)
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
+        opt = Adam([p], lr=0.1, weight_decay=0.5)
         # No loss gradient at all: decay alone should shrink the weight.
         for _ in range(10):
             p.grad = np.zeros_like(p.data)
@@ -99,13 +87,13 @@ class TestWeightDecay:
         lam = 0.01
 
         pa = Parameter(w0.copy())
-        opt_a = SGD([pa], lr=0.1, weight_decay=lam)
+        opt_a = Adam([pa], lr=0.1, weight_decay=lam)
         loss_a = (pa * pa * pa).sum()  # arbitrary smooth loss
         loss_a.backward()
         opt_a.step()
 
         pb = Parameter(w0.copy())
-        opt_b = SGD([pb], lr=0.1)
+        opt_b = Adam([pb], lr=0.1)
         loss_b = (pb * pb * pb).sum() + lam * (pb * pb).sum()
         loss_b.backward()
         opt_b.step()
@@ -167,7 +155,7 @@ class TestEmbeddingTableSteps:
     """Optimizer steps on an embedding table fed by ``take_rows``.
 
     The table's gradient is a dense array with zero rows where no id was
-    looked up; these tests pin what the optimizers do with those rows.
+    looked up; these tests pin what Adam does with those rows.
     """
 
     def setup_method(self):
@@ -219,23 +207,3 @@ class TestEmbeddingTableSteps:
             assert np.array_equal(a, b)
         for a, b in zip(opt2._v, opt_ref._v):
             assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_sgd_momentum_on_embedding_rows(self, momentum):
-        """A row looked up once keeps moving only through its velocity;
-        a row never looked up never moves."""
-        start = np.arange(12.0).reshape(6, 2)
-        table = Parameter(start.copy())
-        opt = SGD([table], lr=0.1, momentum=momentum)
-        expected = start[1].copy()
-        velocity = np.zeros(2)
-        for step in range(4):
-            opt.zero_grad()
-            ops.take_rows(table, np.array([1] if step == 0 else [2])).sum().backward()
-            opt.step()
-            velocity = velocity * momentum + (1.0 if step == 0 else 0.0)
-            expected = expected - 0.1 * velocity
-            assert np.array_equal(table.data[1], expected)
-        assert np.array_equal(table.data[[0, 3, 4, 5]], start[[0, 3, 4, 5]])
-        if momentum:
-            assert not np.array_equal(table.data[1], start[1] - 0.1)

@@ -1,4 +1,4 @@
-"""Tests for model and optimizer checkpointing."""
+"""Tests for model checkpointing and the optimizer state round trip."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,9 @@ import pytest
 from repro.data import load_scenario
 from repro.models import ModelConfig, build_model
 from repro.nn import Linear
-from repro.nn.serialization import (
-    FORMAT_VERSION,
-    load_checkpoint,
-    load_optimizer_state,
-    save_checkpoint,
-    save_optimizer_state,
-)
-from repro.optim import SGD, Adam
+from repro.nn.serialization import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from repro.optim import Adam
+from repro.optim.optimizer import Optimizer
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +97,8 @@ def _take_steps(model, optimizer, batch, n):
 class TestOptimizerState:
     """Adam's bias correction depends on ``_step_count`` and its update
     direction on the moment buffers -- losing either breaks bit-exact
-    resume, so the round trip must preserve all of it."""
+    resume, so the ``state_dict`` round trip that training snapshots
+    carry must preserve all of it."""
 
     @pytest.fixture()
     def trained(self, world):
@@ -115,16 +111,13 @@ class TestOptimizerState:
         _take_steps(model, optimizer, batch, 5)
         return model, optimizer, batch, train
 
-    def test_adam_moments_and_step_count_round_trip(self, trained, tmp_path):
+    def test_adam_moments_and_step_count_round_trip(self, trained):
         model, optimizer, _, train = trained
-        save_optimizer_state(optimizer, tmp_path / "opt.npz", metadata={"note": "t5"})
-
         fresh_model = build_model(
             "dcmt", train.schema, ModelConfig(embedding_dim=4, hidden_sizes=(8,), seed=9)
         )
         fresh = Adam(fresh_model.parameters(), lr=0.5)
-        meta = load_optimizer_state(fresh, tmp_path / "opt.npz")
-        assert meta == {"note": "t5"}
+        fresh.load_state_dict(optimizer.state_dict())
         assert fresh._step_count == optimizer._step_count == 5
         assert fresh.lr == optimizer.lr
         assert fresh.weight_decay == optimizer.weight_decay
@@ -138,7 +131,7 @@ class TestOptimizerState:
         model, optimizer, batch, train = trained
         config = ModelConfig(embedding_dim=4, hidden_sizes=(8,), seed=0)
         save_checkpoint(model, tmp_path / "model.npz")
-        save_optimizer_state(optimizer, tmp_path / "opt.npz")
+        optimizer_state = optimizer.state_dict()
 
         # Continue the original run 5 more steps.
         _take_steps(model, optimizer, batch, 5)
@@ -147,44 +140,24 @@ class TestOptimizerState:
         resumed = build_model("dcmt", train.schema, config.with_overrides(seed=3))
         load_checkpoint(resumed, tmp_path / "model.npz")
         resumed_opt = Adam(resumed.parameters(), lr=0.01, weight_decay=1e-4)
-        load_optimizer_state(resumed_opt, tmp_path / "opt.npz")
+        resumed_opt.load_state_dict(optimizer_state)
         _take_steps(resumed, resumed_opt, batch, 5)
 
         original_state = model.state_dict()
         for key, value in resumed.state_dict().items():
             assert np.array_equal(original_state[key], value), key
 
-    def test_sgd_velocity_round_trip(self, tmp_path, rng):
+    def test_type_mismatch_rejected(self, rng):
         layer = Linear(3, 2, rng)
-        optimizer = SGD(layer.parameters(), lr=0.1, momentum=0.9)
-        for v in optimizer._velocity:
-            v[...] = rng.normal(size=v.shape)
-        save_optimizer_state(optimizer, tmp_path / "sgd.npz")
-
-        fresh = SGD(Linear(3, 2, rng).parameters(), lr=0.5)
-        load_optimizer_state(fresh, tmp_path / "sgd.npz")
-        assert fresh.lr == 0.1
-        assert fresh.momentum == 0.9
-        for restored, original in zip(fresh._velocity, optimizer._velocity):
-            assert np.array_equal(restored, original)
-
-    def test_type_mismatch_rejected(self, tmp_path, rng):
-        layer = Linear(3, 2, rng)
-        save_optimizer_state(Adam(layer.parameters()), tmp_path / "a.npz")
+        state = Adam(layer.parameters()).state_dict()
         with pytest.raises(ValueError, match="Adam"):
-            load_optimizer_state(SGD(layer.parameters()), tmp_path / "a.npz")
+            Optimizer(layer.parameters()).load_state_dict(state)
 
-    def test_shape_mismatch_rejected(self, tmp_path, rng):
-        save_optimizer_state(
-            Adam(Linear(3, 2, rng).parameters()), tmp_path / "a.npz"
-        )
+    def test_shape_mismatch_rejected(self, rng):
+        state = Adam(Linear(3, 2, rng).parameters()).state_dict()
         with pytest.raises(ValueError, match="shape"):
-            load_optimizer_state(
-                Adam(Linear(4, 2, rng).parameters()), tmp_path / "a.npz"
-            )
+            Adam(Linear(4, 2, rng).parameters()).load_state_dict(state)
 
     def test_atomic_write_leaves_no_tmp(self, tmp_path, rng):
-        save_optimizer_state(
-            Adam(Linear(2, 2, rng).parameters()), tmp_path / "opt.npz"
-        )
+        save_checkpoint(Linear(2, 2, rng), tmp_path / "layer.npz")
         assert list(tmp_path.glob("*.tmp")) == []

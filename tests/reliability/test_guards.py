@@ -1,15 +1,9 @@
-"""Loss guard detection logic and propensity-collapse monitoring."""
+"""Loss guard detection logic."""
 
 import numpy as np
 import pytest
 
-from repro.reliability import (
-    LossGuard,
-    LossGuardConfig,
-    PropensityCollapseWarning,
-    propensity_collapse_fraction,
-    warn_on_propensity_collapse,
-)
+from repro.reliability import LossGuard, LossGuardConfig
 
 pytestmark = pytest.mark.robustness
 
@@ -60,26 +54,3 @@ class TestLossGuard:
         with pytest.raises(ValueError):
             LossGuardConfig(max_trips=0)
 
-
-class TestPropensityCollapse:
-    def test_fraction(self):
-        p = np.array([0.01, 0.02, 0.5, 0.5, 0.99, 0.5])
-        assert propensity_collapse_fraction(p, floor=0.05) == pytest.approx(0.5)
-
-    def test_healthy_propensities_silent(self):
-        p = np.full(100, 0.3)
-        result = warn_on_propensity_collapse(p, floor=0.05, threshold=0.5)
-        assert result is None
-
-    def test_collapse_warns(self):
-        p = np.full(100, 0.001)
-        with pytest.warns(PropensityCollapseWarning, match="collapse"):
-            fraction = warn_on_propensity_collapse(p, floor=0.05, threshold=0.5)
-        assert fraction == pytest.approx(1.0)
-
-    def test_bad_floor_rejected(self):
-        with pytest.raises(ValueError):
-            propensity_collapse_fraction(np.array([0.5]), floor=0.7)
-
-    def test_empty_array(self):
-        assert propensity_collapse_fraction(np.array([]), floor=0.05) == 0.0

@@ -22,7 +22,7 @@ from repro.reliability import (
     LossGuardConfig,
 )
 from repro.training import TrainConfig, create_engine
-from repro.training.callbacks import CheckpointCallback, PropensityMonitorCallback
+from repro.training.callbacks import CheckpointCallback
 from tests.fit_callbacks import reliability_stack
 
 pytestmark = pytest.mark.robustness
@@ -41,8 +41,8 @@ TRAIN_CONFIG = TrainConfig(epochs=4, batch_size=256, learning_rate=0.01, seed=7)
 
 
 def quiet_reliability(config=TRAIN_CONFIG, **overrides):
-    """Reliability stack with the noisy epoch-end checks disabled."""
-    defaults = dict(guard=None, propensity_check_sample=0)
+    """Reliability stack with the loss guard disabled."""
+    defaults = dict(guard=None)
     defaults.update(overrides)
     return reliability_stack(config, **defaults)
 
@@ -231,7 +231,6 @@ class TestLossGuardIntegration:
                 config,
                 guard=LossGuardConfig(),
                 fault_injector=injector,
-                propensity_check_sample=0,
             ),
         )
 
@@ -265,10 +264,9 @@ class TestLossGuardIntegration:
             config,
             train,
             test,
-            callbacks=reliability_stack(config, propensity_check_sample=0),
+            callbacks=reliability_stack(config),
         )
-        guard_trips = [e for e in history.events if e.action != "warn"]
-        assert guard_trips == []
+        assert history.events == []
 
 
 class TestConfigValidation:
@@ -299,7 +297,3 @@ class TestConfigValidation:
             CheckpointCallback(str(tmp_path), keep=0)
         with pytest.raises(ValueError, match="every_n_batches"):
             CheckpointCallback(str(tmp_path), every_n_batches=0)
-        with pytest.raises(ValueError, match="threshold"):
-            PropensityMonitorCallback(threshold=0.0)
-        with pytest.raises(ValueError, match="sample"):
-            PropensityMonitorCallback(sample=-1)

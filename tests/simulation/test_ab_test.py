@@ -5,7 +5,7 @@ import pytest
 
 from repro.data import load_scenario
 from repro.models import ModelConfig, build_model
-from repro.simulation.ab_test import ABTest, ABTestConfig, ABTestResult, BucketDay
+from repro.simulation.ab_test import ABTest, ABTestConfig, BucketDay
 
 
 @pytest.fixture(scope="module")

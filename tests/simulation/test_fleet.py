@@ -262,10 +262,10 @@ class TestGracefulDegradation:
 
 class TestFleetHealthMonitor:
     def make(self, grace=2):
-        from repro.reliability import FleetHealthMonitor, FleetHealthPolicy
+        from repro.reliability import FleetHealthMonitor
 
         return FleetHealthMonitor(
-            FleetHealthPolicy(degraded_quorum=0.75, recovery_grace=grace)
+            FleetPolicy(degraded_quorum=0.75, recovery_grace=grace)
         )
 
     def test_quorum_ladder(self):

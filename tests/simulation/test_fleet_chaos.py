@@ -7,7 +7,6 @@ that is bit-identical across two same-seed runs.  A single-replica
 baseline under the same schedule demonstrably drops requests.
 """
 
-import numpy as np
 import pytest
 
 from repro.data import load_scenario

@@ -8,14 +8,12 @@ retrains at least once, and the oracle-regret comparison is meaningful.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.data.drift_schedule import (
     CATALOG_CHURN,
     CONFOUNDER_SHIFT,
     CTR_SEASON,
-    DRIFT_KINDS,
     POSITION_BIAS_SHIFT,
     DriftEvent,
     DriftSchedulePolicy,

@@ -1,4 +1,4 @@
-"""The callback protocol: hook ordering, custom callbacks, LR scheduling.
+"""The callback protocol: hook ordering, custom callbacks, guard LR decay.
 
 Marked ``callbacks`` (``make verify-callbacks`` runs just this lane).
 """
@@ -8,7 +8,6 @@ import pytest
 
 from repro.data import load_scenario
 from repro.models import ModelConfig, build_model
-from repro.optim import StepDecay
 from repro.reliability import FaultInjector, FaultSpec, LossGuardConfig
 from repro.training import TrainConfig, TrainingEngine
 from repro.training.callbacks import (
@@ -16,7 +15,6 @@ from repro.training.callbacks import (
     DriftReferenceCallback,
     FaultInjectionCallback,
     LossGuardCallback,
-    LRSchedulerCallback,
     ValidationCallback,
 )
 
@@ -172,72 +170,18 @@ class TestHookProtocol:
         assert second_trace
 
 
-class TestLRSchedulerCallback:
-    def test_epoch_interval_trajectory(self, world, model):
-        train, _ = world
-        config = make_config(epochs=3)
-        lrs = []
-
-        class LrTape(Callback):
-            def on_epoch_end(self, ctx):
-                lrs.append(ctx.optimizer.lr)
-
-        TrainingEngine(model, config).fit(
-            train,
-            callbacks=[
-                LRSchedulerCallback(lambda opt: StepDecay(opt, period=1, gamma=0.5)),
-                LrTape(),
-            ],
-        )
-        # LrTape runs after the scheduler at each epoch end.
-        assert lrs == pytest.approx([0.005, 0.0025, 0.00125])
-
-    def test_batch_interval_trajectory(self, world, model):
-        train, _ = world
-        config = make_config(epochs=1)
-        n_batches = -(-len(train) // config.batch_size)
-        engine = TrainingEngine(model, config)
-        engine.fit(
-            train,
-            callbacks=[
-                LRSchedulerCallback(
-                    lambda opt: StepDecay(opt, period=2, gamma=0.5),
-                    interval="batch",
-                )
-            ],
-        )
-        assert engine.optimizer.lr == pytest.approx(
-            config.learning_rate * 0.5 ** (n_batches // 2)
-        )
-
-    def test_prebuilt_scheduler_must_wrap_engine_optimizer(self, world, model):
-        train, _ = world
-        other = build_model(
-            "dcmt", train.schema, ModelConfig(embedding_dim=4, hidden_sizes=(8,))
-        )
-        foreign_engine = TrainingEngine(other, make_config())
-        scheduler = StepDecay(foreign_engine.optimizer, period=1)
-        engine = TrainingEngine(model, make_config())
-        with pytest.raises(ValueError, match="different optimizer"):
-            engine.fit(train, callbacks=[LRSchedulerCallback(scheduler)])
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError, match="interval"):
-            LRSchedulerCallback(lambda opt: StepDecay(opt, period=1), interval="step")
-
-    def test_scheduler_with_tight_grad_clip_stays_finite(self, world, model):
-        """Schedulers compose with clip_global_norm in the step loop."""
+class TestStepLoopComposition:
+    def test_tight_grad_clip_stays_finite(self, world, model):
+        """clip_global_norm in the step loop keeps a tightly clipped fit
+        finite."""
         train, _ = world
         config = make_config(epochs=2, grad_clip=0.1)
-        history = TrainingEngine(model, config).fit(
-            train,
-            callbacks=[LRSchedulerCallback(lambda opt: StepDecay(opt, period=1))],
-        )
+        history = TrainingEngine(model, config).fit(train)
         assert all(np.isfinite(x) for x in history.epoch_losses)
         assert all(np.all(np.isfinite(p.data)) for p in model.parameters())
 
-    def test_guard_halving_survives_scheduler_step(self, world, model):
-        """ctx.lr_scale: the guard's decay multiplies the scheduled rate."""
+    def test_guard_halves_lr_per_trip(self, world, model):
+        """Every guard trip multiplies the optimizer's rate by lr_factor."""
         train, _ = world
         config = make_config(epochs=2)
         engine = TrainingEngine(model, config)
@@ -250,15 +194,13 @@ class TestLRSchedulerCallback:
                     )
                 ),
                 LossGuardCallback(LossGuardConfig()),
-                LRSchedulerCallback(lambda opt: StepDecay(opt, period=1, gamma=0.5)),
             ],
         )
         trips = [e for e in history.events if e.action == "rollback_lr_halved"]
         assert trips, "fault injection should trip the guard"
-        # Final lr = last scheduled rate x the cumulative guard decay.
-        scheduled = config.learning_rate * 0.5 ** len(history.epoch_losses)
-        expected = scheduled * 0.5 ** len(trips)
+        expected = config.learning_rate * 0.5 ** len(trips)
         assert engine.optimizer.lr == pytest.approx(expected)
+        assert trips[-1].lr_after == pytest.approx(expected)
 
 
 class TestCheckpointMetadataProtocol:

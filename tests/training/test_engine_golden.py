@@ -80,7 +80,6 @@ def full_reliability(tmp_path):
         fault_injector=FaultInjector(
             FaultSpec(nan_feature_rate=0.2, nan_fraction=0.5), seed=3
         ),
-        propensity_check_sample=256,
     )
 
 
