@@ -270,11 +270,7 @@ def affine(x: ArrayLike, weight: ArrayLike, bias: Optional[ArrayLike] = None) ->
     return out
 
 
-def sigmoid_bce(
-    logits: ArrayLike,
-    targets: ArrayLike,
-    probs: Optional[np.ndarray] = None,
-) -> Tensor:
+def sigmoid_bce(logits: ArrayLike, targets: ArrayLike, probs: np.ndarray) -> Tensor:
     """Per-sample binary log-loss fused with the sigmoid, from logits.
 
     Forward uses the overflow-free identity
@@ -284,10 +280,10 @@ def sigmoid_bce(
     also stabler: no clipping needed, gradients stay exact in the
     saturated tails).
 
-    ``probs`` optionally passes in an already-computed ``sigmoid(z)``
-    array (the fusion path in ``binary_cross_entropy`` reuses the
-    forward sigmoid output) so backward does not recompute it.
-    Returns the unreduced per-sample loss.
+    ``probs`` is the already-computed ``sigmoid(z)`` array (the fusion
+    path in ``binary_cross_entropy`` reuses the forward sigmoid output),
+    so backward does not recompute it.  Returns the unreduced per-sample
+    loss.
     """
     logits = _as_tensor(logits)
     y = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=float)
@@ -297,10 +293,6 @@ def sigmoid_bce(
     out_data = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
     def backward(grad: np.ndarray, a=logits, yy=y, s=probs) -> Iterable:
-        if s is None:
-            e = np.exp(-np.abs(a.data))
-            t = 1.0 / (1.0 + e)
-            s = np.where(a.data >= 0, t, 1.0 - t)
         return ((a, (s - yy) * grad, True),)
 
     out = Tensor._make(out_data, (logits,), backward)

@@ -713,24 +713,10 @@ def _compute_closure(bc: _BCtx, em: _Emission, work) -> Callable:
 
         return run
     if op == "sigmoid_bce":
-        has_probs = bc.node.operands[2].kind != _NONE
         s = borrow(bc.node.out_shape, work.dtype)
-        m = None if has_probs else borrow(bc.node.out_shape, np.bool_)
 
-        def run(s=s, m=m, hp=has_probs):
-            z, y = rt[i][0], rt[i][1]
-            if hp:
-                np.subtract(rt[i][2], y, out=s)  # (sigmoid - y)
-            else:
-                np.absolute(z, out=s)
-                np.negative(s, out=s)
-                np.exp(s, out=s)
-                np.add(s, 1.0, out=s)
-                np.divide(1.0, s, out=s)
-                np.subtract(1.0, s, out=work)
-                np.greater_equal(z, 0, out=m)
-                np.copyto(work, s, where=m)
-                np.subtract(work, y, out=s)
+        def run(s=s):
+            np.subtract(rt[i][2], rt[i][1], out=s)  # (sigmoid - y)
             np.multiply(s, g, out=work)  # * grad
 
         return run

@@ -13,10 +13,10 @@ The guard only *detects*; the trainer decides what to do on a trip
 :class:`GuardEvent`).  Keeping the policy in the trainer means the
 guard is reusable for any loop that produces a scalar series.
 
-The other production failure mode of causal CVR estimators -- ``o_hat``
-piling up at the clip boundary, where ``1/o_hat`` weights saturate --
-is checked on every candidate by the promotion gate's
-``propensity_floor`` check (:mod:`repro.lifecycle.gate`).
+The promotion gate's ``propensity_floor`` check
+(:mod:`repro.lifecycle.gate`) measures, on every candidate, the share of
+``o_hat`` at or below the lower clip floor, where ``1/o_hat`` weights
+saturate.  Nothing checks mass at the upper boundary.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, ops
+from repro.autograd import Tensor, functional, ops
 from tests.grad_check import check_gradients
 
 
@@ -228,22 +228,28 @@ class TestFusedKernels:
     def test_sigmoid_bce_matches_composition(self):
         z = self.rng.normal(size=(50,)) * 3.0
         y = (self.rng.random(50) > 0.5).astype(float)
-        fused = ops.sigmoid_bce(Tensor(z), y).data
         s = 1.0 / (1.0 + np.exp(-z))
+        fused = ops.sigmoid_bce(Tensor(z), y, probs=s).data
         composed = -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
         assert np.allclose(fused, composed, atol=1e-12)
 
     def test_sigmoid_bce_extreme_logits_finite(self):
         z = Tensor(np.array([-1000.0, 0.0, 1000.0]), requires_grad=True)
-        loss = ops.sigmoid_bce(z, np.array([1.0, 0.0, 0.0]))
+        loss = ops.sigmoid_bce(
+            z, np.array([1.0, 0.0, 0.0]), probs=ops.sigmoid(z).data
+        )
         assert np.all(np.isfinite(loss.data))
         loss.sum().backward()
         assert np.all(np.isfinite(z.grad))
 
     def test_sigmoid_bce_grad(self):
+        """Through ``binary_cross_entropy``, which fuses a direct
+        ``ops.sigmoid`` output into the ``sigmoid_bce`` node."""
         y = (self.rng.random(6) > 0.5).astype(float)
         check_gradients(
-            lambda z: ops.sigmoid_bce(z, y).sum(),
+            lambda z: functional.binary_cross_entropy(
+                ops.sigmoid(z), y, reduction="sum"
+            ),
             [self.rng.normal(size=(6,))],
         )
 

@@ -14,6 +14,23 @@ def quadratic_param(value=5.0):
     return Parameter(np.array([value]))
 
 
+class GradientDescent(Optimizer):
+    """Plain ``w -= lr * grad`` step.
+
+    Adam's first step moves each element by about ``lr * sign(grad)``,
+    which hides the size of the decay term; a linear step shows it at
+    full strength.
+    """
+
+    def __init__(self, params, lr, weight_decay=0.0):
+        super().__init__(params, weight_decay)
+        self.lr = lr
+
+    def step(self):
+        for p in self.params:
+            p.data -= self.lr * self._grad(p)
+
+
 class TestValidation:
     def test_empty_params_rejected(self):
         with pytest.raises(ValueError):
@@ -87,13 +104,13 @@ class TestWeightDecay:
         lam = 0.01
 
         pa = Parameter(w0.copy())
-        opt_a = Adam([pa], lr=0.1, weight_decay=lam)
+        opt_a = GradientDescent([pa], lr=0.1, weight_decay=lam)
         loss_a = (pa * pa * pa).sum()  # arbitrary smooth loss
         loss_a.backward()
         opt_a.step()
 
         pb = Parameter(w0.copy())
-        opt_b = Adam([pb], lr=0.1)
+        opt_b = GradientDescent([pb], lr=0.1)
         loss_b = (pb * pb * pb).sum() + lam * (pb * pb).sum()
         loss_b.backward()
         opt_b.step()

@@ -212,10 +212,11 @@ class TestHistorySerialization:
                 ),
                 GuardEvent(
                     epoch=1,
-                    batch=-1,
-                    reason="propensity_collapse",
-                    value=0.72,
-                    action="warn",
+                    batch=7,
+                    reason="loss_spike",
+                    value=4.2,
+                    action="rollback_lr_halved",
+                    lr_after=0.0025,
                 ),
             ],
         )
