@@ -6,9 +6,10 @@ Narrates the "losing a trainer worker mid-epoch" runbook from
 1. train DCMT through a 4-worker supervised pool and prove the
    headline invariant -- the pool run is **bit-exact** with a 4-shard
    single-process run (same shard split, same seeded reduction fold).
-   Workers read the parameters from one shared mapping that the parent
-   refreshes once per step, so a step's pipe traffic is its shards
-   going out and its gradients coming back, never the parameters;
+   Workers read the parameters from the optimizer's shared parameter
+   plane and write gradients into shared slots, so a step's pipe
+   traffic is its shards going out and a few bytes of reply per shard
+   coming back, never parameters or gradients;
 2. run a seeded :class:`~repro.training.parallel.TrainerChaosDrill`
    that SIGKILLs one worker mid-epoch: training completes by
    re-sharding across the survivors, the structured event trail rides
@@ -93,7 +94,7 @@ def main():
         pickle.dumps([p.data for p in pooled.parameters()], pickle.HIGHEST_PROTOCOL)
     )
     print(f"pipe bytes per step: {stats.bytes_sent / steps:,.0f} sent (shards), "
-          f"{stats.bytes_received / steps:,.0f} received (gradients); "
+          f"{stats.bytes_received / steps:,.0f} received (replies); "
           f"sending the parameters with each of the "
           f"{stats.dispatches / steps:.0f} dispatches would add "
           f"{stats.dispatches / steps * param_bytes:,.0f}")

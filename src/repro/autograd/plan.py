@@ -928,7 +928,9 @@ def _classify_operands(records, by_id, model) -> List[List[_Operand]]:
     return all_specs
 
 
-def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
+def _compile(
+    tracer: PlanTracer, loss: Tensor, model, batch, grad_buffers
+) -> CompiledPlan:
     records = tracer.records
     if not records:
         raise PlanUnsupported("trace recorded no ops")
@@ -1103,10 +1105,13 @@ def _compile(tracer: PlanTracer, loss: Tensor, model, batch) -> CompiledPlan:
         t.root_req = req_id
     # Dedicated persistent slots for parameter gradients: they outlive
     # the sweep (optimizer reads them), so they never interval-share.
+    # A caller's buffer (a view of the optimizer's plane) replaces one.
     pidx = 0
     for t in targets.values():
         if t.kind == "param":
-            t.storage = arena.slot(("pgrad", pidx), t.shape, t.dtype)
+            t.storage = grad_buffers.get(id(t.param))
+            if t.storage is None:
+                t.storage = arena.slot(("pgrad", pidx), t.shape, t.dtype)
         pidx += 1
     # Pass 2: materialise interval-backed storage, then resolve alias
     # views in owner order (an alias chain's source always comes first).
@@ -1348,15 +1353,23 @@ class PlanRunner:
     One runner per ``fit`` call, and one per pool worker.  ``forward``
     returns the loss tensor; ``backward`` must be handed that same
     tensor.  All fallback policy lives here so the engine stays a plain
-    step loop.
+    step loop.  ``grad_buffers`` maps ``id(param)`` to the array a
+    replay stores that parameter's gradient in (and binds to
+    ``param.grad``); parameters without one get an arena slot.
     """
 
     #: Consecutive mid-replay mismatches before the plan is disabled.
     MAX_MISMATCHES = 3
 
-    def __init__(self, model, expected_batch_size: Optional[int] = None):
+    def __init__(
+        self,
+        model,
+        expected_batch_size: Optional[int] = None,
+        grad_buffers: Optional[Dict[int, np.ndarray]] = None,
+    ):
         self.model = model
         self.expected_batch_size = expected_batch_size
+        self.grad_buffers = grad_buffers or {}
         self.plan: Optional[CompiledPlan] = None
         self.stats = PlanStats()
         self._mode = "eager"
@@ -1439,7 +1452,7 @@ class PlanRunner:
         self._mode = "trace"
         self.stats.traces += 1
         try:
-            self.plan = _compile(tracer, loss, self.model, batch)
+            self.plan = _compile(tracer, loss, self.model, batch, self.grad_buffers)
         except PlanUnsupported as exc:
             # Expected for models the compiler cannot lower: the run
             # trains eagerly and ``stats.disabled_reason`` says why.

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
 import numpy as np
 
 from repro.nn.module import Parameter
 from repro.optim.optimizer import Optimizer
+from repro.optim.plane import ParamPlane
 
 
 class Adam(Optimizer):
-    """Adam with bias correction.
+    """Adam with bias correction, one update over the whole parameter plane.
 
     Defaults match the paper's setting: ``lr=0.001`` (Section IV-A2).
     ``weight_decay`` implements the Eq. (14) L2 regularizer
     (``lambda_2``, paper default 1e-4).
+
+    Construction lays the parameters out in a :class:`ParamPlane`
+    (``param.data`` becomes a view of it); the moments ``_m``/``_v`` are
+    per-parameter views of two more buffers in the same layout.
     """
 
     def __init__(
@@ -36,13 +41,13 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        # Scratch pool for the out= update kernels: buffers are borrowed
-        # per parameter update and returned afterwards, so steady-state
-        # steps allocate nothing.
-        self._scratch: Dict[tuple, List[np.ndarray]] = {}
-        self._borrowed: List[tuple] = []
+        self.plane = ParamPlane(self.params)
+        n = self.plane.size
+        self._m_flat, self._v_flat = np.zeros(n), np.zeros(n)
+        self._m = self.plane.views(self._m_flat)
+        self._v = self.plane.views(self._v_flat)
+        # Scratch for the out= kernels, so steps allocate nothing.
+        self._s1, self._s2 = np.empty(n), np.empty(n)
 
     def state_dict(self) -> Dict[str, Any]:
         state = super().state_dict()
@@ -67,39 +72,30 @@ class Adam(Optimizer):
         self._load_moments(state["m"], self._m)
         self._load_moments(state["v"], self._v)
 
-    # -- scratch pool --------------------------------------------------
-    def _borrow(self, shape, dtype) -> np.ndarray:
-        key = (tuple(shape), np.dtype(dtype).str)
-        pool = self._scratch.get(key)
-        buf = pool.pop() if pool else np.empty(shape, dtype=dtype)
-        self._borrowed.append((key, buf))
-        return buf
-
-    def _release(self) -> None:
-        for key, buf in self._borrowed:
-            self._scratch.setdefault(key, []).append(buf)
-        self._borrowed.clear()
-
     def step(self) -> None:
+        """One Adam update of every parameter, as whole-buffer ufuncs.
+
+        Ufunc-for-ufunc the textbook per-parameter form (``grad + 2
+        lambda_2 theta``, then ``m_hat = m / bias1`` etc.), with each
+        output landing in a reused buffer.  Every call is elementwise, so
+        running it once over the plane is bit-exact with running it per
+        parameter; a parameter without a gradient steps on zeros, with
+        no decay.
+        """
+        plane = self.plane
+        plane.adopt()
+        missing = plane.gather()
         self._step_count += 1
         t = self._step_count
         bias1 = 1.0 - self.beta1**t
         bias2 = 1.0 - self.beta2**t
-        for i, p in enumerate(self.params):
-            grad = self._grad(p)
-            self._dense_update(p.data, self._m[i], self._v[i], grad, bias1, bias2)
-
-    def _dense_update(self, target, m, v, grad, bias1, bias2) -> None:
-        """Adam update on ``target`` via pooled out= kernels.
-
-        Ufunc-for-ufunc identical to the textbook expression form
-        (``m_hat = m / bias1`` etc.): every line below maps to exactly
-        one of the ufunc calls the expressions would issue, just with
-        the output landing in a reused scratch buffer, so the result is
-        bit-exact while steady-state steps allocate nothing.
-        """
-        s1 = self._borrow(target.shape, target.dtype)
-        s2 = self._borrow(target.shape, target.dtype)
+        m, v, s1, s2 = self._m_flat, self._v_flat, self._s1, self._s2
+        grad = plane.grad
+        if self.weight_decay:
+            np.multiply(plane.data, 2.0 * self.weight_decay, out=s2)
+            grad = np.add(plane.grad, s2, out=s2)
+        for i in missing:
+            grad[plane.slices[i]] = 0.0
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=s1)
         m += s1
@@ -113,5 +109,4 @@ class Adam(Optimizer):
         s2 += self.eps
         s1 *= self.lr
         s1 /= s2
-        target -= s1
-        self._release()
+        plane.data -= s1

@@ -1,17 +1,18 @@
 """Optimizer base class and gradient utilities.
 
 Gradients arriving from the autograd engine are dense numpy arrays of
-the parameter's shape.  The utilities here are weight-decay folding and
-global-norm clipping.
+the parameter's shape, gathered into a :class:`ParamPlane` before the
+step.  The utility here is global-norm clipping.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
 from repro.nn.module import Parameter
+from repro.optim.plane import ParamPlane
 
 
 class Optimizer:
@@ -71,35 +72,25 @@ class Optimizer:
                 )
             dst[...] = src
 
-    def _grad(self, p: Parameter) -> np.ndarray:
-        """Parameter gradient with L2 weight decay folded in."""
-        grad = p.grad
-        if grad is None:
-            return np.zeros_like(p.data)
-        if not self.weight_decay:
-            return grad
-        return grad + 2.0 * self.weight_decay * p.data
 
+def clip_global_norm(plane: ParamPlane, max_norm: float) -> float:
+    """Scale the plane's gradients so their global L2 norm is at most ``max_norm``.
 
-def clip_global_norm(params: Sequence[Parameter], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm (useful for logging training stability).
+    The squared norm is summed per parameter, in ``plane.params`` order,
+    exactly as a per-parameter loop would; parameters without a
+    gradient are skipped.  The scale is one multiply over the whole
+    gradient buffer.  Returns the pre-clip norm (useful for logging
+    training stability).
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
+    missing = set(plane.gather())
     total = 0.0
-    for p in params:
-        grad = p.grad
-        if grad is None:
+    for i, grad in enumerate(plane.grad_views):
+        if i in missing:
             continue
         total += float(np.sum(grad**2))
     norm = float(np.sqrt(total))
     if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for p in params:
-            grad = p.grad
-            if grad is None:
-                continue
-            grad *= scale
+        plane.grad *= max_norm / (norm + 1e-12)
     return norm

@@ -72,10 +72,6 @@ class TrainingEngine:
         #: Plan runner of the most recent ``fit`` call (``None`` before
         #: the first); exposes trace/replay stats.
         self.plan_runner: Optional[PlanRunner] = None
-        #: ``model.parameters()``, walked once per ``fit``.  Vocabulary
-        #: growth rebinds ``param.data``, never the ``Parameter``, and
-        #: runs between fits, so the list stays valid for a whole fit.
-        self._params: List = []
 
     # ------------------------------------------------------------------
     def fit(
@@ -117,8 +113,12 @@ class TrainingEngine:
         )
         # Every step goes through the runner, which owns every eager
         # fallback (the trace step, ragged batches, unlowerable ops).
+        # Replays write parameter gradients straight into the plane.
+        plane = self.optimizer.plane
         runner = self.plan_runner = PlanRunner(
-            self.model, expected_batch_size=plan_rows(self.config)
+            self.model,
+            expected_batch_size=plan_rows(self.config),
+            grad_buffers=plane.grad_buffers(),
         )
         start_epoch = 0
         skip_batches = 0
@@ -148,7 +148,6 @@ class TrainingEngine:
                 self.model.eval()
                 return ctx.history
 
-        self._params = self.model.parameters()
         self.model.train()
         with contextlib.ExitStack() as stack:
             hooks.fire("on_fit_start", ctx)
@@ -191,7 +190,7 @@ class TrainingEngine:
                     self._backward(ctx, runner, loss)
                     hooks.fire("on_backward_end", ctx)
                     if self.config.grad_clip is not None:
-                        clip_global_norm(self._params, self.config.grad_clip)
+                        clip_global_norm(plane, self.config.grad_clip)
                     self.optimizer.step()
                     ctx.epoch_loss_sum += ctx.loss_value
                     ctx.n_batches_done += 1
@@ -229,10 +228,14 @@ class TrainingEngine:
     def _forward(self, ctx: TrainingContext, runner: PlanRunner):
         """Compute the batch loss; sets ``ctx.loss_value``.
 
-        Returns an opaque handle passed back to :meth:`_backward` (the
-        live loss tensor here; the sharded engine returns ``None`` and
-        stashes aggregated gradients instead).
+        A ``param.data`` rebound since the last step (a restore, a
+        callback) is copied back into the parameter plane first, so the
+        plan replays on the same arrays.  Returns an opaque handle passed
+        back to :meth:`_backward` (the live loss tensor here; the sharded
+        engine returns ``None`` and leaves the aggregated gradients in
+        the plane instead).
         """
+        self.optimizer.plane.adopt()
         loss = runner.forward(ctx.batch)
         ctx.loss_value = loss.item()
         return loss

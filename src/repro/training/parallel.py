@@ -14,9 +14,11 @@ engine is untouched and stays golden-pinned.)
 The robustness layer is :class:`WorkerSupervisor`:
 
 * **stateless workers** -- the parent holds the authoritative model and
-  optimizer.  Workers read parameters from one anonymous shared
-  mapping the parent refreshes once per step, so a task carries only
-  its shard, and a worker that dies forfeits nothing but one shard of
+  optimizer.  Workers read the parent's parameter plane (an anonymous
+  shared mapping) directly and write their shard's gradients into a
+  shared slot of their own, so a task carries only its shard, a reply
+  only a task id, a loss and the indices of parameters without a
+  gradient, and a worker that dies forfeits nothing but one shard of
   one step;
 * **heartbeats** -- a daemon thread in every worker beats on the pipe,
   letting the supervisor tell "stuck but alive" (a straggler, worth a
@@ -44,7 +46,6 @@ heartbeat-timeout detection.
 from __future__ import annotations
 
 import contextlib
-import mmap
 import multiprocessing as mp
 import os
 import pickle
@@ -63,6 +64,7 @@ from repro.data.dataset import Batch
 from repro.data.stream import as_source, shard_batch
 from repro.models.base import MultiTaskModel
 from repro.nn.embedding import trusted_indices
+from repro.optim.plane import ParamPlane, shared_zeros
 from repro.reliability.errors import WorkerPoolError
 from repro.reliability.faults import (
     WORKER_HANG,
@@ -113,7 +115,8 @@ def reseed_module_rngs(
 
 def compute_shard_gradients(
     runner: PlanRunner,
-    params: Sequence[Any],
+    plane: ParamPlane,
+    views: Sequence[np.ndarray],
     shard: Batch,
     rngs: Sequence[np.random.Generator],
     *,
@@ -121,25 +124,23 @@ def compute_shard_gradients(
     epoch: int,
     batch_index: int,
     shard_index: int,
-) -> Tuple[float, List[Any]]:
-    """Loss value and per-parameter gradients for one shard.
+) -> Tuple[float, List[int]]:
+    """Loss value of one shard, with its gradients left in ``views``.
 
     The single compute kernel of the parallel mode: workers call it
-    through the runner of their forked model copy, the serial sharded
-    path through the parent's runner, and because it is the same
-    function over the same bits the two venues agree exactly.
-    ``params`` is ``runner.model.parameters()``, taken once per fit by
-    the caller.  After a replayed step the returned arrays are the
-    plan's gradient buffers, which the runner's next replay rewrites in
-    place.
+    through the runner of their forked model copy (``views`` cut from
+    their gradient slot), the serial sharded path through the parent's
+    runner (the plane's own views), and because it is the same function
+    over the same bits the two venues agree exactly.  Also returns the
+    indices of parameters the shard left without a gradient.
     """
     reseed_module_rngs(rngs, seed, epoch, batch_index, shard_index)
-    for param in params:
+    for param in plane.params:
         param.zero_grad()
     loss = runner.forward(shard)
     value = loss.item()
     runner.backward(loss)
-    return value, [p.grad for p in params]
+    return value, plane.gather(views)
 
 
 def reduce_shard_losses(values: Sequence[float], sizes: Sequence[int]) -> float:
@@ -153,94 +154,66 @@ def reduce_shard_losses(values: Sequence[float], sizes: Sequence[int]) -> float:
     return acc
 
 
-def reduce_shard_grads(
-    shard_grads: Sequence[List[Any]], sizes: Sequence[int]
-) -> List[Any]:
-    """Row-weighted sum of per-shard gradient lists, in shard order.
+class ShardFold:
+    """Row-weighted sum of shard gradients into ``plane.grad``, in shard order.
 
-    The fold visits shards strictly by index (never by arrival order),
-    so the reduction is a pure function of the shard results -- the
-    deterministic seeded aggregation order.  A shard that left a
-    parameter untouched (``None`` grad) contributes nothing.  With a
-    single shard the gradients pass through untouched, keeping the
-    degenerate K=1 case bit-exact with the plain engine.
+    :meth:`accept` scales shard ``k``'s flat gradient into position ``k``
+    at once, because its source (a worker's slot, the plan's buffers) is
+    rewritten by that worker's next task or the runner's next replay.
+    :meth:`finish` sums the positions strictly by shard index, never by
+    arrival order: the deterministic left fold.  A shard without a
+    gradient for a parameter contributes nothing to it.  A single shard
+    passes through unscaled, keeping K=1 bit-exact with the plain engine.
     """
-    if len(shard_grads) == 1:
-        return list(shard_grads[0])
-    total = float(sum(sizes))
-    reduced: List[Any] = []
-    for param_index in range(len(shard_grads[0])):
-        acc: Any = None
-        for shard_index, grads in enumerate(shard_grads):
-            grad = grads[param_index]
-            if grad is None:
+
+    def __init__(self, plane: ParamPlane) -> None:
+        self.plane = plane
+        self._parts: List[np.ndarray] = []
+
+    def begin(self, sizes: Sequence[int]) -> None:
+        self._sizes = list(sizes)
+        self._missing: List[Sequence[int]] = [()] * len(sizes)
+        while len(sizes) > 1 and len(self._parts) < len(sizes):
+            self._parts.append(np.empty(self.plane.size))
+
+    def accept(self, k: int, flat: np.ndarray, missing: Sequence[int]) -> None:
+        self._missing[k] = missing
+        if len(self._sizes) == 1:
+            if flat is not self.plane.grad:
+                np.copyto(self.plane.grad, flat)
+        else:
+            scale = self._sizes[k] / float(sum(self._sizes))
+            np.multiply(flat, scale, out=self._parts[k])
+
+    def finish(self) -> List[int]:
+        """Fold; returns the indices of parameters no shard has a gradient for."""
+        n, grad = len(self._sizes), self.plane.grad
+        if n == 1:
+            return list(self._missing[0])
+        parts = self._parts[:n]
+        np.add(parts[0], parts[1], out=grad)
+        for part in parts[2:]:
+            grad += part
+        absent = []
+        for i in sorted(set().union(*self._missing)):
+            # Re-fold this parameter over the shards that have it.
+            span = self.plane.slices[i]
+            have = [p[span] for p, m in zip(parts, self._missing) if i not in m]
+            if not have:
+                absent.append(i)
                 continue
-            scaled = grad * (sizes[shard_index] / total)
-            if acc is None:
-                acc = scaled
-            else:
-                acc += scaled
-        reduced.append(acc)
-    return reduced
+            grad[span] = have[0]
+            for part in have[1:]:
+                grad[span] += part
+        return absent
 
 
-# ----------------------------------------------------------------------
-# Shared parameters: one anonymous mapping, published once per step.
-# ----------------------------------------------------------------------
-class _SharedParameters:
-    """Every parameter's bytes in one anonymous shared mapping.
-
-    Created before the pool forks, so parent and workers map the same
-    pages without a name, a ``/dev/shm`` entry or a resource tracker.
-    The mapping holds one float64 view per parameter in
-    ``model.parameters()`` order; each worker binds its parameters to
-    read-only views once, and the parent copies its live arrays in
-    with :meth:`publish`.
-
-    The invariant that keeps pool runs bit-exact: the parent writes the
-    mapping only between steps (once per step, before the first
-    dispatch, never on a re-shard retry), and it accepts only results
-    of tasks sent after that step's publish.  A straggler still busy
-    with an older task may read a later step's bytes, but its result
-    arrives under a task id that is no longer pending and is dropped.
-    """
-
-    def __init__(self, params: Sequence[Any]) -> None:
-        self.params = list(params)
-        offsets, end = [], 0
-        for param in self.params:
-            offsets.append(end)
-            # Each view starts on a cache-line (64-byte) boundary.
-            end += -(-param.data.nbytes // 64) * 64
-        self._buffer = mmap.mmap(-1, max(end, 1))
-        self.views = [
-            np.frombuffer(
-                self._buffer, np.float64, param.data.size, offset
-            ).reshape(param.data.shape)
-            for param, offset in zip(self.params, offsets)
-        ]
-
-    def publish(self) -> None:
-        """Copy the parent's current parameter arrays into the mapping.
-
-        Reads ``param.data`` afresh, so an array rebound mid-fit (a
-        restore, a callback) is what the workers see next.
-        """
-        for param, view in zip(self.params, self.views):
-            if param.data.shape != view.shape:
-                raise WorkerPoolError(
-                    f"parameter {param.name or '?'} changed shape from "
-                    f"{view.shape} to {param.data.shape} while the pool "
-                    "was running; restart the fit to re-map it"
-                )
-            np.copyto(view, param.data)
-
-    def bind_readonly(self, params: Sequence[Any]) -> None:
-        """Worker side: point every ``param.data`` at its mapped bytes."""
-        for param, view in zip(params, self.views):
-            readonly = view.view()
-            readonly.flags.writeable = False
-            param.data = readonly
+def _bind_readonly(plane: ParamPlane) -> None:
+    """Worker side: point every ``param.data`` at a read-only plane view."""
+    for param, view in zip(plane.params, plane.data_views):
+        readonly = view.view()
+        readonly.flags.writeable = False
+        param.data = readonly
 
 
 def _send_task(conn, msg: Tuple[Any, ...]) -> int:
@@ -266,23 +239,29 @@ def _worker_main(
     conn,
     slot: int,
     model: MultiTaskModel,
-    shared: _SharedParameters,
+    plane: ParamPlane,
+    grads: np.ndarray,
     config: TrainConfig,
 ) -> None:
     """Forked worker: receive tasks, compute shard gradients, reply.
 
     Workers are stateless between tasks: their parameters are
-    read-only views of the shared mapping, which the parent refreshes
-    before each step's dispatches, so a task carries only its shard and
-    the parent never has to resynchronise a survivor after a loss (its
-    plan runner holds kernels and buffers, never training state).  The
-    heartbeat thread shares the pipe under a lock; any traffic (beat or
-    result) proves liveness to the supervisor.
+    read-only views of the parent's plane, so a task carries only its
+    shard and the parent never has to resynchronise a survivor after a
+    loss (its plan runner holds kernels and buffers, never training
+    state).  Gradients land in ``grads``, this worker's shared slot; the
+    reply says which task they belong to.  The heartbeat thread shares
+    the pipe under a lock; any traffic (beat or result) proves liveness
+    to the supervisor.
     """
-    params = model.parameters()
-    shared.bind_readonly(params)
+    _bind_readonly(plane)
+    views = plane.views(grads)
     rngs = collect_module_rngs(model)
-    runner = PlanRunner(model, expected_batch_size=plan_rows(config))
+    runner = PlanRunner(
+        model,
+        expected_batch_size=plan_rows(config),
+        grad_buffers=plane.grad_buffers(views),
+    )
     lock = threading.Lock()
     stop = threading.Event()
     threading.Thread(
@@ -307,9 +286,10 @@ def _worker_main(
                 time.sleep(fault)
             seed, epoch, batch_index = step_key
             try:
-                value, grads = compute_shard_gradients(
+                value, missing = compute_shard_gradients(
                     runner,
-                    params,
+                    plane,
+                    views,
                     shard,
                     rngs,
                     seed=seed,
@@ -317,7 +297,7 @@ def _worker_main(
                     batch_index=batch_index,
                     shard_index=shard_index,
                 )
-                reply = ("result", task_id, value, grads)
+                reply = ("result", task_id, value, missing)
             except Exception as exc:  # surfaced as a worker_error loss
                 reply = ("error", task_id, f"{type(exc).__name__}: {exc}")
             try:
@@ -376,29 +356,24 @@ class WorkerPoolStats:
     bytes_received: int = 0
 
 
-@dataclass
-class StepResult:
-    """One aggregated optimizer step's worth of gradients."""
-
-    loss_value: float
-    grads: List[Any]
-    n_shards: int
-
-
 def _spawn_workers(
-    model: MultiTaskModel, config: TrainConfig, n_workers: int, clock
-) -> Tuple[List[_WorkerHandle], _SharedParameters]:
+    model: MultiTaskModel,
+    config: TrainConfig,
+    n_workers: int,
+    clock,
+    plane: ParamPlane,
+) -> Tuple[List[_WorkerHandle], np.ndarray]:
     """Fork ``n_workers`` shard-compute processes, one duplex pipe each.
 
-    The shared parameter mapping is created first, so every worker
-    inherits it through the fork.
+    One shared gradient slot per worker is mapped first, so each worker
+    inherits its slot and the parameter plane through the fork.
     """
     if "fork" not in mp.get_all_start_methods():
         raise WorkerPoolError(
             "data-parallel training requires the 'fork' start method"
         )
     ctx = mp.get_context("fork")
-    shared = _SharedParameters(model.parameters())
+    slots = shared_zeros(n_workers * plane.size).reshape(n_workers, plane.size)
     handles: List[_WorkerHandle] = []
     for slot in range(n_workers):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -408,7 +383,8 @@ def _spawn_workers(
                 child_conn,
                 slot,
                 model,
-                shared,
+                plane,
+                slots[slot],
                 config,
             ),
             name=f"trainer-worker-{slot}",
@@ -417,7 +393,7 @@ def _spawn_workers(
         process.start()
         child_conn.close()
         handles.append(_WorkerHandle(slot, process, parent_conn, clock))
-    return handles, shared
+    return handles, slots
 
 
 def _stop_workers(handles: Sequence[_WorkerHandle]) -> None:
@@ -463,12 +439,18 @@ class WorkerSupervisor:
     single-process fallback (or a hard abort).  Transcript lines carry
     only ``(epoch, batch, step)`` positions and schedule-driven facts,
     never wall-clock readings, so same-seed drills are bit-identical.
+
+    Workers read ``plane`` (the optimizer's parameter plane); the
+    step's gradient comes back in ``plane.grad``.  A worker's gradient
+    slot is read only for a pending task id, and consumed before that
+    worker's next dispatch (DESIGN.md section 7).
     """
 
     def __init__(
         self,
         model: MultiTaskModel,
         config: TrainConfig,
+        plane: ParamPlane,
         *,
         fault_schedule: Sequence[WorkerFault] = (),
         clock=time.monotonic,
@@ -478,6 +460,7 @@ class WorkerSupervisor:
             raise ValueError("WorkerSupervisor needs config.num_workers set")
         self.model = model
         self.config = config
+        self.plane = plane
         self.fault_schedule = list(fault_schedule)
         self._announced_faults: set = set()
         self._rng = np.random.default_rng(
@@ -489,7 +472,8 @@ class WorkerSupervisor:
         self.events: List[GuardEvent] = []
         self.stats = WorkerPoolStats()
         self.workers: List[_WorkerHandle] = []
-        self._shared: Optional[_SharedParameters] = None
+        self._slots: Optional[np.ndarray] = None
+        self._fold = ShardFold(plane)
         self.current_shards = config.effective_shards
         self.step = 0
         self._current_step = 0
@@ -507,8 +491,8 @@ class WorkerSupervisor:
     def start(self) -> None:
         if self._started:
             return
-        self.workers, self._shared = _spawn_workers(
-            self.model, self.config, self.config.num_workers, self._clock
+        self.workers, self._slots = _spawn_workers(
+            self.model, self.config, self.config.num_workers, self._clock, self.plane
         )
         self._started = True
         log_event(logger, "worker_pool_started", workers=len(self.workers))
@@ -518,7 +502,7 @@ class WorkerSupervisor:
             return
         self.final_live = self.n_live
         _stop_workers(self.workers)
-        self._shared = None
+        self._slots = None
         self._started = False
         log_event(logger, "worker_pool_stopped", lost=self.stats.workers_lost)
 
@@ -530,8 +514,13 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     def compute_step(
         self, batch: Batch, epoch: int, batch_index: int
-    ) -> StepResult:
-        """One batch -> one deterministic aggregated gradient."""
+    ) -> Tuple[float, List[int]]:
+        """One batch -> its loss and one deterministic gradient in ``plane.grad``.
+
+        Also returns the indices of parameters without a gradient.  A
+        ``param.data`` rebound since the last step is adopted into the
+        plane before the first dispatch (never on a re-shard retry).
+        """
         if not self._started:
             raise WorkerPoolError("worker pool is not running")
         step = self.step
@@ -539,22 +528,23 @@ class WorkerSupervisor:
         self._current_step = step
         self._sweep_stuck(epoch, batch_index)
         self._apply_faults(epoch, batch_index, step)
-        self._shared.publish()
+        try:
+            self.plane.adopt()
+        except ValueError as exc:
+            raise WorkerPoolError(
+                f"{exc} while the pool was running; restart the fit to re-map it"
+            ) from exc
         while True:
             self._require_quorum(epoch, batch_index)
             shards = shard_batch(batch, self.current_shards)
             sizes = [s.size for s in shards]
+            self._fold.begin(sizes)
             try:
-                results = self._run_shards(shards, epoch, batch_index, step)
+                values = self._run_shards(shards, epoch, batch_index, step)
             except _StepAbandoned:
                 continue
-            values = [results[i][0] for i in range(len(shards))]
-            grads = [results[i][1] for i in range(len(shards))]
-            return StepResult(
-                reduce_shard_losses(values, sizes),
-                reduce_shard_grads(grads, sizes),
-                len(shards),
-            )
+            losses = [values[i] for i in range(len(shards))]
+            return reduce_shard_losses(losses, sizes), self._fold.finish()
 
     # -- bookkeeping ----------------------------------------------------
     def _record(
@@ -689,10 +679,11 @@ class WorkerSupervisor:
     # -- the work-queue scheduler ---------------------------------------
     def _run_shards(
         self, shards: List[Batch], epoch: int, batch: int, step: int
-    ) -> Dict[int, Tuple[float, List[Any]]]:
+    ) -> Dict[int, float]:
+        """Shard index -> loss; each gradient is accepted into the fold."""
         queue: deque = deque(range(len(shards)))
         pending: Dict[int, Tuple[int, _WorkerHandle, Deadline]] = {}
-        results: Dict[int, Tuple[float, List[Any]]] = {}
+        results: Dict[int, float] = {}
         stall = Deadline(self.config.worker_deadline_s, self._clock)
         while len(results) < len(shards):
             if self._dispatch_wave(queue, pending, shards, epoch, batch, step):
@@ -785,12 +776,15 @@ class WorkerSupervisor:
         if kind == "hb":
             return False
         if kind == "result":
-            _, task_id, value, grads = msg
+            _, task_id, value, missing = msg
             handle.inflight = max(handle.inflight - 1, 0)
             handle.strikes = 0
             if task_id in pending:
+                # The slot holds this task's gradients until the worker's
+                # next dispatch, which cannot precede this call.
                 shard_index, _, _ = pending.pop(task_id)
-                results[shard_index] = (value, grads)
+                self._fold.accept(shard_index, self._slots[handle.slot], missing)
+                results[shard_index] = value
                 self.stats.results += 1
             else:
                 self.stats.stale_results += 1
@@ -937,7 +931,9 @@ class ShardedTrainingEngine(TrainingEngine):
         self.fault_schedule = list(fault_schedule)
         self.supervisor: Optional[WorkerSupervisor] = None
         self._fallback = False
-        self._pending_grads: Optional[List[Any]] = None
+        #: Parameters the pending step has no gradient for.
+        self._missing: List[int] = []
+        self._fold = ShardFold(self.optimizer.plane)
         self._current_shards = config.effective_shards
         self._module_rngs: List[np.random.Generator] = []
 
@@ -978,11 +974,14 @@ class ShardedTrainingEngine(TrainingEngine):
     def _enter_fit(self, ctx: TrainingContext, stack) -> None:
         self._module_rngs = collect_module_rngs(self.model)
         self._fallback = False
-        self._pending_grads = None
+        self._missing = []
         self._current_shards = self.config.effective_shards
         if self.config.num_workers is not None:
             self.supervisor = WorkerSupervisor(
-                self.model, self.config, fault_schedule=self.fault_schedule
+                self.model,
+                self.config,
+                self.optimizer.plane,
+                fault_schedule=self.fault_schedule,
             )
             self.supervisor.start()
             # Teardown rides the fit's ExitStack: the pool dies with the
@@ -992,7 +991,7 @@ class ShardedTrainingEngine(TrainingEngine):
     def _forward(self, ctx: TrainingContext, runner: PlanRunner) -> None:
         if self.supervisor is not None and not self._fallback:
             try:
-                result = self.supervisor.compute_step(
+                ctx.loss_value, self._missing = self.supervisor.compute_step(
                     ctx.batch, ctx.epoch, ctx.batch_index
                 )
             except WorkerPoolError:
@@ -1019,30 +1018,30 @@ class ShardedTrainingEngine(TrainingEngine):
             else:
                 self._current_shards = self.supervisor.current_shards
                 ctx.history.events.extend(self.supervisor.drain_events())
-                ctx.loss_value = result.loss_value
-                self._pending_grads = result.grads
                 return None
-        value, grads = self._serial_step(ctx, runner)
-        ctx.loss_value = value
-        self._pending_grads = grads
+        ctx.loss_value, self._missing = self._serial_step(ctx, runner)
         return None
 
     def _serial_step(
         self, ctx: TrainingContext, runner: PlanRunner
-    ) -> Tuple[float, List[Any]]:
-        """The in-process sharded step: the pool's bit-exact reference."""
+    ) -> Tuple[float, List[int]]:
+        """The in-process sharded step: the pool's bit-exact reference.
+
+        The runner's replays write into ``plane.grad``, so each shard is
+        accepted into the fold before the next shard's replay rewrites
+        it -- the same fold the pool uses on its worker slots.
+        """
+        plane = self.optimizer.plane
+        plane.adopt()
         shards = shard_batch(ctx.batch, self._current_shards)
         sizes = [shard.size for shard in shards]
+        self._fold.begin(sizes)
         values: List[float] = []
-        grads: List[List[Any]] = []
         for shard_index, shard in enumerate(shards):
-            if grads:
-                # This shard's replay rewrites the plan's gradient
-                # buffers that the previous shard's results live in.
-                grads[-1] = [g if g is None else g.copy() for g in grads[-1]]
-            value, shard_grads = compute_shard_gradients(
+            value, missing = compute_shard_gradients(
                 runner,
-                self._params,
+                plane,
+                plane.grad_views,
                 shard,
                 self._module_rngs,
                 seed=self.config.seed,
@@ -1050,18 +1049,14 @@ class ShardedTrainingEngine(TrainingEngine):
                 batch_index=ctx.batch_index,
                 shard_index=shard_index,
             )
+            self._fold.accept(shard_index, plane.grad, missing)
             values.append(value)
-            grads.append(shard_grads)
-        return (
-            reduce_shard_losses(values, sizes),
-            reduce_shard_grads(grads, sizes),
-        )
+        return reduce_shard_losses(values, sizes), self._fold.finish()
 
     def _backward(self, ctx: TrainingContext, runner: PlanRunner, loss) -> None:
-        self.optimizer.zero_grad()
-        for param, grad in zip(self._params, self._pending_grads):
-            param.grad = grad
-        self._pending_grads = None
+        plane = self.optimizer.plane
+        for i, (param, view) in enumerate(zip(plane.params, plane.grad_views)):
+            param.grad = None if i in self._missing else view
 
 
 # ----------------------------------------------------------------------

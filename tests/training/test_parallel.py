@@ -20,6 +20,8 @@ import pytest
 from repro.data import load_scenario
 from repro.data.stream import as_source, shard_batch, shard_sizes
 from repro.models import ModelConfig, build_model
+from repro.nn.module import Parameter
+from repro.optim import ParamPlane
 from repro.reliability import (
     TrainerFaultSpec,
     WorkerFault,
@@ -32,8 +34,9 @@ from repro.training import TrainConfig, TrainingEngine, create_engine
 from repro.training.callbacks import Callback, CheckpointCallback
 from repro.training.parallel import (
     ShardedTrainingEngine,
-    _SharedParameters,
-    reduce_shard_grads,
+    ShardFold,
+    WorkerSupervisor,
+    _bind_readonly,
     reduce_shard_losses,
 )
 
@@ -110,9 +113,60 @@ class TestShardSplit:
         assert reduce_shard_losses([5.0], [17]) == 5.0
 
     def test_reduce_grads_singleton_passthrough(self):
-        g = np.arange(6.0).reshape(2, 3)
-        (out,) = reduce_shard_grads([[g]], [4])
-        assert out is g  # K=1 must not even touch the arrays
+        plane = ParamPlane([Parameter(np.zeros((2, 3)))])
+        slot = np.zeros(plane.size)
+        slot[:6] = np.arange(6.0) / 3.0
+        fold = ShardFold(plane)
+        fold.begin([4])
+        fold.accept(0, slot, [])
+        assert fold.finish() == []
+        # K=1 copies the gradient unscaled: not even a multiply by 1.0.
+        assert plane.grad.tobytes() == slot.tobytes()
+        plane.grad[:] = 7.0
+        fold.begin([4])
+        fold.accept(0, plane.grad, [0])
+        assert fold.finish() == [0]
+        assert np.all(plane.grad == 7.0)
+
+    def test_fold_matches_per_parameter_left_fold(self):
+        """Whole-buffer fold == the per-parameter, shard-ordered left
+        fold (skipping shards without a gradient), bit for bit, with
+        results accepted out of shard order."""
+        rng = np.random.default_rng(5)
+        shapes = [(4, 3), (5,), (2, 2)]
+        plane = ParamPlane([Parameter(np.zeros(s)) for s in shapes])
+        sizes = [3, 5, 2]
+        grads = [[rng.normal(size=s) for s in shapes] for _ in sizes]
+        missing = [[1], [], [1, 2]]
+        for k, i in ((0, 1), (2, 1), (2, 2)):
+            grads[k][i] = None
+        slots = []
+        for shard in grads:
+            slot = np.zeros(plane.size)
+            for view, g in zip(plane.views(slot), shard):
+                if g is None:
+                    view[...] = np.nan  # stale bytes must not leak in
+                else:
+                    view[...] = g
+            slots.append(slot)
+        fold = ShardFold(plane)
+        fold.begin(sizes)
+        for k in (2, 0, 1):
+            fold.accept(k, slots[k], missing[k])
+        assert fold.finish() == []
+
+        total = float(sum(sizes))
+        for i, view in enumerate(plane.grad_views):
+            acc = None
+            for k, shard in enumerate(grads):
+                if shard[i] is None:
+                    continue
+                scaled = shard[i] * (sizes[k] / total)
+                if acc is None:
+                    acc = scaled
+                else:
+                    acc += scaled
+            assert view.tobytes() == acc.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -263,10 +317,10 @@ class _PauseEachBatch(Callback):
             time.sleep(self.seconds)
 
 
-def _report_worker_view(conn, model, shared):
+def _report_worker_view(conn, model, plane):
     """Forked child: bind like a pool worker, wait, report what it sees."""
     params = model.parameters()
-    shared.bind_readonly(params)
+    _bind_readonly(plane)
     conn.recv()
     try:
         params[0].data[...] = 0.0
@@ -278,7 +332,7 @@ def _report_worker_view(conn, model, shared):
             [bool(p.data.flags.writeable) for p in params],
             [
                 bool(np.shares_memory(p.data, v))
-                for p, v in zip(params, shared.views)
+                for p, v in zip(params, plane.data_views)
             ],
             wrote,
             param_digest(model),
@@ -290,20 +344,22 @@ class TestSharedParameters:
     def test_worker_reads_readonly_views_of_the_published_mapping(
         self, world
     ):
+        """The mapping is the parent's parameter plane: a rebind the
+        parent adopts after the fork is what the worker reads."""
         train, _ = world
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
-        shared = _SharedParameters(model.parameters())
+        plane = ParamPlane(model.parameters())
         ctx = mp.get_context("fork")
         parent_conn, child_conn = ctx.Pipe()
         child = ctx.Process(
-            target=_report_worker_view, args=(child_conn, model, shared)
+            target=_report_worker_view, args=(child_conn, model, plane)
         )
         child.start()
         try:
             # Rebind after the fork: only the mapping can carry it over.
             for param in model.parameters():
                 param.data = param.data + 1.0
-            shared.publish()
+            plane.adopt()
             parent_conn.send("go")
             assert parent_conn.poll(30)
             writeable, shares, wrote, digest = parent_conn.recv()
@@ -319,13 +375,26 @@ class TestSharedParameters:
         assert digest == param_digest(model)
 
     def test_publish_rejects_a_reshaped_parameter(self, world):
+        """A step adopts rebound arrays into the plane before it
+        dispatches; a reshaped one cannot be, and nothing is sent."""
         train, _ = world
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
-        shared = _SharedParameters(model.parameters())
-        first = model.parameters()[0]
-        first.data = np.zeros((first.data.shape[0] + 1,) + first.data.shape[1:])
-        with pytest.raises(WorkerPoolError, match="changed shape"):
-            shared.publish()
+        config = make_config(num_workers=1)
+        supervisor = WorkerSupervisor(
+            model, config, ParamPlane(model.parameters())
+        )
+        supervisor.start()
+        try:
+            first = model.parameters()[0]
+            first.data = np.zeros(
+                (first.data.shape[0] + 1,) + first.data.shape[1:]
+            )
+            batch = as_source(train).sample_batch(64)
+            with pytest.raises(WorkerPoolError, match="changed shape"):
+                supervisor.compute_step(batch, 0, 0)
+            assert supervisor.stats.dispatches == 0
+        finally:
+            supervisor.stop()
 
     # Four workers outnumber the cores of a small CI box, so workers
     # race each other and the parent's publish for CPU time.
@@ -346,6 +415,24 @@ class TestSharedParameters:
         assert pooled_history.epoch_losses == serial_history.epoch_losses
         assert param_digest(pooled) == param_digest(serial)
         assert param_digest(pooled) != param_digest(untouched)
+
+    @pytest.mark.parametrize("overrides", [{}, {"num_shards": 2}])
+    def test_rebind_mid_fit_is_adopted_without_a_retrace_per_step(
+        self, world, overrides
+    ):
+        """The plane copies a rebound array in before the next forward
+        and points ``param.data`` back at the same view, so the plan
+        keeps replaying."""
+        train, _ = world
+        model = build_model("dcmt", train.schema, MODEL_CONFIG)
+        engine = create_engine(model, make_config(**overrides))
+        engine.fit(train, callbacks=[_RebindAtEpochOne()])
+        stats = engine.plan_runner.stats
+        assert stats.retraces <= 1 and stats.traces <= 2
+        plane = engine.optimizer.plane
+        assert all(
+            p.data is view for p, view in zip(plane.params, plane.data_views)
+        )
 
     def test_stale_result_after_next_publish_is_dropped(self, world):
         """A straggler that wakes after the next step's publish computes
@@ -403,7 +490,9 @@ class TestSharedParameters:
         supervisor = engine.supervisor
         assert supervisor.step > 0
         assert supervisor.stats.bytes_sent / supervisor.step < params_bytes
-        assert supervisor.stats.bytes_received > 0
+        # Gradients come back through the shared slots: a reply is a
+        # task id, a loss and the indices of missing gradients.
+        assert 0 < supervisor.stats.bytes_received / supervisor.step < 1024
 
 
 # ----------------------------------------------------------------------

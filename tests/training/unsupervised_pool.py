@@ -1,6 +1,6 @@
 """The unsupervised worker pool: the strawman of the trainer chaos drill.
 
-Same forked workers and shared parameter mapping as
+Same forked workers, parameter plane and gradient slots as
 :class:`~repro.training.parallel.WorkerSupervisor`, with none of its
 supervision: blocking sends, blocking per-worker collects, no
 heartbeats, deadlines, re-dispatch or degradation.  One SIGKILL aborts
@@ -13,11 +13,12 @@ import contextlib
 import os
 import signal
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.data.dataset import Batch
 from repro.data.stream import shard_batch
 from repro.models.base import MultiTaskModel
+from repro.optim import ParamPlane
 from repro.reliability.errors import WorkerPoolError
 from repro.reliability.faults import (
     WORKER_HANG,
@@ -28,13 +29,11 @@ from repro.reliability.faults import (
 from repro.reliability.timeouts import Deadline
 from repro.training.config import TrainConfig
 from repro.training.parallel import (
-    StepResult,
+    ShardFold,
     _send_task,
-    _SharedParameters,
     _spawn_workers,
     _stop_workers,
     _WorkerHandle,
-    reduce_shard_grads,
     reduce_shard_losses,
 )
 
@@ -67,15 +66,18 @@ class UnsupervisedWorkerPool:
         self.fault_schedule = list(fault_schedule)
         self.watchdog_s = watchdog_s
         self.workers: List[_WorkerHandle] = []
-        self._shared: Optional[_SharedParameters] = None
+        self.plane = ParamPlane(model.parameters())
+        self._fold = ShardFold(self.plane)
+        self._slots = None
         self.step = 0
         self._started = False
 
     def start(self) -> None:
         if self._started:
             return
-        self.workers, self._shared = _spawn_workers(
-            self.model, self.config, self.config.num_workers, time.monotonic
+        self.workers, self._slots = _spawn_workers(
+            self.model, self.config, self.config.num_workers, time.monotonic,
+            self.plane,
         )
         self._started = True
 
@@ -83,7 +85,7 @@ class UnsupervisedWorkerPool:
         if not self._started:
             return
         _stop_workers(self.workers)
-        self._shared = None
+        self._slots = None
         self._started = False
 
     def _fault_payload(self, slot: int, step: int):
@@ -97,7 +99,7 @@ class UnsupervisedWorkerPool:
 
     def compute_step(
         self, batch: Batch, epoch: int, batch_index: int
-    ) -> StepResult:
+    ) -> Tuple[float, List[int]]:
         if not self._started:
             raise WorkerPoolError("worker pool is not running")
         step = self.step
@@ -113,7 +115,8 @@ class UnsupervisedWorkerPool:
                     os.kill(handle.process.pid, signal.SIGKILL)
         shards = shard_batch(batch, len(self.workers))
         sizes = [shard.size for shard in shards]
-        self._shared.publish()
+        self.plane.adopt()
+        self._fold.begin(sizes)
         for shard_index, shard in enumerate(shards):
             handle = self.workers[shard_index]
             try:
@@ -133,7 +136,7 @@ class UnsupervisedWorkerPool:
                     f"{handle.name} died; the unsupervised pool has no "
                     "survivor re-dispatch and cannot recover"
                 ) from exc
-        results: Dict[int, Tuple[float, List[Any]]] = {}
+        results: Dict[int, float] = {}
         watchdog = (
             Deadline(self.watchdog_s, time.monotonic)
             if self.watchdog_s is not None
@@ -159,12 +162,8 @@ class UnsupervisedWorkerPool:
                     continue
                 if msg[0] == "error":
                     raise WorkerPoolError(f"{handle.name} failed: {msg[2]}")
-                _, task_id, value, grads = msg
-                results[task_id] = (value, grads)
-        values = [results[i][0] for i in range(len(shards))]
-        grads = [results[i][1] for i in range(len(shards))]
-        return StepResult(
-            reduce_shard_losses(values, sizes),
-            reduce_shard_grads(grads, sizes),
-            len(shards),
-        )
+                _, task_id, value, missing = msg
+                self._fold.accept(task_id, self._slots[handle.slot], missing)
+                results[task_id] = value
+        values = [results[i] for i in range(len(shards))]
+        return reduce_shard_losses(values, sizes), self._fold.finish()
