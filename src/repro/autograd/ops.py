@@ -391,7 +391,7 @@ def take_rows(table: ArrayLike, indices: np.ndarray) -> Tensor:
     """
     table = _as_tensor(table)
     idx = indices.data if isinstance(indices, Tensor) else np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
+    if idx.dtype.kind not in "iu":
         raise TypeError(f"indices must be integers, got {idx.dtype}")
     if _planmode._REPLAY is not None:
         return _planmode._REPLAY.run("take_rows", (table, idx), ())

@@ -445,7 +445,9 @@ class ModelRegistry:
 
         ``factory`` builds an architecture-compatible empty model; the
         loaded parameters are digest-checked against the manifest entry,
-        so the returned model is bit-exactly the published one.
+        so the returned model is bit-exactly the published one.  It is
+        returned in eval mode: a published artifact, not a fit in
+        progress (a fit switches it to training mode on entry).
         """
         entry = self.get(version)
         model = factory()
@@ -456,7 +458,7 @@ class ModelRegistry:
                 f"loaded parameters for {version} hash to {actual}, "
                 f"manifest records {entry.params_digest}"
             )
-        return model
+        return model.eval()
 
     def load_champion(
         self, factory: Callable[[], MultiTaskModel]

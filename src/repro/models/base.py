@@ -79,9 +79,15 @@ class MultiTaskModel(Module):
 
     # ------------------------------------------------------------------
     def predict(self, batch: Batch) -> Predictions:
-        """Inference without graph construction."""
+        """Inference without graph construction.
+
+        Outside a fit a model is in eval mode, so this flips modes only
+        for a training-mode model, restoring training mode afterwards;
+        an eval-mode model is scored without walking its module tree.
+        """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with no_grad():
                 outputs = self.forward_tensors(batch)

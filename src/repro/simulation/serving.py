@@ -246,8 +246,10 @@ class RankingService:
         if objective not in ("ctcvr", "cvr", "ctr"):
             raise ValueError(f"unknown ranking objective {objective!r}")
         _validate_scoring_model(model, "model")
+        model.eval()
         if ctr_provider is not None:
             _validate_scoring_model(ctr_provider, "ctr_provider")
+            ctr_provider.eval()
         self.model = model
         self.scenario = scenario
         self.page_size = page_size
@@ -290,9 +292,12 @@ class RankingService:
         cleared so the old model's prediction distribution cannot trip
         (or mask) drift on the new one.  Stats and health transitions
         are retained -- a swap is an event inside one serving timeline,
-        not a new service.
+        not a new service.  Like the constructor's, the incoming model
+        is put in eval mode once here, so served pages never switch
+        modes.
         """
         _validate_scoring_model(model, "model")
+        model.eval()
         self.model = model
         self.breaker.reset()
         if self.sentinel is not None:

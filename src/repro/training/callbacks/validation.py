@@ -43,4 +43,3 @@ class ValidationCallback(Callback):
                 ctx.stale += 1
                 if ctx.stale >= self.patience:
                     ctx.history.stopped_early = True
-        ctx.model.train()

@@ -63,6 +63,17 @@ class TestForwardValues:
         with pytest.raises(TypeError):
             ops.take_rows(Tensor(np.ones((2, 2))), np.array([0.5]))
 
+    @pytest.mark.parametrize("dtype", [bool, np.float32])
+    def test_take_rows_rejects_non_integer_indices(self, dtype):
+        with pytest.raises(TypeError, match="indices must be integers"):
+            ops.take_rows(Tensor(np.ones((2, 2))), np.array([1, 0], dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.uint64])
+    def test_take_rows_accepts_signed_and_unsigned_indices(self, dtype):
+        table = np.arange(6.0).reshape(3, 2)
+        out = ops.take_rows(Tensor(table), np.array([2, 0], dtype=dtype))
+        np.testing.assert_array_equal(out.data, table[[2, 0]])
+
     def test_softmax_rows_sum_to_one(self):
         out = ops.softmax(Tensor(np.random.default_rng(0).normal(size=(5, 4))))
         assert np.allclose(out.data.sum(axis=1), 1.0)

@@ -1,6 +1,7 @@
 """ModelRegistry: content addressing, atomicity, lineage, rollback."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from repro.lifecycle import (
     param_digest,
 )
 from repro.reliability.errors import PromotionBlockedError, RegistryCorruptError
-from repro.training import TrainConfig
+from repro.training import TrainConfig, create_engine
+from repro.training.callbacks import Callback, ValidationCallback
 
 pytestmark = pytest.mark.lifecycle
 
@@ -162,6 +164,32 @@ class TestPromotionStateMachine:
         expected = trained_model.state_dict()
         for name, array in loaded.state_dict().items():
             np.testing.assert_array_equal(array, expected[name])
+
+    def test_load_model_returns_eval_mode_model(
+        self, registry, trained_model, factory, world, train_config
+    ):
+        """A published model loads in eval mode; a fit from it trains in
+        training mode and hands it back in eval mode."""
+        entry = registry.publish(trained_model)
+        loaded = registry.load_model(entry.version, factory)
+        assert not any(m.training for m in loaded.modules())
+
+        modes = []
+
+        class ModeProbe(Callback):
+            def on_batch_start(self, ctx):
+                modes.append(all(m.training for m in ctx.model.modules()))
+
+        # Two epochs, so the second runs after validation's predict.
+        train, test, _ = world
+        engine = create_engine(loaded, replace(train_config, epochs=2))
+        history = engine.fit(
+            train, validation=test, callbacks=[ValidationCallback(), ModeProbe()]
+        )
+        assert len(history.validation_cvr_auc) == 2
+        assert modes and all(modes)
+        assert engine.plan_runner.stats.replays > 0
+        assert not any(m.training for m in loaded.modules())
 
 
 class TestRollback:
