@@ -28,13 +28,15 @@ computed exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
 from repro.data.schema import FeatureSchema, paper_like_schema
+from repro.utils.numeric import stable_sigmoid
 
 
 @dataclass(frozen=True)
@@ -127,46 +129,147 @@ class ScenarioConfig:
         return replace(self, **kwargs)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+#: Bisection stops once the bracket ``[low, high]`` is narrower than this.
+_TOLERANCE = 1e-6
+#: Half-width of the Newton-centred bracket that two exact evaluations
+#: confirm before the bisection runs.
+_BRACKET = 1e-5
+#: Each confirming evaluation must clear the target by this much (rate
+#: units).  It is far above the worst-case gap between a computed rate
+#: and the exact weighted mean (about 50 ulp), so a midpoint outside a
+#: confirmed bracket compares with the target as its evaluation would.
+_MARGIN = 1e-12
+#: Newton steps allowed for the root estimate (4-6 usually converge).
+_NEWTON_STEPS = 8
+#: The bisection's search range for the intercept.
+_LOW, _HIGH = -30.0, 30.0
 
 
 def calibrate_intercept(
     logits: np.ndarray,
     target_rate: float,
     weights: Optional[np.ndarray] = None,
-    tolerance: float = 1e-6,
 ) -> float:
     """Find ``b`` such that ``mean_w sigmoid(logits + b) == target_rate``.
 
-    Monotone in ``b``, so plain bisection converges quickly.  ``weights``
+    The answer is the plain bisection on ``[-30, 30]`` down to a 1e-6
+    bracket, bit for bit.  A few safeguarded Newton steps first estimate
+    the root; when two exact evaluations confirm the target lies inside
+    ``root +- 1e-5`` (with :data:`_MARGIN` to spare), every bisection
+    midpoint outside that bracket is decided without evaluating it.
+    Otherwise (extreme targets, a root outside ``[-30, 30]``, negative or
+    non-finite weights) every midpoint is evaluated.  ``weights``
     (optional) restrict the average to a subpopulation, e.g. the click
     space when calibrating conversion rates.
     """
-    if weights is None:
-        weights = np.ones_like(logits)
-    total = weights.sum()
+    logits = np.asarray(logits, dtype=np.float64)
+    total = float(logits.size) if weights is None else weights.sum()
     if total <= 0:
         raise ValueError("calibration weights sum to zero")
+    buf = np.empty_like(logits)
 
     def rate(b: float) -> float:
-        return float((weights * _sigmoid(logits + b)).sum() / total)
+        probs = stable_sigmoid(np.add(logits, b, out=buf), out=buf)
+        if weights is not None:
+            np.multiply(probs, weights, out=probs)
+        return float(probs.sum() / total)
 
-    low, high = -30.0, 30.0
+    below, above = _root_bracket(logits, target_rate, weights, total, rate)
+    low, high = _LOW, _HIGH
     for _ in range(200):
         mid = 0.5 * (low + high)
-        if rate(mid) < target_rate:
+        if mid <= below:
+            under = True
+        elif mid >= above:
+            under = False
+        else:
+            under = rate(mid) < target_rate
+        if under:
             low = mid
         else:
             high = mid
-        if high - low < tolerance:
+        if high - low < _TOLERANCE:
             break
     return 0.5 * (low + high)
+
+
+def _root_bracket(
+    logits: np.ndarray,
+    target_rate: float,
+    weights: Optional[np.ndarray],
+    total: float,
+    rate: Callable[[float], float],
+) -> Tuple[float, float]:
+    """``(below, above)`` with ``rate(b) < target`` for every ``b <= below``
+    and ``rate(b) >= target`` for every ``b >= above``.
+
+    Both bounds are exact claims about the computed ``rate``: the exact
+    weighted mean is monotone for non-negative weights, and the
+    confirming evaluations clear the target by :data:`_MARGIN`, more
+    than twice the computed rate's error.  ``(-inf, inf)`` when the
+    bracket cannot be confirmed; the bisection then evaluates every
+    midpoint.
+    """
+    unconfirmed = (-math.inf, math.inf)
+    if not 0.0 < target_rate < 1.0:
+        return unconfirmed
+    if weights is not None and not (
+        weights.min() >= 0 and 1e-200 < total < math.inf
+    ):
+        return unconfirmed
+    root = _newton_root(logits, target_rate, weights, total)
+    below, above = root - _BRACKET, root + _BRACKET
+    if rate(below) < target_rate - _MARGIN and rate(above) >= target_rate + _MARGIN:
+        return below, above
+    return unconfirmed
+
+
+def _newton_root(
+    logits: np.ndarray,
+    target_rate: float,
+    weights: Optional[np.ndarray],
+    total: float,
+) -> float:
+    """Safeguarded Newton estimate of the calibration root.
+
+    Newton runs on ``log(rate)`` (on ``log(1 - rate)`` for targets above
+    one half): near-linear in ``b`` on the side of small mass, so it
+    converges in a few steps even for wide logit spreads.  A step that
+    leaves the sign-change bracket is replaced by its midpoint.  Only an
+    estimate: :func:`_root_bracket` confirms it exactly.
+    """
+    upper = target_rate > 0.5
+    goal = math.log(1.0 - target_rate if upper else target_rate)
+    b = math.log(target_rate / (1.0 - target_rate)) - float(
+        np.average(logits, weights=weights)
+    )
+    if not _LOW < b < _HIGH:
+        b = 0.0
+    low, high = _LOW, _HIGH
+    probs = np.empty_like(logits)
+    slope = np.empty_like(logits)
+    for _ in range(_NEWTON_STEPS):
+        stable_sigmoid(np.add(logits, b, out=probs), out=probs)
+        np.subtract(1.0, probs, out=slope)
+        np.multiply(slope, probs, out=slope)
+        if weights is not None:
+            np.multiply(probs, weights, out=probs)
+            np.multiply(slope, weights, out=slope)
+        value = float(probs.sum() / total)
+        derivative = float(slope.sum() / total)
+        if value < target_rate:
+            low = b
+        else:
+            high = b
+        mass = 1.0 - value if upper else value
+        nxt = math.nan
+        if mass > 0 and derivative > 0:
+            step = (math.log(mass) - goal) * mass / derivative
+            if abs(step) < 1e-9:
+                return b
+            nxt = b + step if upper else b - step
+        b = nxt if low < nxt < high else 0.5 * (low + high)
+    return b
 
 
 def _quantile_edges(values: np.ndarray, n_buckets: int) -> np.ndarray:
@@ -229,13 +332,9 @@ class SyntheticScenario:
         popularity = ranks ** (-config.zipf_exponent)
         self.item_popularity = popularity / popularity.sum()
 
-        # Intercepts are calibrated lazily on a large probe sample, and
+        # Intercepts are calibrated on a large probe sample, and
         # feature-bucket edges are frozen on the same probe so training
         # and online-serving features share one discretisation.
-        self._rng = rng
-        self._ctr_intercept: Optional[float] = None
-        self._cvr_intercept: Optional[float] = None
-        self._bucket_edges: dict = {}
         self._calibrate()
 
         # Per-item conversion-delay scales (hours), drawn on a separate
@@ -273,69 +372,57 @@ class SyntheticScenario:
         """Latent click affinity (the signal behind the CTR logit)."""
         return np.sum(self.user_click[users] * self.item_click[items], axis=1)
 
-    def conversion_affinity(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Latent conversion affinity: a rho-mix of click affinity and an
-        independent component -- the MNAR correlation, pairwise exact."""
+    def _affinities(
+        self, users: np.ndarray, items: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(click, conversion)`` affinities from one click-affinity pass.
+
+        Conversion affinity is a rho-mix of click affinity and an
+        independent component -- the MNAR correlation, pairwise exact.
+        """
+        click = self.click_affinity(users, items)
         rho = self.config.bias_strength
         indep = np.sum(self.user_indep[users] * self.item_indep[items], axis=1)
-        return rho * self.click_affinity(users, items) + np.sqrt(1 - rho**2) * indep
+        return click, rho * click + np.sqrt(1 - rho**2) * indep
 
     def sample_hidden(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw the per-exposure hidden confounder ``h ~ N(0, 1)``."""
         return rng.normal(size=n)
 
-    def click_logit(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        positions: np.ndarray,
-        hidden: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Raw (uncalibrated) click logit for user-item-position triples.
-
-        ``hidden`` is the unobserved attention confounder; ``None``
-        evaluates at ``h = 0`` (the feature-conditional median).
-        """
+    # The raw (uncalibrated) logits take their affinities precomputed, so
+    # one affinity pass serves every logit of a probe or a log.  ``hidden``
+    # is the unobserved attention confounder; ``None`` evaluates at
+    # ``h = 0`` (the feature-conditional median).
+    def _click_logit(self, click, users, items, positions, hidden) -> np.ndarray:
+        """Click logit for user-item-position triples."""
         base = self.user_click_base[users] + self.item_click_base[items]
         pos_term = -self.config.position_bias * positions
-        logit = self.config.logit_scale * self.click_affinity(users, items) + base + pos_term
+        logit = self.config.logit_scale * click + base + pos_term
         if hidden is not None:
             logit = logit + self.config.hidden_confounder_click * hidden
         return logit
 
-    def conversion_logit(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        hidden: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Raw (uncalibrated) post-click conversion logit.
+    def _conversion_logit(self, conv, users, items, hidden) -> np.ndarray:
+        """Post-click conversion logit.
 
         Positions do not enter (conversion happens on the detail page,
         after the click), but the hidden attention confounder does --
         an attentive user both clicks more and converts more.
         """
         base = self.user_conv_base[users] + self.item_conv_base[items]
-        logit = self.config.logit_scale * self.conversion_affinity(users, items) + base
+        logit = self.config.logit_scale * conv + base
         if hidden is not None:
             logit = logit + self.config.hidden_confounder_conversion * hidden
         return logit
 
-    def action_logit(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        hidden: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Raw micro-action (cart/favourite) logit, post-click.
+    def _action_logit(self, click, conv, users, items, hidden) -> np.ndarray:
+        """Micro-action (cart/favourite) logit, post-click.
 
         Actions sit between click and conversion on the behaviour path,
         so their affinity mixes conversion affinity (dominant -- users
         cart what they will buy) with click affinity.
         """
-        affinity = 0.7 * self.conversion_affinity(users, items) + 0.3 * self.click_affinity(
-            users, items
-        )
+        affinity = 0.7 * conv + 0.3 * click
         base = 0.5 * (self.user_conv_base[users] + self.item_conv_base[items])
         logit = self.config.logit_scale * affinity + base
         if hidden is not None:
@@ -349,7 +436,9 @@ class SyntheticScenario:
         hidden: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """True post-click micro-action probability."""
-        return _sigmoid(self.action_logit(users, items, hidden) + self._action_intercept)
+        click, conv = self._affinities(users, items)
+        logit = self._action_logit(click, conv, users, items, hidden)
+        return stable_sigmoid(logit + self._action_intercept)
 
     def true_ctr(
         self,
@@ -359,9 +448,9 @@ class SyntheticScenario:
         hidden: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """True click propensity ``p(o=1 | x, h)`` (``h=0`` when omitted)."""
-        return _sigmoid(
-            self.click_logit(users, items, positions, hidden) + self._ctr_intercept
-        )
+        click = self.click_affinity(users, items)
+        logit = self._click_logit(click, users, items, positions, hidden)
+        return stable_sigmoid(logit + self._ctr_intercept)
 
     def true_cvr(
         self,
@@ -370,9 +459,9 @@ class SyntheticScenario:
         hidden: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """True post-click conversion probability ``p(r=1 | do(o=1), x, h)``."""
-        return _sigmoid(
-            self.conversion_logit(users, items, hidden) + self._cvr_intercept
-        )
+        _, conv = self._affinities(users, items)
+        logit = self._conversion_logit(conv, users, items, hidden)
+        return stable_sigmoid(logit + self._cvr_intercept)
 
     # ------------------------------------------------------------------
     # Delayed conversion feedback (oracle delay model)
@@ -413,34 +502,41 @@ class SyntheticScenario:
         return users, items, positions
 
     def _calibrate(self) -> None:
-        """Calibrate CTR and CVR intercepts on a probe exposure sample."""
-        rng = np.random.default_rng(self.config.seed + 101)
-        probe = max(50_000, self.config.n_train)
+        """Calibrate the intercepts and freeze the bucket edges on one
+        probe exposure sample.
+
+        Each probe quantity is computed once: both affinities feed the
+        three logits and the two affinity buckets.  The click propensity
+        overwrites the click logits and each later logit array replaces
+        the one before, so at most two probe-sized logit arrays are alive.
+        """
+        cfg = self.config
+        rng = np.random.default_rng(cfg.seed + 101)
+        probe = max(50_000, cfg.n_train)
         users, items, positions = self._sample_exposures(probe, rng)
         hidden = self.sample_hidden(probe, rng)
-        self._ctr_intercept = 0.0
-        ctr_logits = self.click_logit(users, items, positions, hidden)
-        self._ctr_intercept = calibrate_intercept(ctr_logits, self.config.target_ctr)
+        click, conv = self._affinities(users, items)
+        logits = self._click_logit(click, users, items, positions, hidden)
+        self._ctr_intercept = calibrate_intercept(logits, cfg.target_ctr)
         # Calibrate CVR *inside the click space*: weight each probe
         # exposure by its click propensity, which is the expected
         # click-space composition (this is where the hidden confounder
         # enters -- attentive exposures are over-represented in O).
-        click_propensity = _sigmoid(ctr_logits + self._ctr_intercept)
-        cvr_logits = self.conversion_logit(users, items, hidden)
+        np.add(logits, self._ctr_intercept, out=logits)
+        click_propensity = stable_sigmoid(logits, out=logits)
+        logits = self._conversion_logit(conv, users, items, hidden)
         self._cvr_intercept = calibrate_intercept(
-            cvr_logits, self.config.target_cvr_given_click, weights=click_propensity
+            logits, cfg.target_cvr_given_click, weights=click_propensity
         )
         self._action_intercept = 0.0
-        if self.config.include_micro_actions:
-            action_logits = self.action_logit(users, items, hidden)
+        if cfg.include_micro_actions:
+            logits = self._action_logit(click, conv, users, items, hidden)
             self._action_intercept = calibrate_intercept(
-                action_logits,
-                self.config.target_action_given_click,
-                weights=click_propensity,
+                logits, cfg.target_action_given_click, weights=click_propensity
             )
         # Freeze bucket edges on the probe population.
-        probe_rng = np.random.default_rng(self.config.seed + 202)
-        noise = self.config.affinity_noise
+        probe_rng = np.random.default_rng(cfg.seed + 202)
+        noise = cfg.affinity_noise
         self._bucket_edges = {
             "user_segment": _quantile_edges(self.user_click[users, 0], 16),
             "user_activity": _quantile_edges(self.user_click_base[users], 8),
@@ -449,14 +545,10 @@ class SyntheticScenario:
                 self.item_popularity[items] + 1e-12 * items, 8
             ),
             "click_affinity_bucket": _quantile_edges(
-                self.click_affinity(users, items)
-                + noise * probe_rng.normal(size=len(users)),
-                20,
+                click + noise * probe_rng.normal(size=probe), 20
             ),
             "conv_affinity_bucket": _quantile_edges(
-                self.conversion_affinity(users, items)
-                + noise * probe_rng.normal(size=len(users)),
-                20,
+                conv + noise * probe_rng.normal(size=probe), 20
             ),
         }
 
@@ -476,6 +568,14 @@ class SyntheticScenario:
         serving candidate lists; bucket edges are frozen at scenario
         construction so both paths share one discretisation.
         """
+        affinities = None
+        if self.config.include_wide_features:
+            affinities = self._affinities(users, items)
+        return self._features(users, items, positions, rng, affinities)
+
+    def _features(self, users, items, positions, rng, affinities):
+        """:meth:`features_for` with ``(click, conversion)`` affinities
+        precomputed (read only when wide features are on)."""
         cfg = self.config
         noise = cfg.affinity_noise
         edges = self._bucket_edges
@@ -499,23 +599,22 @@ class SyntheticScenario:
             "hour": rng.integers(0, 24, size=len(users)),
         }
         if cfg.include_wide_features:
+            click, conv = affinities
             sparse["click_affinity_bucket"] = _bucketize(
-                self.click_affinity(users, items)
-                + noise * rng.normal(size=len(users)),
+                click + noise * rng.normal(size=len(users)),
                 edges["click_affinity_bucket"],
             )
             sparse["conv_affinity_bucket"] = _bucketize(
-                self.conversion_affinity(users, items)
-                + noise * rng.normal(size=len(users)),
+                conv + noise * rng.normal(size=len(users)),
                 edges["conv_affinity_bucket"],
             )
         dense = {
             "user_hist_ctr": (
-                _sigmoid(self.user_click_base[users])
+                stable_sigmoid(self.user_click_base[users])
                 + 0.05 * rng.normal(size=len(users))
             ),
             "item_hist_cvr": (
-                _sigmoid(self.item_conv_base[items])
+                stable_sigmoid(self.item_conv_base[items])
                 + 0.05 * rng.normal(size=len(users))
             ),
         }
@@ -530,18 +629,23 @@ class SyntheticScenario:
         users, items, positions = self._sample_exposures(total, rng)
         hidden = self.sample_hidden(total, rng)
 
-        ctr = self.true_ctr(users, items, positions, hidden)
-        cvr = self.true_cvr(users, items, hidden)
+        click, conv = self._affinities(users, items)
+        ctr = self._click_logit(click, users, items, positions, hidden)
+        stable_sigmoid(np.add(ctr, self._ctr_intercept, out=ctr), out=ctr)
+        cvr = self._conversion_logit(conv, users, items, hidden)
+        stable_sigmoid(np.add(cvr, self._cvr_intercept, out=cvr), out=cvr)
         clicks = (rng.random(total) < ctr).astype(np.int64)
         potential = (rng.random(total) < cvr).astype(np.int64)
         observed = clicks * potential
 
         actions = None
         if cfg.include_micro_actions:
-            action_rate = self.true_action_rate(users, items, hidden)
+            action_rate = self._action_logit(click, conv, users, items, hidden)
+            np.add(action_rate, self._action_intercept, out=action_rate)
+            stable_sigmoid(action_rate, out=action_rate)
             actions = clicks * (rng.random(total) < action_rate).astype(np.int64)
 
-        sparse, dense = self.features_for(users, items, positions, rng)
+        sparse, dense = self._features(users, items, positions, rng, (click, conv))
 
         # Event timestamps ride a separate RNG stream (seed + 404) so
         # enabling delays leaves every other column bit-identical.

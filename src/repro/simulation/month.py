@@ -403,6 +403,26 @@ def _schema_with_item_vocab(schema: FeatureSchema, vocab: int) -> FeatureSchema:
 
 
 @dataclass
+class _ModelFactory:
+    """Builds a fresh model against the tenant's *current* serving schema.
+
+    After catalog churn grows ``schema``, registry loads and retrains
+    automatically target the grown vocabulary.  The lifecycle manager
+    and the fleet hold this object, not a bound ``_Tenant`` method: that
+    would close a tenant -> manager -> tenant cycle, which keeps a
+    finished month's worlds, fleets and models alive until a full
+    garbage collection instead of freeing them on the last reference.
+    """
+
+    model_name: str
+    schema: FeatureSchema
+    model_config: ModelConfig
+
+    def __call__(self):
+        return build_model(self.model_name, self.schema, self.model_config)
+
+
+@dataclass
 class _Tenant:
     """Everything one tenant carries through the month."""
 
@@ -412,14 +432,13 @@ class _Tenant:
     world_base: object  # ScenarioConfig with catalog headroom
     world: SyntheticScenario
     behavior: BehaviorSimulator
-    schema: FeatureSchema
+    factory: _ModelFactory
     vocab: int
     active_items: int
     registry: ModelRegistry
     manager: ModelLifecycleManager
     clock: _TickClock
     train_config: TrainConfig
-    model_config: ModelConfig
     calibration: CalibrationMonitor
     fleet: Optional[ServingFleet] = None
     drill: Optional[FleetChaosDrill] = None
@@ -437,17 +456,6 @@ class _Tenant:
     #: (rollback across a vocabulary growth is a shape mismatch).
     version_vocab: Dict[str, int] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
-
-    _model_name: str = "dcmt"
-
-    def factory(self):
-        """Build a fresh model against the *current* serving schema.
-
-        The closure nature matters: after catalog churn grows
-        ``self.schema``, registry loads and retrains automatically
-        target the grown vocabulary.
-        """
-        return build_model(self._model_name, self.schema, self.model_config)
 
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
@@ -536,14 +544,13 @@ class MonthSimulation:
                 world_base=world_base,
                 world=world,
                 behavior=BehaviorSimulator(world),
-                schema=schema,
+                factory=_ModelFactory(cfg.model_name, schema, model_config),
                 vocab=base.n_items,
                 active_items=base.n_items,
                 registry=registry,
-                manager=None,  # set below (factory closes over tenant)
+                manager=None,  # set below
                 clock=_TickClock(),
                 train_config=train_config,
-                model_config=model_config,
                 calibration=CalibrationMonitor(
                     f"{name}:ctr",
                     CalibrationThresholds(
@@ -559,7 +566,6 @@ class MonthSimulation:
                     auto_baseline=True,
                 ),
             )
-            tenant._model_name = cfg.model_name
             # The gate's shadow-drift veto and the canary's candidate
             # sentinel compare the candidate's predictions against the
             # *previous* champion's frozen reference.  In a month whose
@@ -846,7 +852,7 @@ class MonthSimulation:
         # stored (pre-growth) shape before the table grows in place.
         champion = t.manager.champion_model()
         t.vocab = t.active_items
-        t.schema = _schema_with_item_vocab(t.world.schema, t.vocab)
+        t.factory.schema = _schema_with_item_vocab(t.world.schema, t.vocab)
         champion.embedding.tables["item_id"].grow(t.vocab - old_vocab)
         decision = t.manager.adopt(
             champion,

@@ -18,21 +18,14 @@ from typing import Optional
 
 import numpy as np
 
+from repro.utils.numeric import stable_sigmoid
+
 _EPS = 1e-7
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
     q = np.clip(p, _EPS, 1.0 - _EPS)
     return np.log(q / (1.0 - q))
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 class PlattScaler:
@@ -59,7 +52,7 @@ class PlattScaler:
         x = _logit(p)
         a, b = 1.0, 0.0
         for _ in range(n_iter):
-            z = _sigmoid(a * x + b)
+            z = stable_sigmoid(a * x + b)
             grad_a = float(((z - y) * x).mean())
             grad_b = float((z - y).mean())
             w = z * (1.0 - z) + 1e-9
@@ -82,7 +75,8 @@ class PlattScaler:
     def transform(self, predictions: np.ndarray) -> np.ndarray:
         if not self._fitted:
             raise RuntimeError("fit() must be called before transform()")
-        return _sigmoid(self.a * _logit(np.asarray(predictions, dtype=float)) + self.b)
+        raw = np.asarray(predictions, dtype=float)
+        return stable_sigmoid(self.a * _logit(raw) + self.b)
 
 
 class IsotonicCalibrator:

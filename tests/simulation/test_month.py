@@ -6,9 +6,13 @@ enough for CI, large enough that every drift kind lands, the lifecycle
 retrains at least once, and the oracle-regret comparison is meaningful.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
+
+import repro.simulation.month as month_module
 
 from repro.data.drift_schedule import (
     CATALOG_CHURN,
@@ -346,6 +350,42 @@ class TestColdCacheChurn:
         )
         assert any(e.kind == "vocab_grown" for e in report.events)
         assert len(report.daily) == 2
+
+
+class TestMonthLifetime:
+    def test_finished_month_frees_its_worlds_without_gc(
+        self, tmp_path, monkeypatch
+    ):
+        """Dropping a finished month frees every world it built by
+        reference counting alone: no tenant sits in a reference cycle
+        (the lifecycle manager and fleet hold a model factory that does
+        not reference the tenant)."""
+        worlds = []
+        real = month_module.SyntheticScenario
+
+        def recording(config):
+            world = real(config)
+            worlds.append(weakref.ref(world))
+            return world
+
+        monkeypatch.setattr(month_module, "SyntheticScenario", recording)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = month_module.MonthSimulation(
+                _smoke_config(pages_per_day=12, canary_pages=12),
+                workdir=tmp_path,
+            )
+            report = sim.run()
+            assert any(w() is not None for w in worlds)
+            del sim
+            alive = sum(w() is not None for w in worlds)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(worlds) > len(SMOKE_TENANTS), "drift rebuilt no world"
+        assert report.daily
+        assert alive == 0, f"{alive} of {len(worlds)} worlds outlive the month"
 
 
 class TestFaultLayer:
