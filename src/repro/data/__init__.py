@@ -47,14 +47,12 @@ from repro.data.ingest import (
 )
 from repro.data.drift_schedule import (
     DriftEvent,
-    DriftSchedulePolicy,
     build_drift_schedule,
     config_for_day,
 )
 
 __all__ = [
     "DriftEvent",
-    "DriftSchedulePolicy",
     "build_drift_schedule",
     "config_for_day",
     "quarantine_oov_rows",

@@ -97,79 +97,46 @@ class DriftEvent:
         return f"{self.kind}({', '.join(parts)})"
 
 
-@dataclass(frozen=True)
-class DriftSchedulePolicy:
-    """Shape of a tenant's month of drift.
+# Shape of a tenant's month of drift.  Day indices are offsets into
+# the month (day 0 is the first served day).  The three one-shot events
+# are drawn uniformly inside their windows from the tenant's seeded
+# stream; the seasonal swing is a deterministic sine re-emitted every
+# ``SEASON_STEP_DAYS``.
 
-    Day indices are offsets into the month (day 0 is the first served
-    day).  The three one-shot events are drawn uniformly inside their
-    windows from the tenant's seeded stream; the seasonal swing is a
-    deterministic sine re-emitted every ``season_step_days``.
+#: Seasonal CTR swing: period, relative amplitude, and how often a new
+#: override is emitted (every day would recalibrate scenario intercepts
+#: daily for little narrative gain).
+SEASON_PERIOD_DAYS = 7
+SEASON_AMPLITUDE = 0.25
+SEASON_STEP_DAYS = 2
+#: The month length the event windows below are laid out on; shorter
+#: or longer months scale them (see :func:`_clip_window`).
+WINDOW_MONTH_DAYS = 28
+#: Logging-policy change window (inclusive day range) and the
+#: multiplier range for ``position_bias``.
+POSITION_BIAS_WINDOW = (4, 10)
+POSITION_BIAS_FACTOR = (1.4, 1.9)
+#: Catalog churn window and the churn size as a fraction of the base
+#: catalog.
+CATALOG_CHURN_WINDOW = (8, 14)
+CATALOG_CHURN_FRACTION = (0.08, 0.15)
+#: Confounder shift window (second half of the month) and the
+#: multiplier range applied to both hidden confounder strengths.
+CONFOUNDER_WINDOW = (15, 21)
+CONFOUNDER_FACTOR = (2.2, 3.0)
+
+
+def _clip_window(window: Tuple[int, int], days: int) -> Tuple[int, int]:
+    """``window`` scaled from a ``WINDOW_MONTH_DAYS`` month into ``days``.
+
+    Short test months keep every event kind in play: windows that
+    would fall off the end are pulled in proportionally.
     """
-
-    days: int = 28
-    #: Seasonal CTR swing: period, relative amplitude, and how often a
-    #: new override is emitted (every day would recalibrate scenario
-    #: intercepts daily for little narrative gain).
-    season_period_days: int = 7
-    season_amplitude: float = 0.25
-    season_step_days: int = 2
-    #: Logging-policy change window (inclusive day range) and the
-    #: multiplier range for ``position_bias``.
-    position_bias_window: Tuple[int, int] = (4, 10)
-    position_bias_factor: Tuple[float, float] = (1.4, 1.9)
-    #: Catalog churn window and the churn size as a fraction of the
-    #: base catalog.
-    catalog_churn_window: Tuple[int, int] = (8, 14)
-    catalog_churn_fraction: Tuple[float, float] = (0.08, 0.15)
-    #: Confounder shift window (second half of the month by default)
-    #: and the multiplier range applied to both hidden confounder
-    #: strengths.
-    confounder_window: Tuple[int, int] = (15, 21)
-    confounder_factor: Tuple[float, float] = (2.2, 3.0)
-
-    def __post_init__(self) -> None:
-        if self.days < 1:
-            raise ValueError(f"days must be >= 1, got {self.days}")
-        if self.season_period_days < 1 or self.season_step_days < 1:
-            raise ValueError("season period and step must be >= 1")
-        if not 0.0 <= self.season_amplitude < 1.0:
-            raise ValueError(
-                f"season_amplitude must be in [0, 1), got "
-                f"{self.season_amplitude}"
-            )
-        for name in (
-            "position_bias_window",
-            "catalog_churn_window",
-            "confounder_window",
-        ):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
-
-    def clipped_to(self, days: int) -> "DriftSchedulePolicy":
-        """The same policy with every window clipped inside ``days``.
-
-        Short test months keep every event kind in play: windows that
-        would fall off the end are pulled in proportionally.
-        """
-
-        def clip(window: Tuple[int, int]) -> Tuple[int, int]:
-            lo, hi = window
-            scale = days / self.days
-            lo = min(int(lo * scale), days - 1)
-            hi = min(int(hi * scale), days - 1)
-            return lo, max(lo, hi)
-
-        from dataclasses import replace
-
-        return replace(
-            self,
-            days=days,
-            position_bias_window=clip(self.position_bias_window),
-            catalog_churn_window=clip(self.catalog_churn_window),
-            confounder_window=clip(self.confounder_window),
-        )
+    lo, hi = window
+    scale = days / WINDOW_MONTH_DAYS
+    lo = min(int(lo * scale), days - 1)
+    hi = min(int(hi * scale), days - 1)
+    return lo, max(lo, hi)
 
 
 def _draw_day(rng: np.random.Generator, window: Tuple[int, int]) -> int:
@@ -188,15 +155,17 @@ def build_drift_schedule(
     tenants: Sequence[str],
     base_configs: Mapping[str, ScenarioConfig],
     seed: int,
-    policy: DriftSchedulePolicy,
+    days: int,
 ) -> Dict[str, List[DriftEvent]]:
-    """Derive every tenant's month of drift events, deterministically.
+    """Derive every tenant's ``days``-day month of drift, deterministically.
 
     Each tenant draws from its own ``SeedSequence([seed, index])``
     stream (index = position among the *sorted* tenant names), so
     adding or removing a tenant never perturbs the others' schedules.
     Events for one tenant are returned sorted by ``(day, kind)``.
     """
+    if days < 1:
+        raise ValueError(f"days must be >= 1, got {days}")
     order = {name: i for i, name in enumerate(sorted(tenants))}
     schedule: Dict[str, List[DriftEvent]] = {}
     for tenant in tenants:
@@ -207,12 +176,12 @@ def build_drift_schedule(
         events: List[DriftEvent] = []
 
         # Seasonal CTR swing: sine with a seeded per-tenant phase,
-        # re-emitted every season_step_days from day 1 (day 0 is the
+        # re-emitted every SEASON_STEP_DAYS from day 1 (day 0 is the
         # calibrated baseline the initial model trained on).
         phase = float(rng.random()) * 2.0 * math.pi
-        for day in range(1, policy.days, policy.season_step_days):
-            swing = policy.season_amplitude * math.sin(
-                2.0 * math.pi * day / policy.season_period_days + phase
+        for day in range(1, days, SEASON_STEP_DAYS):
+            swing = SEASON_AMPLITUDE * math.sin(
+                2.0 * math.pi * day / SEASON_PERIOD_DAYS + phase
             )
             target = base.target_ctr * (1.0 + swing)
             target = min(max(target, 1e-4), 0.99)
@@ -226,8 +195,8 @@ def build_drift_schedule(
             )
 
         # Logging-policy change: position bias jumps once.
-        pb_day = _draw_day(rng, policy.position_bias_window)
-        pb_factor = _draw_factor(rng, policy.position_bias_factor)
+        pb_day = _draw_day(rng, _clip_window(POSITION_BIAS_WINDOW, days))
+        pb_factor = _draw_factor(rng, POSITION_BIAS_FACTOR)
         events.append(
             DriftEvent(
                 day=pb_day,
@@ -242,8 +211,8 @@ def build_drift_schedule(
         )
 
         # Catalog churn: new item ids enter the world.
-        churn_day = _draw_day(rng, policy.catalog_churn_window)
-        churn_frac = _draw_factor(rng, policy.catalog_churn_fraction)
+        churn_day = _draw_day(rng, _clip_window(CATALOG_CHURN_WINDOW, days))
+        churn_frac = _draw_factor(rng, CATALOG_CHURN_FRACTION)
         events.append(
             DriftEvent(
                 day=churn_day,
@@ -255,8 +224,8 @@ def build_drift_schedule(
 
         # The silent propensity breaker: both hidden confounder
         # strengths scale up mid-month.
-        conf_day = _draw_day(rng, policy.confounder_window)
-        conf_factor = _draw_factor(rng, policy.confounder_factor)
+        conf_day = _draw_day(rng, _clip_window(CONFOUNDER_WINDOW, days))
+        conf_factor = _draw_factor(rng, CONFOUNDER_FACTOR)
         events.append(
             DriftEvent(
                 day=conf_day,

@@ -38,6 +38,17 @@ from repro.data.dataset import InteractionDataset
 from repro.data.schema import FeatureSchema, paper_like_schema
 from repro.utils.numeric import stable_sigmoid
 
+#: Dimension of the latent click/conversion affinity vectors.
+LATENT_DIM = 8
+#: Number of display positions an exposure can land on.
+POSITION_COUNT = 10
+#: Exponent of the Zipf item-popularity law exposures sample from.
+ZIPF_EXPONENT = 1.1
+#: Target marginal rate of the post-click micro-behaviour ("cart" /
+#: "favourite"; the intermediate node of ESM2's click -> action -> buy
+#: path) among clicked exposures.
+TARGET_ACTION_GIVEN_CLICK = 0.35
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -56,14 +67,11 @@ class ScenarioConfig:
     n_items: int = 400
     n_train: int = 40_000
     n_test: int = 16_000
-    latent_dim: int = 8
     target_ctr: float = 0.04
     target_cvr_given_click: float = 0.06
     bias_strength: float = 0.65
-    position_count: int = 10
     position_bias: float = 0.35
     logit_scale: float = 2.2
-    zipf_exponent: float = 1.1
     affinity_noise: float = 0.35
     #: Strength of the per-exposure *hidden* confounder ``h`` on the
     #: click logit and the conversion logit.  ``h`` models unobserved
@@ -76,11 +84,9 @@ class ScenarioConfig:
     #: methods can correct.
     hidden_confounder_click: float = 1.5
     hidden_confounder_conversion: float = 1.5
-    #: Generate post-click micro-behaviour labels ("cart"/"favourite";
-    #: the intermediate node of ESM2's click -> action -> buy path) and
-    #: the target marginal action rate among clicked exposures.
+    #: Generate post-click micro-behaviour labels (see
+    #: ``TARGET_ACTION_GIVEN_CLICK``).
     include_micro_actions: bool = True
-    target_action_given_click: float = 0.35
     include_wide_features: bool = True
     #: Mean conversion delay in hours (0 disables the delayed-feedback
     #: machinery entirely: no timestamps are emitted and datasets are
@@ -293,7 +299,7 @@ class SyntheticScenario:
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         rng = np.random.default_rng(config.seed)
-        d = config.latent_dim
+        d = LATENT_DIM
         # Entry scale d**-0.25 makes dot-product affinities ~N(0, 1), so
         # ``logit_scale`` directly controls logit spread (and therefore
         # achievable AUC and bias magnitude).
@@ -329,7 +335,7 @@ class SyntheticScenario:
 
         # Zipf item popularity for exposure sampling.
         ranks = np.arange(1, config.n_items + 1, dtype=np.float64)
-        popularity = ranks ** (-config.zipf_exponent)
+        popularity = ranks ** (-ZIPF_EXPONENT)
         self.item_popularity = popularity / popularity.sum()
 
         # Intercepts are calibrated on a large probe sample, and
@@ -361,7 +367,7 @@ class SyntheticScenario:
         self.schema: FeatureSchema = paper_like_schema(
             n_users=config.n_users,
             n_items=config.n_items,
-            n_positions=config.position_count,
+            n_positions=POSITION_COUNT,
             include_wide=config.include_wide_features,
         )
 
@@ -498,7 +504,7 @@ class SyntheticScenario:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         users = rng.integers(0, self.config.n_users, size=n)
         items = rng.choice(self.config.n_items, size=n, p=self.item_popularity)
-        positions = rng.integers(0, self.config.position_count, size=n)
+        positions = rng.integers(0, POSITION_COUNT, size=n)
         return users, items, positions
 
     def _calibrate(self) -> None:
@@ -532,7 +538,7 @@ class SyntheticScenario:
         if cfg.include_micro_actions:
             logits = self._action_logit(click, conv, users, items, hidden)
             self._action_intercept = calibrate_intercept(
-                logits, cfg.target_action_given_click, weights=click_propensity
+                logits, TARGET_ACTION_GIVEN_CLICK, weights=click_propensity
             )
         # Freeze bucket edges on the probe population.
         probe_rng = np.random.default_rng(cfg.seed + 202)

@@ -44,6 +44,10 @@ PENDING = "pending"
 PROMOTE = "promote"
 DEMOTE = "demote"
 
+#: Breaker openings tolerated on the candidate arm (0: any trip
+#: demotes).
+MAX_BREAKER_TRIPS = 0
+
 
 @dataclass(frozen=True)
 class CanaryPolicy:
@@ -56,9 +60,6 @@ class CanaryPolicy:
     #: Demote when more than this fraction of candidate-arm requests
     #: was served by a fallback path instead of the candidate itself.
     max_degraded_fraction: float = 0.1
-    #: Breaker openings tolerated on the candidate arm (0: any trip
-    #: demotes).
-    max_breaker_trips: int = 0
     #: Salt for the stable user hash (vary to re-randomise the split).
     salt: int = 0
 
@@ -75,10 +76,6 @@ class CanaryPolicy:
             raise ValueError(
                 "max_degraded_fraction must be in [0, 1], got "
                 f"{self.max_degraded_fraction}"
-            )
-        if self.max_breaker_trips < 0:
-            raise ValueError(
-                f"max_breaker_trips must be >= 0, got {self.max_breaker_trips}"
             )
 
 
@@ -153,10 +150,10 @@ class CanaryRollout:
         policy = self.policy
         candidate = self.arms[CANDIDATE_ARM]
         breaker_trips = candidate.breaker.times_opened
-        if breaker_trips > policy.max_breaker_trips:
+        if breaker_trips > MAX_BREAKER_TRIPS:
             return DEMOTE, (
                 f"candidate breaker opened {breaker_trips}x "
-                f"(allowed {policy.max_breaker_trips})"
+                f"(allowed {MAX_BREAKER_TRIPS})"
             )
         if candidate.sentinel is not None and candidate.sentinel.tripped:
             tripped = [

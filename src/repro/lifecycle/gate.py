@@ -42,6 +42,9 @@ from repro.utils.logging import get_logger, log_event
 
 logger = get_logger("lifecycle.gate")
 
+#: Rows scored in shadow (the whole eval set when smaller).
+SHADOW_SAMPLE = 4096
+
 
 @dataclass(frozen=True)
 class GatePolicy:
@@ -54,8 +57,6 @@ class GatePolicy:
     #: Fraction of ``o_hat`` predictions allowed at/below this floor.
     propensity_floor: float = 0.02
     max_collapsed_fraction: float = 0.5
-    #: Rows scored in shadow (the whole eval set when smaller).
-    shadow_sample: int = 4096
     #: Drift thresholds for the shadow comparison.  ``min_samples=1``
     #: because the shadow batch is one deterministic sample, not a
     #: trickle of live traffic.
@@ -80,10 +81,6 @@ class GatePolicy:
             raise ValueError(
                 "max_collapsed_fraction must be in (0, 1], got "
                 f"{self.max_collapsed_fraction}"
-            )
-        if self.shadow_sample < 1:
-            raise ValueError(
-                f"shadow_sample must be >= 1, got {self.shadow_sample}"
             )
 
 
@@ -205,10 +202,10 @@ class PromotionGate:
         self, eval_set: InteractionDataset, seed: int
     ) -> InteractionDataset:
         n = len(eval_set)
-        if n <= self.policy.shadow_sample:
+        if n <= SHADOW_SAMPLE:
             return eval_set
         rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(n, size=self.policy.shadow_sample, replace=False))
+        idx = np.sort(rng.choice(n, size=SHADOW_SAMPLE, replace=False))
         return eval_set.subset(idx)
 
     @staticmethod

@@ -62,8 +62,6 @@ from repro.reliability.errors import (
 )
 from repro.reliability.timeouts import (
     Deadline,
-    cap_to_deadline,
-    exponential_backoff,
     jittered_backoff,
 )
 from repro.reliability.health import (
@@ -131,8 +129,6 @@ __all__ = [
     "ScoringUnavailableError",
     "WorkerPoolError",
     "Deadline",
-    "cap_to_deadline",
-    "exponential_backoff",
     "jittered_backoff",
     "FaultInjector",
     "FaultRecord",

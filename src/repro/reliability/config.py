@@ -23,12 +23,9 @@ from typing import Optional
 class ServingPolicy:
     """Degraded-mode behaviour of :class:`RankingService`."""
 
-    #: Retries of the primary scorer after its first failure.
+    #: Retries of the primary scorer after its first failure, taken at
+    #: once (no backoff sleep).
     max_retries: int = 2
-    #: Sleep before retry ``i`` is ``backoff_s * backoff_multiplier**i``
-    #: (0 disables sleeping -- the right setting for simulations/tests).
-    backoff_s: float = 0.0
-    backoff_multiplier: float = 2.0
     #: Consecutive primary failures that open the circuit breaker.
     breaker_failure_threshold: int = 5
     #: Seconds the breaker stays open before a half-open probe.
@@ -41,12 +38,6 @@ class ServingPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
         if self.breaker_failure_threshold < 1:
             raise ValueError(
                 "breaker_failure_threshold must be >= 1, got "
@@ -77,13 +68,6 @@ class FleetPolicy:
     #: Hedge attempts after the primary replica fails or serves a
     #: model-free page (each against a replica not yet tried).
     hedge_retries: int = 1
-    #: Base pause before a hedge attempt; the actual pause is jittered
-    #: by the fleet's seeded RNG and capped at the deadline's remaining
-    #: budget (0 disables sleeping -- right for simulations/tests).
-    hedge_backoff_s: float = 0.0
-    #: Jitter spread: pause = backoff * (1 + jitter * u), u ~ U[0, 1)
-    #: drawn from the fleet RNG, so retry schedules are seeded.
-    hedge_jitter: float = 0.5
     #: Skip hedging when the deadline has less than this many seconds
     #: left -- a hedge that cannot finish is pure queue pressure.
     hedge_min_remaining_s: float = 0.0
@@ -107,14 +91,6 @@ class FleetPolicy:
         if self.hedge_retries < 0:
             raise ValueError(
                 f"hedge_retries must be >= 0, got {self.hedge_retries}"
-            )
-        if self.hedge_backoff_s < 0:
-            raise ValueError(
-                f"hedge_backoff_s must be >= 0, got {self.hedge_backoff_s}"
-            )
-        if self.hedge_jitter < 0:
-            raise ValueError(
-                f"hedge_jitter must be >= 0, got {self.hedge_jitter}"
             )
         if self.hedge_min_remaining_s < 0:
             raise ValueError(

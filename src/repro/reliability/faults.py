@@ -43,6 +43,15 @@ WORKER_HANG = "worker_hang"
 WORKER_SLOW = "worker_slow"
 _WORKER_FAULT_KINDS = (WORKER_KILL, WORKER_HANG, WORKER_SLOW)
 
+#: Fraction of rows dropped when a batch's drop fault fires.
+DROP_FRACTION = 0.25
+#: Fraction of clicked rows flipped when a batch's flip fault fires.
+FLIP_FRACTION = 0.25
+#: Extra seconds per shard during a scheduled slow-worker window.
+WORKER_SLOW_LATENCY_S = 0.05
+#: Length of each scheduled slow-worker window, in dispatch steps.
+WORKER_SLOW_DURATION = 5
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -54,24 +63,18 @@ class FaultSpec:
     nan_fraction: float = 0.25
     #: Probability a batch loses rows.
     drop_row_rate: float = 0.0
-    #: Fraction of rows dropped when the drop fault fires.
-    drop_fraction: float = 0.25
     #: Probability a batch has all clicks (and conversions) zeroed.
     zero_click_rate: float = 0.0
     #: Probability a batch gets conversion labels flipped in O.
     label_flip_rate: float = 0.0
-    #: Fraction of clicked rows flipped when the flip fault fires.
-    flip_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         for name in (
             "nan_feature_rate",
             "nan_fraction",
             "drop_row_rate",
-            "drop_fraction",
             "zero_click_rate",
             "label_flip_rate",
-            "flip_fraction",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -180,13 +183,13 @@ class FaultInjector:
         rng = self._rng_for(epoch, index)
         out = batch
         if spec.drop_row_rate and rng.random() < spec.drop_row_rate:
-            out = self.drop_rows(out, spec.drop_fraction, rng)
+            out = self.drop_rows(out, DROP_FRACTION, rng)
             self.log.append(FaultRecord(epoch, index, "drop_rows"))
         if spec.zero_click_rate and rng.random() < spec.zero_click_rate:
             out = self.zero_clicks(out)
             self.log.append(FaultRecord(epoch, index, "zero_clicks"))
         if spec.label_flip_rate and rng.random() < spec.label_flip_rate:
-            out = self.flip_labels(out, spec.flip_fraction, rng)
+            out = self.flip_labels(out, FLIP_FRACTION, rng)
             self.log.append(FaultRecord(epoch, index, "flip_labels"))
         if spec.nan_feature_rate and rng.random() < spec.nan_feature_rate:
             out = self.nan_features(out, spec.nan_fraction, rng)
@@ -395,23 +398,11 @@ class TrainerFaultSpec:
     n_hangs: int = 0
     #: Slow-worker windows.
     n_slow: int = 0
-    #: Extra seconds per shard during a slow window.
-    slow_latency_s: float = 0.05
-    #: Length of each slow window, in dispatch steps.
-    slow_duration: int = 5
 
     def __post_init__(self) -> None:
         for name in ("n_kills", "n_hangs", "n_slow"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.slow_latency_s <= 0:
-            raise ValueError(
-                f"slow_latency_s must be > 0, got {self.slow_latency_s}"
-            )
-        if self.slow_duration < 1:
-            raise ValueError(
-                f"slow_duration must be >= 1, got {self.slow_duration}"
-            )
 
 
 def build_trainer_fault_schedule(
@@ -467,8 +458,8 @@ def build_trainer_fault_schedule(
                 kind=WORKER_SLOW,
                 worker=int(rng.integers(0, n_workers)),
                 start=int(rng.integers(lo, hi)),
-                duration=spec.slow_duration,
-                latency_s=spec.slow_latency_s,
+                duration=WORKER_SLOW_DURATION,
+                latency_s=WORKER_SLOW_LATENCY_S,
             )
         )
     faults.sort(key=lambda f: (f.start, f.worker, f.kind))

@@ -31,7 +31,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LossGuardConfig:
-    """Detection thresholds and the trainer's reaction policy."""
+    """Detection thresholds (the reaction policy is in the callback)."""
 
     #: Rolling window of recent good losses used for the z-score.
     window: int = 32
@@ -40,14 +40,6 @@ class LossGuardConfig:
     #: Minimum good losses observed before spike detection activates
     #: (non-finite detection is always active).
     min_history: int = 8
-    #: Multiply the learning rate by this on every trip.
-    lr_factor: float = 0.5
-    #: Never decay the learning rate below this floor.
-    min_lr: float = 1e-6
-    #: Abort (``DivergenceError``) after this many trips in one run.
-    max_trips: int = 10
-    #: Refresh the in-memory rollback state every N clean steps.
-    refresh_every: int = 1
 
     def __post_init__(self) -> None:
         if self.window < 2:
@@ -56,12 +48,6 @@ class LossGuardConfig:
             raise ValueError(f"z_threshold must be > 0, got {self.z_threshold}")
         if self.min_history < 2:
             raise ValueError(f"min_history must be >= 2, got {self.min_history}")
-        if not 0.0 < self.lr_factor < 1.0:
-            raise ValueError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
-        if self.max_trips < 1:
-            raise ValueError(f"max_trips must be >= 1, got {self.max_trips}")
-        if self.refresh_every < 1:
-            raise ValueError(f"refresh_every must be >= 1, got {self.refresh_every}")
 
 
 @dataclass
@@ -121,11 +107,6 @@ class LossGuard:
         else:
             self.trips += 1
         return reason
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the trip budget is spent."""
-        return self.trips >= self.config.max_trips
 
     @property
     def recent_losses(self) -> list:

@@ -42,28 +42,20 @@ CRITICAL = "critical"
 _FLEET_RANK = {HEALTHY: 0, DEGRADED: 1, CRITICAL: 2}
 _FLEET_BY_RANK = [HEALTHY, DEGRADED, CRITICAL]
 
+#: Queue fullness (depth / max depth) that marks DEGRADED.
+DEGRADE_QUEUE_FRACTION = 0.5
+#: Queue fullness that forces SHEDDING.
+SHED_QUEUE_FRACTION = 0.9
+
 
 @dataclass(frozen=True)
 class HealthPolicy:
-    """When queue depth degrades or sheds, and how recovery is paced."""
+    """How recovery is paced (queue thresholds are module constants)."""
 
-    #: Queue fullness (depth / max depth) that marks DEGRADED.
-    degrade_queue_fraction: float = 0.5
-    #: Queue fullness that forces SHEDDING.
-    shed_queue_fraction: float = 0.9
     #: Consecutive clean evaluations before stepping down one level.
     recovery_grace: int = 3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.degrade_queue_fraction <= self.shed_queue_fraction:
-            raise ValueError(
-                "need 0 < degrade_queue_fraction <= shed_queue_fraction, got "
-                f"{self.degrade_queue_fraction} / {self.shed_queue_fraction}"
-            )
-        if self.shed_queue_fraction > 1.0:
-            raise ValueError(
-                f"shed_queue_fraction must be <= 1, got {self.shed_queue_fraction}"
-            )
         if self.recovery_grace < 1:
             raise ValueError(
                 f"recovery_grace must be >= 1, got {self.recovery_grace}"
@@ -102,7 +94,7 @@ class HealthMonitor:
         self, breaker_open: bool, drift_status: str, queue_fraction: float
     ) -> Tuple[str, str]:
         """Severity the current signals call for, with its reason."""
-        if queue_fraction >= self.policy.shed_queue_fraction:
+        if queue_fraction >= SHED_QUEUE_FRACTION:
             return SHEDDING, f"queue at {queue_fraction:.0%} of capacity"
         if breaker_open and drift_status == "trip":
             return SHEDDING, "breaker open with drift tripped"
@@ -111,7 +103,7 @@ class HealthMonitor:
             reasons.append("breaker open")
         if drift_status == "trip":
             reasons.append("drift sentinel tripped")
-        if queue_fraction >= self.policy.degrade_queue_fraction:
+        if queue_fraction >= DEGRADE_QUEUE_FRACTION:
             reasons.append(f"queue at {queue_fraction:.0%} of capacity")
         if reasons:
             return DEGRADED, " + ".join(reasons)

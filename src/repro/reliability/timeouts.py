@@ -1,23 +1,15 @@
 """Deadlines and retry backoff, shared by serving and training.
 
-These helpers used to live inline in :mod:`repro.simulation.serving`
-(the deadline-aware retry chain) and :mod:`repro.simulation.fleet` (the
-seeded-jitter hedge pause).  The supervised trainer worker pool
-(:mod:`repro.training.parallel`) needs exactly the same machinery for
-per-dispatch deadlines and straggler re-dispatch backoff, so the three
-call sites now share one vocabulary:
+The ranking service's deadline-aware retry chain, the fleet's hedges
+and the supervised trainer worker pool (:mod:`repro.training.parallel`)
+share one vocabulary:
 
 * :class:`Deadline` -- a latency budget with an injectable clock,
   created where the work is admitted and propagated through every
   retry so a slow first attempt cannot spend the whole budget;
-* :func:`exponential_backoff` -- the classic ``base * multiplier**n``
-  retry pause used by the ranking service's primary-scorer retries;
 * :func:`jittered_backoff` -- ``base * (1 + jitter * u)`` where ``u``
-  is a caller-supplied uniform draw, used by fleet hedges and worker
-  re-dispatch so same-seed runs reproduce the same pause schedule bit
-  for bit;
-* :func:`cap_to_deadline` -- clamps any computed pause so sleeping
-  never outlives the budget.
+  is a caller-supplied uniform draw, used by worker re-dispatch so
+  same-seed runs reproduce the same pause schedule bit for bit.
 """
 
 from __future__ import annotations
@@ -26,8 +18,6 @@ from typing import Callable, Optional
 
 __all__ = [
     "Deadline",
-    "cap_to_deadline",
-    "exponential_backoff",
     "jittered_backoff",
 ]
 
@@ -62,13 +52,6 @@ class Deadline:
         return self.budget_s is not None and self.remaining() <= 0.0
 
 
-def exponential_backoff(
-    base_s: float, attempt: int, multiplier: float = 2.0
-) -> float:
-    """Pause before retry ``attempt`` (0-based): ``base * multiplier**n``."""
-    return base_s * (multiplier**attempt)
-
-
 def jittered_backoff(base_s: float, jitter: float, u: float) -> float:
     """Seeded-jitter pause: ``base * (1 + jitter * u)`` for ``u ~ U[0, 1)``.
 
@@ -77,10 +60,3 @@ def jittered_backoff(base_s: float, jitter: float, u: float) -> float:
     is reproducible and the RNG stream stays aligned across runs.
     """
     return base_s * (1.0 + jitter * u)
-
-
-def cap_to_deadline(pause_s: float, deadline: Optional[Deadline]) -> float:
-    """Clamp a pause so it never sleeps past the deadline (never < 0)."""
-    if deadline is None:
-        return max(pause_s, 0.0)
-    return min(max(pause_s, 0.0), max(deadline.remaining(), 0.0))

@@ -39,6 +39,8 @@ from repro.utils.logging import get_logger
 logger = get_logger("simulation")
 
 METRICS = ("pv_ctr", "pv_cvr", "top5_pv_cvr")
+#: Display positions counted by Top-5 PV-CVR (one screen, Section IV-A3).
+TOP_K = 5
 
 
 @dataclass(frozen=True)
@@ -49,11 +51,6 @@ class ABTestConfig:
     page_views_per_day: int = 2000
     candidates_per_page: int = 30
     page_size: int = 10
-    top_k: int = 5
-    #: Share the base bucket's CTR estimate across all buckets (the
-    #: paper's deployment: buckets differ only in the CVR estimator;
-    #: the production CTR model feeding the ranking formula is common).
-    shared_ctr: bool = True
     #: User behaviour mode: "independent" per-impression clicks, or
     #: "single_choice" (at most one click per page).
     behavior_mode: str = "independent"
@@ -70,8 +67,8 @@ class ABTestConfig:
             raise ValueError("days and page_views_per_day must be positive")
         if self.page_size > self.candidates_per_page:
             raise ValueError("page_size cannot exceed candidates_per_page")
-        if self.top_k > self.page_size:
-            raise ValueError("top_k cannot exceed page_size")
+        if self.page_size < TOP_K:
+            raise ValueError(f"page_size cannot be below TOP_K ({TOP_K})")
         if self.assignment not in ("round_robin", "hash"):
             raise ValueError(
                 "assignment must be 'round_robin' or 'hash', "
@@ -188,9 +185,11 @@ class ABTest:
                 )
             self.services = dict(services)
         else:
-            ctr_provider = (
-                models[base_bucket] if self.config.shared_ctr else None
-            )
+            # Every bucket shares the base bucket's CTR estimate (the
+            # paper's deployment: buckets differ only in the CVR
+            # estimator; the production CTR model feeding the ranking
+            # formula is common).
+            ctr_provider = models[base_bucket]
             self.services = {
                 name: RankingService(
                     model,
@@ -257,7 +256,7 @@ class ABTest:
                         record.shed_pages += 1
                         continue
                     outcome = self.behavior.roll_out(user, page, rng)
-                    top = outcome.positions < cfg.top_k
+                    top = outcome.positions < TOP_K
                     record.page_views += 1
                     record.impressions += len(page)
                     record.top_impressions += int(top.sum())

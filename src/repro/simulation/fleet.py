@@ -13,8 +13,9 @@ replicas, and partial corruption without dropping the page:
   traffic the moment its own machines say so.
 * **Hedged retries** -- when the routed replica refuses the request or
   serves a model-free page, the fleet retries once against a
-  *different* replica, with seeded-jitter backoff capped by the
-  request deadline.  The same seed reproduces the same retry schedule
+  *different* replica, at once, while the request deadline leaves
+  room.  The router's seeded RNG draws a jitter value per hedge into
+  the transcript, so the same seed reproduces the same retry schedule
   bit for bit.
 * **Graceful degradation** -- a fleet-level HEALTHY -> DEGRADED ->
   CRITICAL machine driven by replica quorum
@@ -59,7 +60,6 @@ from repro.reliability.health import (
     SHEDDING,
     FleetHealthMonitor,
 )
-from repro.reliability.timeouts import cap_to_deadline, jittered_backoff
 from repro.simulation.serving import Deadline, RankingService
 from repro.utils.hashing import stable_fraction
 from repro.utils.logging import get_logger, log_event
@@ -98,8 +98,9 @@ class FleetEvent:
     hedged: bool
     #: Hedge replica name ("" when no hedge fired).
     hedge: str
-    #: Jitter draw u ~ U[0, 1) consumed by the hedge backoff (0.0 when
-    #: no hedge fired) -- makes the seeded retry schedule assertable.
+    #: Jitter draw u ~ U[0, 1) taken from the router's RNG per hedge
+    #: (0.0 when no hedge fired) -- makes the seeded retry schedule
+    #: assertable.
     hedge_jitter: float
     #: Scoring source of the final page ("" for shed requests).
     source: str
@@ -246,7 +247,6 @@ class ServingFleet:
         seed: int = 0,
         clock: Optional[Callable[[], float]] = None,
         names: Optional[Sequence[str]] = None,
-        sleeper: Optional[Callable[[float], None]] = None,
     ) -> None:
         if len(services) < 1:
             raise ValueError("a fleet needs at least one replica")
@@ -262,7 +262,6 @@ class ServingFleet:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._clock = clock or time.monotonic
-        self._sleep = sleeper or time.sleep
         self.health = FleetHealthMonitor(self.policy)
         self.stats = FleetStats()
         self.transcript: List[FleetEvent] = []
@@ -526,24 +525,6 @@ class ServingFleet:
             ) from exc
         return page, cvr, handle.service.stats.last_source
 
-    def _hedge_backoff(self, deadline: Deadline) -> float:
-        """Jittered pause before a hedge; returns the jitter draw u.
-
-        The draw always happens (keeping the RNG stream aligned across
-        runs); the sleep is skipped when the computed pause is zero or
-        the deadline cannot afford it.
-        """
-        u = float(self._rng.random())
-        pause = cap_to_deadline(
-            jittered_backoff(
-                self.policy.hedge_backoff_s, self.policy.hedge_jitter, u
-            ),
-            deadline,
-        )
-        if pause > 0 and np.isfinite(pause):
-            self._sleep(pause)
-        return u
-
     def _popularity_page(
         self, candidates: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -667,7 +648,9 @@ class ServingFleet:
                     break
                 alt = self._choose(pool)
                 tried.add(alt.name)
-                jitter = self._hedge_backoff(deadline)
+                # Hedges follow at once; the jitter draw is kept in the
+                # seeded transcript and keeps the router's RNG stream.
+                jitter = float(self._rng.random())
                 hedged = True
                 hedge_name = alt.name
                 self.stats.hedges += 1

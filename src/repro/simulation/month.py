@@ -76,14 +76,13 @@ from repro.data.dataset import InteractionDataset
 from repro.data.drift_schedule import (
     CATALOG_CHURN,
     DriftEvent,
-    DriftSchedulePolicy,
     build_drift_schedule,
     config_for_day,
 )
 from repro.data.ingest import QuarantineStore, quarantine_oov_rows
 from repro.data.scenarios import SCENARIO_PRESETS, scenario_config
 from repro.data.schema import FeatureSchema
-from repro.data.synthetic import SyntheticScenario
+from repro.data.synthetic import POSITION_COUNT, SyntheticScenario
 from repro.lifecycle.canary import CanaryPolicy
 from repro.lifecycle.gate import GatePolicy, PromotionGate
 from repro.lifecycle.manager import ModelLifecycleManager
@@ -118,6 +117,51 @@ MODES = (MANAGED, NEVER_RETRAIN, ALWAYS_PROMOTE)
 #: All six Table II tenants (see ``repro.data.scenarios``).
 ALL_TENANTS = tuple(sorted(SCENARIO_PRESETS))
 
+#: Event-rate compression: the Table II presets' production rates
+#: (CTR ~5-10%, CVR-given-click ~16-30%) would leave a tractable month
+#: with a handful of conversions -- pure noise for any CVR estimator.
+#: Each tenant's target rates are floored at these values so a
+#: simulated day carries enough events to learn from; tenants whose
+#: presets already exceed the floor keep their own.
+MIN_TARGET_CTR = 0.30
+MIN_TARGET_CVR = 0.30
+#: Age of the bootstrap log in days (sets t0; most bootstrap
+#: conversions have matured by the time the month starts).
+BOOTSTRAP_AGE_DAYS = 3
+#: Injected-clock seconds between consecutive requests (lets open
+#: breakers cool down and probe half-open across a day).
+REQUEST_INTERVAL_S = 1.0
+#: Mean conversion-attribution delay.  Long enough that a fast retrain
+#: cadence sees heavily censored recent days: training those rows as
+#: real negatives (the ``always_promote`` strawman) is the classic
+#: delayed-feedback trap the managed lifecycle's inverse-maturation
+#: correction exists to avoid.
+DELAY_MEAN_HOURS = 36.0
+#: Item-dependence of the delay.  Uniform censoring only rescales
+#: scores; *item-varying* censoring corrupts the ranking itself, which
+#: is what the oracle-AUC regret measures.
+DELAY_ITEM_SPREAD = 0.9
+#: Cadence of the ``always_promote`` strawman.
+ALWAYS_RETRAIN_EVERY_DAYS = 2
+#: Minimum days between triggered retrains (monitor trips latch until a
+#: promotion resets them; without a cooldown one shift would retrain
+#: daily).
+RETRAIN_COOLDOWN_DAYS = 2
+CANARY_TRAFFIC_FRACTION = 0.35
+CANARY_MIN_REQUESTS = 12
+#: Days after a promotion during which a severe calibration deviation
+#: rolls the promotion back (the new champion made live traffic
+#: *worse*).
+ROLLBACK_GRACE_DAYS = 2
+#: Calibration drift (vs the previous champion's baseline) that
+#: triggers a rollback.  Deliberately much wider than the retrain trip:
+#: successors legitimately carry a somewhat different selection gap,
+#: and reverting a promotion erases adaptation -- reserve it for
+#: promotions that are actually broken.
+ROLLBACK_GAP_TRIP = 0.12
+CALIBRATION_GAP_WARN = 0.025
+CALIBRATION_GAP_TRIP = 0.05
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -141,28 +185,14 @@ class MonthConfig:
     # -- serving and ~a dozen retrains stays tractable) ----------------
     n_users: int = 240
     n_items: int = 320
-    #: Event-rate compression: the Table II presets' production rates
-    #: (CTR ~5-10%, CVR-given-click ~16-30%) would leave a tractable
-    #: month with a handful of conversions -- pure noise for any CVR
-    #: estimator.  Each tenant's target rates are floored at these
-    #: values so a simulated day carries enough events to learn from;
-    #: tenants whose presets already exceed the floor keep their own.
-    min_target_ctr: float = 0.30
-    min_target_cvr: float = 0.30
     #: Rows in the organic bootstrap log the day-0 champion trains on.
     bootstrap_rows: int = 3000
-    #: Age of the bootstrap log in days (sets t0; most bootstrap
-    #: conversions have matured by the time the month starts).
-    bootstrap_age_days: int = 3
 
     # -- serving -------------------------------------------------------
     pages_per_day: int = 90
     candidates_per_page: int = 24
     page_size: int = 6
     n_replicas: int = 2
-    #: Injected-clock seconds between consecutive requests (lets open
-    #: breakers cool down and probe half-open across a day).
-    request_interval_s: float = 1.0
     #: Daily policy-free exploration slice (uniform users, popularity
     #: exposure, no model in the loop).  Production systems reserve a
     #: sliver of traffic exactly like this: it is the only slice whose
@@ -175,26 +205,10 @@ class MonthConfig:
     reference_rows: int = 600
 
     # -- delayed conversion feedback -----------------------------------
-    #: Mean conversion-attribution delay.  Long enough that a fast
-    #: retrain cadence sees heavily censored recent days: training
-    #: those rows as real negatives (the ``always_promote`` strawman)
-    #: is the classic delayed-feedback trap the managed lifecycle's
-    #: inverse-maturation correction exists to avoid.
-    delay_mean_hours: float = 36.0
-    #: Item-dependence of the delay.  Uniform censoring only rescales
-    #: scores; *item-varying* censoring corrupts the ranking itself,
-    #: which is what the oracle-AUC regret measures.
-    delay_item_spread: float = 0.9
     weight_cap: float = 20.0
 
     # -- retraining ----------------------------------------------------
     retrain_every_days: int = 7
-    #: Cadence of the ``always_promote`` strawman.
-    always_retrain_every_days: int = 2
-    #: Minimum days between triggered retrains (monitor trips latch
-    #: until a promotion resets them; without a cooldown one shift
-    #: would retrain daily).
-    retrain_cooldown_days: int = 2
     train_window_days: int = 14
     model_name: str = "dcmt"
     embedding_dim: int = 8
@@ -206,27 +220,12 @@ class MonthConfig:
     # -- evaluation / lifecycle ----------------------------------------
     eval_rows: int = 600
     canary_pages: int = 60
-    canary_traffic_fraction: float = 0.35
-    canary_min_requests: int = 12
-    #: Days after a promotion during which a severe calibration
-    #: deviation rolls the promotion back (the new champion made live
-    #: traffic *worse*).
-    rollback_grace_days: int = 2
-    #: Calibration drift (vs the previous champion's baseline) that
-    #: triggers a rollback.  Deliberately much wider than the retrain
-    #: trip: successors legitimately carry a somewhat different
-    #: selection gap, and reverting a promotion erases adaptation --
-    #: reserve it for promotions that are actually broken.
-    rollback_gap_trip: float = 0.12
 
     # -- monitors ------------------------------------------------------
-    calibration_gap_warn: float = 0.025
-    calibration_gap_trip: float = 0.05
     calibration_min_samples: int = 300
     calibration_window: int = 1200
 
-    # -- drift & faults ------------------------------------------------
-    drift: DriftSchedulePolicy = field(default_factory=DriftSchedulePolicy)
+    # -- faults --------------------------------------------------------
     #: Optional replica-fault layer applied to every tenant's fleet.
     fault_spec: Optional[FleetFaultSpec] = None
 
@@ -476,7 +475,7 @@ class MonthSimulation:
         self.daily: List[Dict[str, object]] = []
         self.tenants: List[_Tenant] = []
         #: Hours on the maturation clock at day 0 of the month.
-        self.t0_hours = float(config.bootstrap_age_days * 24)
+        self.t0_hours = float(BOOTSTRAP_AGE_DAYS * 24)
 
     # -- event plumbing -------------------------------------------------
     def _emit(self, day: int, tenant: str, kind: str, detail: str = "") -> None:
@@ -501,17 +500,15 @@ class MonthSimulation:
                 n_items=min(preset.n_items, cfg.n_items),
                 n_train=cfg.bootstrap_rows,
                 n_test=max(cfg.eval_rows, 1),
-                target_ctr=max(preset.target_ctr, cfg.min_target_ctr),
+                target_ctr=max(preset.target_ctr, MIN_TARGET_CTR),
                 target_cvr_given_click=max(
-                    preset.target_cvr_given_click, cfg.min_target_cvr
+                    preset.target_cvr_given_click, MIN_TARGET_CVR
                 ),
-                conversion_delay_mean_hours=cfg.delay_mean_hours,
-                conversion_delay_item_spread=cfg.delay_item_spread,
+                conversion_delay_mean_hours=DELAY_MEAN_HOURS,
+                conversion_delay_item_spread=DELAY_ITEM_SPREAD,
                 log_span_hours=self.t0_hours,
             )
-        schedule = build_drift_schedule(
-            cfg.tenants, bases, cfg.seed, cfg.drift.clipped_to(cfg.days)
-        )
+        schedule = build_drift_schedule(cfg.tenants, bases, cfg.seed, cfg.days)
         order = {name: i for i, name in enumerate(sorted(cfg.tenants))}
         for name in cfg.tenants:
             base = bases[name]
@@ -554,8 +551,8 @@ class MonthSimulation:
                 calibration=CalibrationMonitor(
                     f"{name}:ctr",
                     CalibrationThresholds(
-                        gap_warn=cfg.calibration_gap_warn,
-                        gap_trip=cfg.calibration_gap_trip,
+                        gap_warn=CALIBRATION_GAP_WARN,
+                        gap_trip=CALIBRATION_GAP_TRIP,
                         min_samples=cfg.calibration_min_samples,
                     ),
                     window=cfg.calibration_window,
@@ -593,8 +590,8 @@ class MonthSimulation:
                     )
                 ),
                 canary_policy=CanaryPolicy(
-                    traffic_fraction=cfg.canary_traffic_fraction,
-                    min_requests=cfg.canary_min_requests,
+                    traffic_fraction=CANARY_TRAFFIC_FRACTION,
+                    min_requests=CANARY_MIN_REQUESTS,
                     max_degraded_fraction=0.25,
                     salt=cfg.seed + tenant.index,
                 ),
@@ -616,7 +613,7 @@ class MonthSimulation:
         users = rng.integers(0, cfg.n_users, size=n)
         pop = world.item_popularity[: t.active_items]
         items = rng.choice(t.active_items, size=n, p=pop / pop.sum())
-        positions = rng.integers(0, cfg.position_count, size=n)
+        positions = rng.integers(0, POSITION_COUNT, size=n)
         hidden = world.sample_hidden(n, rng)
         ctr = world.true_ctr(users, items, positions, hidden)
         cvr = world.true_cvr(users, items, hidden)
@@ -654,7 +651,7 @@ class MonthSimulation:
         n = cfg.eval_rows
         users = rng.integers(0, world.config.n_users, size=n)
         items = rng.integers(0, t.active_items, size=n)
-        positions = rng.integers(0, world.config.position_count, size=n)
+        positions = rng.integers(0, POSITION_COUNT, size=n)
         hidden = world.sample_hidden(n, rng)
         ctr = world.true_ctr(users, items, positions, hidden)
         cvr = world.true_cvr(users, items, hidden)
@@ -768,7 +765,7 @@ class MonthSimulation:
             if apply_faults and t.drill is not None:
                 for line in t.drill._apply_faults(step):
                     self._emit(day, t.name, "fault", line)
-            t.clock.now += cfg.request_interval_s
+            t.clock.now += REQUEST_INTERVAL_S
             user = int(rng.integers(0, t.world.config.n_users))
             candidates = rng.choice(
                 t.active_items, size=n_candidates, replace=False
@@ -955,7 +952,7 @@ class MonthSimulation:
         if t.promoted_day is None or t.prev_champion is None:
             return
         age = day - t.promoted_day
-        if age > cfg.rollback_grace_days:
+        if age > ROLLBACK_GRACE_DAYS:
             # The successor survived its grace window judged against
             # the previous champion's baseline; from here on its own
             # steady-state gap is the reference.
@@ -975,7 +972,7 @@ class MonthSimulation:
             # shrank the inherited selection gap -- the desired
             # outcome, never grounds for reverting the promotion.
             return
-        if abs(t.calibration.drift()) < cfg.rollback_gap_trip:
+        if abs(t.calibration.drift()) < ROLLBACK_GAP_TRIP:
             return
         if t.version_vocab.get(t.prev_champion) != t.vocab:
             # The previous champion predates a vocabulary growth; its
@@ -1123,7 +1120,7 @@ class MonthSimulation:
         cfg = self.config
         if grew:
             return "catalog_growth"
-        if day - t.last_retrain_day < cfg.retrain_cooldown_days:
+        if day - t.last_retrain_day < RETRAIN_COOLDOWN_DAYS:
             return None
         if calib == STATUS_TRIP:
             return "calibration_trip"
@@ -1211,7 +1208,7 @@ class MonthSimulation:
                     if reason is not None:
                         self._managed_retrain(t, day, reason)
                 elif cfg.mode == ALWAYS_PROMOTE:
-                    if day > 0 and day % cfg.always_retrain_every_days == 0:
+                    if day > 0 and day % ALWAYS_RETRAIN_EVERY_DAYS == 0:
                         self._always_promote_retrain(t, day)
                 if world_changed or grew:
                     self._refresh_eval_set(t, day)

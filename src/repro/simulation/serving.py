@@ -45,11 +45,7 @@ from repro.reliability.config import AdmissionPolicy, ServingPolicy
 from repro.reliability.drift import DriftSentinel
 from repro.reliability.errors import RequestShedError, ScoringUnavailableError
 from repro.reliability.health import SHEDDING, HealthMonitor, HealthPolicy
-from repro.reliability.timeouts import (
-    Deadline,
-    cap_to_deadline,
-    exponential_backoff,
-)
+from repro.reliability.timeouts import Deadline
 from repro.utils.logging import get_logger, log_event
 
 logger = get_logger("simulation.serving")
@@ -410,13 +406,6 @@ class RankingService:
                         break
                     if attempt < policy.max_retries and self.breaker.allow():
                         self.stats.retries += 1
-                        if policy.backoff_s:
-                            pause = exponential_backoff(
-                                policy.backoff_s,
-                                attempt,
-                                policy.backoff_multiplier,
-                            )
-                            time.sleep(cap_to_deadline(pause, deadline))
                         continue
                     break
                 else:

@@ -26,8 +26,8 @@ Hook ordering guarantees (per ``fit``):
     ``optimizer.step()`` -- the place to inspect or edit raw gradients.
 ``on_batch_end``
     After the optimizer step and the loss accounting
-    (``ctx.epoch_loss_sum`` / ``ctx.n_batches_done`` /
-    ``ctx.clean_steps`` already updated).  Only fires for clean
+    (``ctx.epoch_loss_sum`` / ``ctx.n_batches_done`` already
+    updated).  Only fires for clean
     (non-vetoed) batches.
 ``on_epoch_end``
     After the mean epoch loss has been appended to the history.
@@ -106,8 +106,6 @@ class TrainingContext:
     # -- accounting ----------------------------------------------------
     epoch_loss_sum: float = 0.0
     n_batches_done: int = 0
-    #: Clean optimizer steps this epoch (guard refresh cadence).
-    clean_steps: int = 0
 
     # -- early stopping ------------------------------------------------
     best_metric: float = float("-inf")

@@ -4,8 +4,8 @@ Re-homes the pre-engine monolith's loss-guard policy: a
 :class:`~repro.reliability.guards.LossGuard` classifies every batch
 loss in ``on_loss_computed``; on a trip the callback vetoes the
 optimizer step, rolls model and optimizer back to the last good
-in-memory snapshot, multiplies the learning rate by ``lr_factor`` (down
-to ``min_lr``), and records a
+in-memory snapshot, multiplies the learning rate by ``LR_FACTOR`` (down
+to ``MIN_LR``), and records a
 :class:`~repro.reliability.guards.GuardEvent` in the history.  The
 rolling loss window and trip count ride along in checkpoint metadata so
 a resumed run continues with identical guard state.
@@ -21,6 +21,13 @@ from repro.training.callbacks.base import Callback, TrainingContext
 from repro.utils.logging import get_logger, log_event
 
 logger = get_logger("training")
+
+#: Multiply the learning rate by this on every trip.
+LR_FACTOR = 0.5
+#: Never decay the learning rate below this floor.
+MIN_LR = 1e-6
+#: Abort (``DivergenceError``) after this many trips in one run.
+MAX_TRIPS = 10
 
 
 class LossGuardCallback(Callback):
@@ -48,8 +55,7 @@ class LossGuardCallback(Callback):
         self._handle_trip(ctx, reason)
 
     def on_batch_end(self, ctx: TrainingContext) -> None:
-        if ctx.clean_steps % self.guard.config.refresh_every == 0:
-            self._refresh(ctx)
+        self._refresh(ctx)
 
     # -- checkpoint integration ----------------------------------------
     def checkpoint_metadata(self, ctx: TrainingContext) -> Dict[str, Any]:
@@ -66,14 +72,14 @@ class LossGuardCallback(Callback):
     # ------------------------------------------------------------------
     def _handle_trip(self, ctx: TrainingContext, reason: str) -> None:
         guard = self.guard
-        if guard.trips > guard.config.max_trips:
+        if guard.trips > MAX_TRIPS:
             raise DivergenceError(
                 f"loss guard tripped {guard.trips} times (last: {reason} at "
                 f"epoch {ctx.epoch} batch {ctx.batch_index}); training is "
                 "not recovering"
             )
         self._rollback(ctx)
-        new_lr = max(ctx.optimizer.lr * guard.config.lr_factor, guard.config.min_lr)
+        new_lr = max(ctx.optimizer.lr * LR_FACTOR, MIN_LR)
         ctx.optimizer.lr = new_lr
         event = GuardEvent(
             epoch=ctx.epoch,

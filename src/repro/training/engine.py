@@ -166,7 +166,6 @@ class TrainingEngine:
                     ctx.epoch_loss_sum = 0.0
                     ctx.n_batches_done = 0
                 ctx.epoch_start_rng = self._rng.bit_generator.state
-                ctx.clean_steps = 0
                 hooks.fire("on_epoch_start", ctx)
                 start_batch = skip_batches if resuming_epoch else 0
                 for i, batch in enumerate(
@@ -194,7 +193,6 @@ class TrainingEngine:
                     self.optimizer.step()
                     ctx.epoch_loss_sum += ctx.loss_value
                     ctx.n_batches_done += 1
-                    ctx.clean_steps += 1
                     hooks.fire("on_batch_end", ctx)
                     if (
                         self.config.max_batches_per_epoch is not None

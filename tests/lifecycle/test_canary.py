@@ -113,8 +113,6 @@ class TestRouting:
             CanaryPolicy(traffic_fraction=1.0)
         with pytest.raises(ValueError):
             CanaryPolicy(min_requests=0)
-        with pytest.raises(ValueError):
-            CanaryPolicy(max_breaker_trips=-1)
 
 
 class TestVerdict:

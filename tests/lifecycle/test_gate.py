@@ -96,8 +96,6 @@ class TestRegressionBounds:
             GatePolicy(propensity_floor=1.0)
         with pytest.raises(ValueError):
             GatePolicy(max_collapsed_fraction=0.0)
-        with pytest.raises(ValueError):
-            GatePolicy(shadow_sample=0)
 
 
 class TestShadowDrift:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import load_scenario
 from repro.data.batching import batch_iterator
+from repro.data.synthetic import TARGET_ACTION_GIVEN_CLICK
 from repro.models import ModelConfig, build_model
 from repro.optim import Adam
 
@@ -30,11 +31,10 @@ class TestMicroActionGeneration:
             assert not np.any((ds.actions == 1) & (ds.clicks == 0))
 
     def test_action_rate_calibrated(self, world):
-        train, _, scenario = world
+        train, _, _ = world
         clicked = train.clicks == 1
         rate = train.actions[clicked].mean()
-        target = scenario.config.target_action_given_click
-        assert abs(rate - target) < 0.12
+        assert abs(rate - TARGET_ACTION_GIVEN_CLICK) < 0.12
 
     def test_actions_correlate_with_conversions(self, world):
         """Actions sit on the path to conversion: conversion rate among

@@ -93,8 +93,6 @@ class TestMutators:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             FaultSpec(nan_feature_rate=1.5)
-        with pytest.raises(ValueError):
-            FaultSpec(drop_fraction=-0.1)
 
     def test_fault_log(self, batch):
         injector = FaultInjector(

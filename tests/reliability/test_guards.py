@@ -49,8 +49,4 @@ class TestLossGuard:
             LossGuardConfig(window=1)
         with pytest.raises(ValueError):
             LossGuardConfig(z_threshold=0.0)
-        with pytest.raises(ValueError):
-            LossGuardConfig(lr_factor=1.5)
-        with pytest.raises(ValueError):
-            LossGuardConfig(max_trips=0)
 

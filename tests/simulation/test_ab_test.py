@@ -44,7 +44,7 @@ class TestConfigValidation:
 
     def test_topk_bigger_than_page(self):
         with pytest.raises(ValueError):
-            ABTestConfig(page_size=5, top_k=10)
+            ABTestConfig(page_size=4)
 
     def test_unknown_base_bucket(self, world):
         scenario, models = world

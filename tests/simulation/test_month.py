@@ -20,7 +20,6 @@ from repro.data.drift_schedule import (
     CTR_SEASON,
     POSITION_BIAS_SHIFT,
     DriftEvent,
-    DriftSchedulePolicy,
     build_drift_schedule,
     config_for_day,
 )
@@ -81,23 +80,21 @@ def _base_configs(tenants):
 class TestDriftSchedule:
     def test_same_seed_same_schedule(self):
         bases = _base_configs(SMOKE_TENANTS)
-        policy = DriftSchedulePolicy()
-        a = build_drift_schedule(SMOKE_TENANTS, bases, seed=3, policy=policy)
-        b = build_drift_schedule(SMOKE_TENANTS, bases, seed=3, policy=policy)
+        a = build_drift_schedule(SMOKE_TENANTS, bases, seed=3, days=28)
+        b = build_drift_schedule(SMOKE_TENANTS, bases, seed=3, days=28)
         assert a == b
 
     def test_tenant_streams_are_independent(self):
         """Dropping a tenant never perturbs the others' schedules."""
         tenants = ("ae_es", "ae_fr", "alipay_search")
         bases = _base_configs(tenants)
-        policy = DriftSchedulePolicy()
-        full = build_drift_schedule(tenants, bases, seed=5, policy=policy)
+        full = build_drift_schedule(tenants, bases, seed=5, days=28)
         subset = ("ae_es", "alipay_search")
         partial = build_drift_schedule(
             subset,
             {k: bases[k] for k in subset},
             seed=5,
-            policy=policy,
+            days=28,
         )
         # ae_es keeps index 0 in both sorted orders; its schedule must
         # be byte-for-byte the same without ae_fr in the list.
@@ -106,7 +103,7 @@ class TestDriftSchedule:
     def test_every_kind_scheduled_once_per_tenant(self):
         bases = _base_configs(SMOKE_TENANTS)
         schedule = build_drift_schedule(
-            SMOKE_TENANTS, bases, seed=0, policy=DriftSchedulePolicy()
+            SMOKE_TENANTS, bases, seed=0, days=28
         )
         for tenant, events in schedule.items():
             kinds = [e.kind for e in events]
@@ -119,16 +116,14 @@ class TestDriftSchedule:
             assert kinds.count(CTR_SEASON) >= 1
             assert events == sorted(events, key=lambda e: (e.day, e.kind))
 
-    def test_clipped_to_keeps_windows_inside_short_months(self):
-        policy = DriftSchedulePolicy().clipped_to(8)
-        assert policy.days == 8
-        for window in (
-            policy.position_bias_window,
-            policy.catalog_churn_window,
-            policy.confounder_window,
-        ):
-            lo, hi = window
-            assert 0 <= lo <= hi <= 7
+    def test_windows_clip_inside_short_months(self):
+        bases = _base_configs(SMOKE_TENANTS)
+        for days in (1, 3, 8):
+            schedule = build_drift_schedule(SMOKE_TENANTS, bases, seed=0, days=days)
+            for events in schedule.values():
+                kinds = {e.kind for e in events}
+                assert {POSITION_BIAS_SHIFT, CATALOG_CHURN, CONFOUNDER_SHIFT} <= kinds
+                assert all(0 <= e.day < days for e in events)
 
     def test_config_for_day_folds_overrides_in_order(self):
         base = _base_configs(("ae_es",))["ae_es"]
@@ -168,8 +163,6 @@ class TestDriftSchedule:
             DriftEvent(day=0, tenant="x", kind="nope")
         with pytest.raises(ValueError, match="day must be"):
             DriftEvent(day=-1, tenant="x", kind=CTR_SEASON)
-        with pytest.raises(ValueError, match="season_amplitude"):
-            DriftSchedulePolicy(season_amplitude=1.5)
 
 
 # ---------------------------------------------------------------------------

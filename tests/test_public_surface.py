@@ -12,15 +12,14 @@ reference to its name somewhere in ``src/``, ``examples/`` or
 * a string constant that is exactly the name, so by-name lookups
   (``weight_init="xavier_uniform"``) count.
 
-Docstrings, comments and ``__init__.py`` re-exports (their imports,
-``__all__`` and lazy-export tables) do not count.
+Docstrings, comments, every module's ``__all__`` and ``__init__.py``
+re-exports (their imports and lazy-export tables) do not count.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
+from tests.source_scan import ROOT, SRC, code_nodes, parse, python_files
+
 CALLER_DIRS = (SRC, ROOT / "examples", ROOT / "benchmarks")
 
 #: Names kept public without a non-test caller, each with its reason.
@@ -32,16 +31,11 @@ EXEMPT = {
 }
 
 
-def _python_files(directory):
-    return sorted(p for p in directory.rglob("*.py") if "__pycache__" not in p.parts)
-
-
 def public_definitions(src=SRC):
     """``{name: "path:line"}`` for every top-level public def/class."""
     found = {}
-    for path in _python_files(src):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
+    for path in python_files(src):
+        for node in parse(path).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
                     found.setdefault(
@@ -50,38 +44,10 @@ def public_definitions(src=SRC):
     return found
 
 
-def _docstring_nodes(tree):
-    """The ``ast.Constant`` of every module/class/def docstring."""
-    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
-    for node in ast.walk(tree):
-        if isinstance(node, owners) and node.body:
-            first = node.body[0]
-            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
-                yield first.value
-
-
-def _reexport_nodes(tree):
-    """Top-level imports and string-list assignments of an ``__init__.py``."""
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        elif isinstance(node, ast.Assign) and isinstance(
-            node.value, (ast.Tuple, ast.List)
-        ):
-            yield node
-
-
 def code_references(path):
     """Every name ``path`` references in code (see the module docstring)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    skipped = {id(node) for node in _docstring_nodes(tree)}
-    if path.name == "__init__.py":
-        for node in _reexport_nodes(tree):
-            skipped.update(id(sub) for sub in ast.walk(node))
     names = set()
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
+    for node in code_nodes(path):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -100,9 +66,8 @@ def code_references(path):
 def referenced_names(caller_dirs=CALLER_DIRS):
     """The union of :func:`code_references` over every caller file."""
     names = set()
-    for directory in caller_dirs:
-        for path in _python_files(directory):
-            names |= code_references(path)
+    for path in python_files(*caller_dirs):
+        names |= code_references(path)
     return names
 
 
@@ -141,6 +106,9 @@ def test_docstrings_and_reexports_do_not_count(tmp_path):
     )
     (pkg / "mod.py").write_text(
         '"""``documented`` is only named here."""\n'
+        "__all__ = ['listed']\n"
+        "def listed():\n"
+        "    pass\n"
         "def called():\n"
         "    return by_name_lookup('by_name')\n"
         "def by_name():\n"
@@ -152,5 +120,6 @@ def test_docstrings_and_reexports_do_not_count(tmp_path):
         "    return called()\n"
     )
     assert orphans(tmp_path / "src", (tmp_path / "src",)) == {
-        "documented": "src/pkg/mod.py:6"
+        "listed": "src/pkg/mod.py:3",
+        "documented": "src/pkg/mod.py:9",
     }

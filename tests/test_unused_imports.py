@@ -10,10 +10,8 @@ files (re-exports), ``from __future__`` imports and lines marked
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SCANNED_DIRS = ("src", "tests", "examples", "benchmarks")
+from tests.source_scan import CODE_DIRS, ROOT, python_files
 
 
 def _annotation_names(annotation):
@@ -82,12 +80,9 @@ def unused_imports(source, filename="<source>"):
 
 def test_no_unused_imports():
     offenders = []
-    for directory in SCANNED_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            if path.name == "__init__.py" or "__pycache__" in path.parts:
-                continue
-            for line, name in unused_imports(path.read_text(), str(path)):
-                offenders.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    for path in python_files(*CODE_DIRS, skip_init=True):
+        for line, name in unused_imports(path.read_text(), str(path)):
+            offenders.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not offenders, "unused imports (F401):\n" + "\n".join(offenders)
 
 

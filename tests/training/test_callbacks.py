@@ -181,7 +181,7 @@ class TestStepLoopComposition:
         assert all(np.all(np.isfinite(p.data)) for p in model.parameters())
 
     def test_guard_halves_lr_per_trip(self, world, model):
-        """Every guard trip multiplies the optimizer's rate by lr_factor."""
+        """Every guard trip multiplies the optimizer's rate by LR_FACTOR."""
         train, _ = world
         config = make_config(epochs=2)
         engine = TrainingEngine(model, config)
