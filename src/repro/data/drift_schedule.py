@@ -27,11 +27,12 @@ six Table II tenants:
   label-aware :class:`~repro.reliability.drift.CalibrationMonitor`.
 
 Every event is a pure description: ``overrides`` to fold into the
-tenant's :class:`~repro.data.synthetic.ScenarioConfig` (rebuilding the
-scenario recalibrates intercepts but never re-draws latent vectors, so
-the user/item world stays fixed across drift), plus ``new_items`` for
-catalog churn, which the simulator maps to vocabulary growth rather
-than a config change.  Schedules are derived from
+tenant's :class:`~repro.data.synthetic.ScenarioConfig` (each one moves
+only :data:`~repro.data.synthetic.DRIFT_FIELDS`, so the simulator
+derives the drifted world from the day before: intercepts recalibrate,
+latent vectors are shared, and the user/item world stays fixed across
+drift), plus ``new_items`` for catalog churn, which the simulator maps
+to vocabulary growth rather than a config change.  Schedules are derived from
 ``np.random.SeedSequence([seed, tenant_index])`` streams only --
 bit-identical across runs, independent across tenants, and stable
 under reordering of the tenant list (the index is the tenant's

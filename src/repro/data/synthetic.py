@@ -24,12 +24,19 @@ paper's debiasing machinery targets:
 Because the generator stores true propensities and potential outcomes,
 entire-space metrics (the paper's real object of interest) can be
 computed exactly.
+
+A world can also be *derived* from another (``SyntheticScenario(config,
+base=world)``) when the two configs differ only in :data:`DRIFT_FIELDS`,
+the fields a drift override moves.  Those enter only the logits, so the
+derived world shares its base's latent arrays, popularity, bucket
+edges, delay scales and schema, and recalibrates just the three
+intercepts -- bit-identical to a fresh build of the same config.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -48,6 +55,33 @@ ZIPF_EXPONENT = 1.1
 #: "favourite"; the intermediate node of ESM2's click -> action -> buy
 #: path) among clicked exposures.
 TARGET_ACTION_GIVEN_CLICK = 0.35
+#: The config fields a derived world may move (the month's drift
+#: overrides).  Each enters only the logits: no latent draw, probe
+#: exposure or bucket edge depends on them.
+DRIFT_FIELDS = frozenset(
+    {
+        "target_ctr",
+        "target_cvr_given_click",
+        "position_bias",
+        "hidden_confounder_click",
+        "hidden_confounder_conversion",
+    }
+)
+#: What a derived world shares with its base, by reference.
+_SHARED = (
+    "user_click",
+    "item_click",
+    "user_indep",
+    "item_indep",
+    "user_conv",
+    "item_conv",
+    "user_click_base",
+    "item_click_base",
+    "user_conv_base",
+    "item_conv_base",
+    "item_popularity",
+    "item_delay_scale",
+)
 
 
 @dataclass(frozen=True)
@@ -288,16 +322,53 @@ def _bucketize(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, values, side="right").astype(np.int64)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True)
+class _ProbeLogits:
+    """The calibration probe's logits without their drift terms.
+
+    ``click``, ``conversion`` and ``action`` (``None`` without micro
+    actions) are each logit's ``logit_scale * affinity + base rates``;
+    :meth:`SyntheticScenario._calibrate` adds the position and hidden
+    confounder terms in the order the logit methods do, so every
+    calibrated float matches a fresh build.  Derived worlds share one
+    instance, so its arrays are read-only.
+    """
+
+    click: np.ndarray
+    conversion: np.ndarray
+    action: Optional[np.ndarray]
+    hidden: np.ndarray
+    positions: np.ndarray
+
+
 class SyntheticScenario:
     """A fully specified behaviour model; call :meth:`generate`.
 
     The scenario object itself is the "world": the online simulator
     (:mod:`repro.simulation`) queries :meth:`true_ctr` / :meth:`true_cvr`
     to roll out user sessions against models under test.
+
+    With ``base``, the world is derived from ``base`` (see the module
+    docstring): ``config`` may differ from ``base.config`` only in
+    :data:`DRIFT_FIELDS`, else :class:`ValueError`.  The probe logits it
+    calibrates on are sampled again on the first derivation from a fresh
+    world and shared by every world derived after it; a fresh world
+    keeps none.
     """
 
-    def __init__(self, config: ScenarioConfig) -> None:
+    def __init__(
+        self, config: ScenarioConfig, base: Optional["SyntheticScenario"] = None
+    ) -> None:
         self.config = config
+        if base is not None:
+            self._derive(base)
+            return
+        self._probe: Optional[_ProbeLogits] = None
         rng = np.random.default_rng(config.seed)
         d = LATENT_DIM
         # Entry scale d**-0.25 makes dot-product affinities ~N(0, 1), so
@@ -341,7 +412,12 @@ class SyntheticScenario:
         # Intercepts are calibrated on a large probe sample, and
         # feature-bucket edges are frozen on the same probe so training
         # and online-serving features share one discretisation.
-        self._calibrate()
+        # Edges first, so the probe's ids and affinities are freed before
+        # the calibration allocates its logit arrays.
+        users, items, click, conv, probe = self._sample_probe()
+        self._freeze_edges(users, items, click, conv)
+        del users, items, click, conv
+        self._calibrate(probe)
 
         # Per-item conversion-delay scales (hours), drawn on a separate
         # RNG stream (seed + 303) so enabling delays never perturbs the
@@ -371,6 +447,30 @@ class SyntheticScenario:
             include_wide=config.include_wide_features,
         )
 
+    def _derive(self, base: "SyntheticScenario") -> None:
+        """Share ``base``'s state and recalibrate the three intercepts."""
+        moved = [
+            f.name
+            for f in fields(ScenarioConfig)
+            if f.name not in DRIFT_FIELDS
+            and getattr(self.config, f.name) != getattr(base.config, f.name)
+        ]
+        if moved:
+            raise ValueError(
+                f"a derived world may only move {sorted(DRIFT_FIELDS)}; "
+                f"{', '.join(moved)} differ from its base"
+            )
+        for name in _SHARED:
+            setattr(self, name, _read_only(getattr(base, name)))
+        for edges in base._bucket_edges.values():
+            _read_only(edges)
+        self._bucket_edges = base._bucket_edges
+        self.schema = base.schema
+        self._probe = base._probe
+        if self._probe is None:
+            *_, self._probe = self._sample_probe()
+        self._calibrate(self._probe)
+
     # ------------------------------------------------------------------
     # True behaviour model (oracle)
     # ------------------------------------------------------------------
@@ -398,12 +498,21 @@ class SyntheticScenario:
     # The raw (uncalibrated) logits take their affinities precomputed, so
     # one affinity pass serves every logit of a probe or a log.  ``hidden``
     # is the unobserved attention confounder; ``None`` evaluates at
-    # ``h = 0`` (the feature-conditional median).
+    # ``h = 0`` (the feature-conditional median).  Each logit is a head
+    # (``logit_scale * affinity + base rates``) plus its drift terms, the
+    # only part that reads ``DRIFT_FIELDS``.
     def _click_logit(self, click, users, items, positions, hidden) -> np.ndarray:
         """Click logit for user-item-position triples."""
+        return self._click_drift(
+            self._click_head(click, users, items), positions, hidden
+        )
+
+    def _click_head(self, click, users, items) -> np.ndarray:
         base = self.user_click_base[users] + self.item_click_base[items]
-        pos_term = -self.config.position_bias * positions
-        logit = self.config.logit_scale * click + base + pos_term
+        return self.config.logit_scale * click + base
+
+    def _click_drift(self, head, positions, hidden) -> np.ndarray:
+        logit = head + -self.config.position_bias * positions
         if hidden is not None:
             logit = logit + self.config.hidden_confounder_click * hidden
         return logit
@@ -415,11 +524,18 @@ class SyntheticScenario:
         after the click), but the hidden attention confounder does --
         an attentive user both clicks more and converts more.
         """
+        return self._conversion_drift(
+            self._conversion_head(conv, users, items), hidden
+        )
+
+    def _conversion_head(self, conv, users, items) -> np.ndarray:
         base = self.user_conv_base[users] + self.item_conv_base[items]
-        logit = self.config.logit_scale * conv + base
-        if hidden is not None:
-            logit = logit + self.config.hidden_confounder_conversion * hidden
-        return logit
+        return self.config.logit_scale * conv + base
+
+    def _conversion_drift(self, head, hidden) -> np.ndarray:
+        if hidden is None:
+            return head
+        return head + self.config.hidden_confounder_conversion * hidden
 
     def _action_logit(self, click, conv, users, items, hidden) -> np.ndarray:
         """Micro-action (cart/favourite) logit, post-click.
@@ -428,12 +544,19 @@ class SyntheticScenario:
         so their affinity mixes conversion affinity (dominant -- users
         cart what they will buy) with click affinity.
         """
+        return self._action_drift(
+            self._action_head(click, conv, users, items), hidden
+        )
+
+    def _action_head(self, click, conv, users, items) -> np.ndarray:
         affinity = 0.7 * conv + 0.3 * click
         base = 0.5 * (self.user_conv_base[users] + self.item_conv_base[items])
-        logit = self.config.logit_scale * affinity + base
-        if hidden is not None:
-            logit = logit + 0.5 * self.config.hidden_confounder_conversion * hidden
-        return logit
+        return self.config.logit_scale * affinity + base
+
+    def _action_drift(self, head, hidden) -> np.ndarray:
+        if hidden is None:
+            return head
+        return head + 0.5 * self.config.hidden_confounder_conversion * hidden
 
     def true_action_rate(
         self,
@@ -507,22 +630,36 @@ class SyntheticScenario:
         positions = rng.integers(0, POSITION_COUNT, size=n)
         return users, items, positions
 
-    def _calibrate(self) -> None:
-        """Calibrate the intercepts and freeze the bucket edges on one
-        probe exposure sample.
-
-        Each probe quantity is computed once: both affinities feed the
-        three logits and the two affinity buckets.  The click propensity
-        overwrites the click logits and each later logit array replaces
-        the one before, so at most two probe-sized logit arrays are alive.
-        """
+    def _sample_probe(self):
+        """``(users, items, click, conv, probe logits)`` of the probe
+        exposure sample, drawn from the ``seed + 101`` stream."""
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + 101)
-        probe = max(50_000, cfg.n_train)
-        users, items, positions = self._sample_exposures(probe, rng)
-        hidden = self.sample_hidden(probe, rng)
+        n = max(50_000, cfg.n_train)
+        users, items, positions = self._sample_exposures(n, rng)
+        hidden = self.sample_hidden(n, rng)
         click, conv = self._affinities(users, items)
-        logits = self._click_logit(click, users, items, positions, hidden)
+        action = None
+        if cfg.include_micro_actions:
+            action = _read_only(self._action_head(click, conv, users, items))
+        probe = _ProbeLogits(
+            click=_read_only(self._click_head(click, users, items)),
+            conversion=_read_only(self._conversion_head(conv, users, items)),
+            action=action,
+            hidden=_read_only(hidden),
+            positions=_read_only(positions.astype(np.uint8)),
+        )
+        return users, items, click, conv, probe
+
+    def _calibrate(self, probe: _ProbeLogits) -> None:
+        """Calibrate the three intercepts on the probe.
+
+        The click propensity overwrites the click logits and each later
+        logit array replaces the one before, so at most two probe-sized
+        logit arrays are alive at once.
+        """
+        cfg = self.config
+        logits = self._click_drift(probe.click, probe.positions, probe.hidden)
         self._ctr_intercept = calibrate_intercept(logits, cfg.target_ctr)
         # Calibrate CVR *inside the click space*: weight each probe
         # exposure by its click propensity, which is the expected
@@ -530,19 +667,23 @@ class SyntheticScenario:
         # enters -- attentive exposures are over-represented in O).
         np.add(logits, self._ctr_intercept, out=logits)
         click_propensity = stable_sigmoid(logits, out=logits)
-        logits = self._conversion_logit(conv, users, items, hidden)
+        logits = self._conversion_drift(probe.conversion, probe.hidden)
         self._cvr_intercept = calibrate_intercept(
             logits, cfg.target_cvr_given_click, weights=click_propensity
         )
         self._action_intercept = 0.0
-        if cfg.include_micro_actions:
-            logits = self._action_logit(click, conv, users, items, hidden)
+        if probe.action is not None:
+            logits = self._action_drift(probe.action, probe.hidden)
             self._action_intercept = calibrate_intercept(
                 logits, TARGET_ACTION_GIVEN_CLICK, weights=click_propensity
             )
-        # Freeze bucket edges on the probe population.
+
+    def _freeze_edges(self, users, items, click, conv) -> None:
+        """Freeze bucket edges on the probe population."""
+        cfg = self.config
         probe_rng = np.random.default_rng(cfg.seed + 202)
         noise = cfg.affinity_noise
+        n = len(users)
         self._bucket_edges = {
             "user_segment": _quantile_edges(self.user_click[users, 0], 16),
             "user_activity": _quantile_edges(self.user_click_base[users], 8),
@@ -551,10 +692,10 @@ class SyntheticScenario:
                 self.item_popularity[items] + 1e-12 * items, 8
             ),
             "click_affinity_bucket": _quantile_edges(
-                click + noise * probe_rng.normal(size=probe), 20
+                click + noise * probe_rng.normal(size=n), 20
             ),
             "conv_affinity_bucket": _quantile_edges(
-                conv + noise * probe_rng.normal(size=probe), 20
+                conv + noise * probe_rng.normal(size=n), 20
             ),
         }
 

@@ -17,9 +17,15 @@ Each simulated day, per tenant:
 
 1. **Drift applies.**  Overrides due today fold into the tenant's
    :class:`~repro.data.synthetic.ScenarioConfig` and the world is
-   rebuilt.  Rebuilding recalibrates intercepts but never re-draws
-   latent vectors (same seed, same draw shapes), so features stay
-   bit-identical across drift -- only behaviour moves.
+   derived from yesterday's.  A drift may move only the five
+   :data:`~repro.data.synthetic.DRIFT_FIELDS` (``target_ctr``,
+   ``target_cvr_given_click``, ``position_bias`` and the two
+   ``hidden_confounder_*`` strengths), which enter only the logits: the
+   derived world shares the latent arrays, popularity, bucket edges,
+   delay scales and schema by reference and recalibrates its three
+   intercepts on the tenant's shared probe logits.  Features stay
+   bit-identical across drift -- only behaviour moves -- and every
+   derived world equals a fresh build of its config bit for bit.
 2. **Traffic serves** through the fleet (power-of-two routing, hedged
    retries, optional chaos-drill faults layered on), and the served
    pages -- plus a small policy-free exploration slice, the sliver of
@@ -1066,7 +1072,7 @@ class MonthSimulation:
                 changed = True
         if any(e.overrides for e in due):
             t.world = SyntheticScenario(
-                config_for_day(t.world_base, t.events, day)
+                config_for_day(t.world_base, t.events, day), base=t.world
             )
             t.behavior = BehaviorSimulator(t.world)
             changed = True

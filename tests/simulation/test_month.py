@@ -352,13 +352,20 @@ class TestMonthLifetime:
         """Dropping a finished month frees every world it built by
         reference counting alone: no tenant sits in a reference cycle
         (the lifecycle manager and fleet hold a model factory that does
-        not reference the tenant)."""
+        not reference the tenant).  Drift derives each world from the
+        one before: a tenant's derived worlds share one read-only set of
+        probe logits, and a world built without a base holds none."""
         worlds = []
+        probes = {}
         real = month_module.SyntheticScenario
 
-        def recording(config):
-            world = real(config)
+        def recording(config, base=None):
+            world = real(config, base=base)
             worlds.append(weakref.ref(world))
+            if base is None:
+                assert world._probe is None
+            else:
+                probes.setdefault(config.name, []).append(world._probe)
             return world
 
         monkeypatch.setattr(month_module, "SyntheticScenario", recording)
@@ -379,6 +386,12 @@ class TestMonthLifetime:
         assert len(worlds) > len(SMOKE_TENANTS), "drift rebuilt no world"
         assert report.daily
         assert alive == 0, f"{alive} of {len(worlds)} worlds outlive the month"
+        assert sorted(probes) == sorted(SMOKE_TENANTS)
+        for shared in probes.values():
+            assert all(probe is shared[0] for probe in shared)
+            for array in (shared[0].click, shared[0].hidden, shared[0].positions):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
 
 class TestFaultLayer:
