@@ -1,7 +1,9 @@
 """Ranking metrics: AUC and grouped AUC.
 
 AUC is computed exactly via the rank-sum (Mann-Whitney) statistic with
-midranks for ties -- no threshold sweep, O(n log n).
+midranks for ties -- no threshold sweep, O(n log n).  The midranks are
+plain numpy and equal ``scipy.stats.rankdata(x)`` bit for bit, NaN rule
+included, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -9,7 +11,30 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata
+
+
+def _midranks(values) -> np.ndarray:
+    """1-based ranks of the flattened ``values``, ties sharing their mean rank.
+
+    The float64 ranks of ``scipy.stats.rankdata(values)``: a stable sort,
+    the start of each tie run, and each run's mean position
+    ``0.5 * (first + last)`` in exact half-integers.  Any NaN makes
+    every rank NaN (ranks against NaN are undefined); ±inf ranks like
+    any other value.
+    """
+    x = np.ravel(np.asarray(values))
+    if x.size == 0:
+        return np.empty(0, dtype=np.float64)
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.arange(x.size, dtype=np.intp)
+    ordered = x[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    dense = np.cumsum(starts)[inverse]
+    count = np.concatenate((np.nonzero(starts)[0], [x.size]))
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def auc(labels: np.ndarray, scores: np.ndarray) -> float:
@@ -39,7 +64,7 @@ def auc(labels: np.ndarray, scores: np.ndarray) -> float:
         raise ValueError(
             f"AUC undefined: {n_pos} positives, {n_neg} negatives in evaluation set"
         )
-    ranks = rankdata(s)  # midranks handle ties correctly
+    ranks = _midranks(s)
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

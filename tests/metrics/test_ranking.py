@@ -1,4 +1,4 @@
-"""Tests for AUC and grouped AUC."""
+"""Tests for AUC, grouped AUC and the midranks behind them."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,80 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import auc, grouped_auc
+from repro.metrics.ranking import _midranks
+
+
+def _bruteforce_midranks(x):
+    """O(n^2) reference: each value's rank is the mean of its tied positions."""
+    x = np.ravel(x)
+    less = (x[None, :] < x[:, None]).sum(axis=1)
+    equal = (x[None, :] == x[:, None]).sum(axis=1)
+    return less + (equal + 1) / 2.0
+
+
+def _random_vectors(rng, count):
+    """Vectors with heavy ties, NaN, +-inf, integer, 2-D and empty cases."""
+    yield np.array([])
+    yield np.array([], dtype=np.int64)
+    yield np.zeros((0, 3))
+    yield np.array([np.nan])
+    yield np.array([np.inf, -np.inf, np.inf, 0.0, -0.0])
+    for i in range(count):
+        n = int(rng.integers(0, 50))
+        kind = i % 6
+        if kind == 0:
+            yield rng.integers(-4, 4, size=n)
+        elif kind == 1:
+            yield rng.integers(0, 3, size=(n // 4 + 1, 4)).astype(np.int32)
+        elif kind == 2:
+            x = rng.normal(size=n).round(1)
+            x[rng.random(n) < 0.15] = np.inf
+            x[rng.random(n) < 0.15] = -np.inf
+            yield x
+        elif kind == 3:
+            x = rng.normal(size=n).round(1)
+            x[rng.random(n) < 0.05] = np.nan
+            yield x
+        elif kind == 4:
+            yield rng.normal(size=(n // 5 + 1, 5)).round(0)
+        else:
+            yield rng.random(n)
+
+
+class TestMidranks:
+    def test_matches_bruteforce_on_heavy_ties(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            x = rng.integers(0, 5, size=n).astype(float)
+            x[rng.random(n) < 0.1] = np.inf
+            ranks = _midranks(x)
+            assert ranks.dtype == np.float64
+            np.testing.assert_array_equal(ranks, _bruteforce_midranks(x))
+
+    def test_ranks_sum_to_triangular_number(self, rng):
+        x = rng.integers(0, 7, size=(9, 11))
+        ranks = _midranks(x)
+        assert ranks.shape == (99,)
+        assert ranks.sum() == 99 * 100 / 2
+
+    def test_any_nan_makes_every_rank_nan(self):
+        ranks = _midranks(np.array([0.3, np.nan, 0.1, np.inf]))
+        assert ranks.shape == (4,) and np.isnan(ranks).all()
+
+    def test_empty_input(self):
+        ranks = _midranks(np.array([]))
+        assert ranks.shape == (0,) and ranks.dtype == np.float64
+
+    def test_bit_identical_to_scipy_rankdata(self, rng):
+        stats = pytest.importorskip("scipy.stats")
+        checked = 0
+        for x in _random_vectors(rng, 1200):
+            ours, theirs = _midranks(x), stats.rankdata(x)
+            assert ours.dtype == theirs.dtype, x
+            assert ours.shape == theirs.shape, x
+            assert ours.tobytes() == theirs.tobytes(), x
+            checked += 1
+        assert checked >= 1000
 
 
 class TestAUC:
@@ -33,6 +107,10 @@ class TestAUC:
             auc(np.ones(4), np.random.random(4))
         with pytest.raises(ValueError, match="undefined"):
             auc(np.zeros(4), np.random.random(4))
+
+    def test_nan_score_gives_nan(self):
+        scores = np.array([0.1, np.nan, 0.3, 0.4])
+        assert np.isnan(auc(np.array([0, 1, 0, 1]), scores))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

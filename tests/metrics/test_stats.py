@@ -1,10 +1,13 @@
 """Tests for A/B-test statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.metrics.stats import (
     LiftResult,
+    _two_sided_p_value,
     bootstrap_mean_ci,
     relative_lift,
     two_proportion_test,
@@ -59,6 +62,32 @@ class TestTwoProportion:
         a = two_proportion_test(550, 10_000, 500, 10_000)
         b = two_proportion_test(500, 10_000, 550, 10_000)
         assert np.isclose(a.p_value, b.p_value)
+
+
+class TestTwoSidedPValue:
+    def test_far_tail_keeps_relative_precision(self):
+        assert math.isclose(
+            _two_sided_p_value(10.0), 1.5239706048321186e-23, rel_tol=1e-12
+        )
+        assert _two_sided_p_value(-10.0) == _two_sided_p_value(10.0)
+
+    def test_five_percent_critical_value(self):
+        p_value = _two_sided_p_value(1.959963984540054)
+        assert math.isclose(p_value, 0.05, abs_tol=1e-12)
+
+    def test_huge_difference_is_significant_not_zero(self):
+        # z is about 19.8: ``1 - cdf`` cancels to exactly 0 here.
+        result = two_proportion_test(2000, 10_000, 1000, 10_000)
+        assert 0.0 < result.p_value < 1e-80
+        assert result.significant_95
+
+    def test_agrees_with_scipy_normal_tail(self):
+        stats = pytest.importorskip("scipy.stats")
+        for z in np.linspace(-8.0, 8.0, 1601):
+            p_value = _two_sided_p_value(z)
+            assert abs(p_value - 2.0 * stats.norm.sf(abs(z))) <= 1e-15, z
+            # The former ``2 * (1 - cdf)`` form, so no 5% decision moves.
+            assert abs(p_value - 2.0 * (1.0 - stats.norm.cdf(abs(z)))) <= 1e-15, z
 
 
 class TestBootstrap:
