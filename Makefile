@@ -53,8 +53,10 @@ verify-fleet:
 	PYTHONPATH=src pytest -m fleet tests/
 
 # Every test tagged `plan`: compiled execution-plan parity (bit-exact
-# vs eager across models and checkpoints) and the
-# shape-signature fallback policy.
+# vs eager across models and checkpoints), the shape-signature
+# fallback policy, and the forward-only replay behind `predict`
+# (bit-exact predictions, binding, compile-on-repeat, zero module
+# calls per steady served page).
 verify-plan:
 	PYTHONPATH=src pytest -m plan tests/
 

@@ -208,26 +208,6 @@ def maximum(x: ArrayLike, y: ArrayLike) -> Tensor:
     return out
 
 
-def where(condition: ArrayLike, x: ArrayLike, y: ArrayLike) -> Tensor:
-    """Differentiable ``numpy.where`` (condition carries no gradient)."""
-    cond = condition.data if isinstance(condition, Tensor) else np.asarray(condition)
-    x, y = _as_tensor(x), _as_tensor(y)
-    if _planmode._REPLAY is not None:
-        return _planmode._REPLAY.run("where", (cond, x, y))
-    out_data = np.where(cond, x.data, y.data)
-
-    def backward(grad: np.ndarray, a=x, b=y, c=cond) -> Iterable:
-        return (
-            (a, unbroadcast(grad * c, a.shape), True),
-            (b, unbroadcast(grad * (~np.asarray(c, dtype=bool)), b.shape), True),
-        )
-
-    out = Tensor._make(out_data, (x, y), backward)
-    if _planmode._TRACER is not None:
-        _planmode._TRACER.record("where", out, (cond, x, y))
-    return out
-
-
 def affine(x: ArrayLike, weight: ArrayLike, bias: Optional[ArrayLike] = None) -> Tensor:
     """Fused ``x @ weight + bias`` as a single graph node.
 

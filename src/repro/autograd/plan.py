@@ -47,6 +47,18 @@ full batch; an op the compiler does not support disables
 the plan for the run (permanent eager).  A cursor/shape mismatch
 *during* replay raises :class:`PlanMismatch` and falls back for that
 step; three consecutive mismatches disable the plan.
+
+**Forward-only replay** (:class:`ForwardRunner`).  ``predict`` on an
+eval-mode model compiles one traced ``forward_tensors`` (under
+``no_grad``) into a :class:`ForwardProgram`: the same forward kernels
+and arena, but no backward, no cursor and no Python model code.  Each
+value operand is bound at trace time to the batch field it came from
+(sparse ids by name, dense columns by name, shape and dtype), so a
+replay refills those and runs the kernels in a flat loop.  The same
+:class:`PlanSignature` invalidates it; a program is compiled only when
+a batch signature repeats, and a model holds at most one.  An
+unlowerable op or an unbound value leaves the model eager, with the
+reason recorded.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ import numpy as np
 
 from repro.autograd import planmode as _planmode
 from repro.autograd.arena import Arena, IntervalAllocator
-from repro.autograd.tensor import Tensor, _topological_order
+from repro.autograd.tensor import Tensor, _topological_order, no_grad
 from repro.utils.logging import get_logger
 
 logger = get_logger("plan")
@@ -163,12 +175,8 @@ class _PlanNode:
 # ======================================================================
 def _batch_key(batch) -> tuple:
     return (
-        tuple(
-            (k, v.shape, v.dtype.str) for k, v in sorted(batch.sparse.items())
-        ),
-        tuple(
-            (k, v.shape, v.dtype.str) for k, v in sorted(batch.dense.items())
-        ),
+        tuple([(k, v.shape, v.dtype) for k, v in sorted(batch.sparse.items())]),
+        tuple([(k, v.shape, v.dtype) for k, v in sorted(batch.dense.items())]),
         batch.clicks.shape,
         batch.conversions.shape,
         None if batch.actions is None else batch.actions.shape,
@@ -305,17 +313,6 @@ def _fwd_builder(node: _PlanNode, arena: Arena, borrow) -> Callable:
     if op == "maximum":
         buf = out_slot()
         return lambda a, buf=buf: np.maximum(a[0], a[1], out=buf)
-    if op == "where":
-        buf = out_slot()
-        m = borrow(shape, np.bool_)
-
-        def fwd(a, buf=buf, m=m):
-            np.copyto(m, a[0], casting="unsafe")
-            np.copyto(buf, a[2])
-            np.copyto(buf, a[1], where=m)
-            return buf
-
-        return fwd
     if op == "sigmoid":
         buf = out_slot()
         s = borrow(shape, dtype)
@@ -424,7 +421,7 @@ _SUPPORTED_OPS = frozenset(
     {
         "add", "neg", "mul", "div", "pow", "matmul", "affine", "reshape",
         "squeeze", "transpose", "sum", "exp", "log", "tanh", "relu", "leaky_relu",
-        "absolute", "clip", "maximum", "where", "sigmoid", "sigmoid_bce",
+        "absolute", "clip", "maximum", "sigmoid", "sigmoid_bce",
         "concat", "stack", "take_rows", "softmax",
     }
 )
@@ -505,8 +502,6 @@ def _emissions_for(node: _PlanNode) -> List[_Emission]:
         return ems
     if op in ("mul", "div", "matmul", "maximum"):
         return [_Emission(k, "compute") for k in (0, 1) if grad(k)]
-    if op == "where":
-        return [_Emission(k, "compute") for k in (1, 2) if grad(k)]
     if op == "affine":
         ems = []
         for k in (0, 1, 2):
@@ -751,17 +746,6 @@ def _compute_closure(bc: _BCtx, em: _Emission, work) -> Callable:
                 np.logical_not(m, out=m)
                 np.multiply(g, m, out=work)
         return run
-    if op == "where":
-        if k == 1:
-            return lambda: np.multiply(g, rt[i][0], out=work)
-        mb = borrow(tuple(bc.node.operands[0].shape), np.bool_)
-
-        def run(mb=mb):
-            np.copyto(mb, rt[i][0], casting="unsafe")
-            np.logical_not(mb, out=mb)
-            np.multiply(g, mb, out=work)
-
-        return run
     if op == "matmul":
         if k == 0:
             return lambda: np.matmul(g, rt[i][1].T, out=work)
@@ -928,10 +912,8 @@ def _classify_operands(records, by_id, model) -> List[List[_Operand]]:
     return all_specs
 
 
-def _compile(
-    tracer: PlanTracer, loss: Tensor, model, batch, grad_buffers
-) -> CompiledPlan:
-    records = tracer.records
+def _check_tape(records) -> None:
+    """Reject a tape with an op or pattern the compiler cannot lower."""
     if not records:
         raise PlanUnsupported("trace recorded no ops")
     for rec in records:
@@ -945,6 +927,31 @@ def _compile(
             ]
             if any(len(s) != 2 for s in shapes):
                 raise PlanUnsupported("batched (non-2D) matmul")
+
+
+def _scratch_lender(arena: Arena):
+    """``(borrow, release)``: kernel scratch lent from ``arena`` while one
+    kernel is built, and handed back (to be shared) once it is."""
+    scratch: List[np.ndarray] = []
+
+    def borrow(shape, dtype=np.float64):
+        buf = arena.take_scratch(tuple(int(s) for s in shape), dtype)
+        scratch.append(buf)
+        return buf
+
+    def release():
+        for buf in scratch:
+            arena.release_scratch(buf)
+        scratch.clear()
+
+    return borrow, release
+
+
+def _compile(
+    tracer: PlanTracer, loss: Tensor, model, batch, grad_buffers
+) -> CompiledPlan:
+    records = tracer.records
+    _check_tape(records)
     by_id = tracer.by_id
     root_index = by_id.get(id(loss))
     if root_index is None:
@@ -959,17 +966,7 @@ def _compile(
     ]
 
     arena = Arena()
-    scratch: List[np.ndarray] = []
-
-    def borrow(shape, dtype=np.float64):
-        buf = arena.take_scratch(tuple(int(s) for s in shape), dtype)
-        scratch.append(buf)
-        return buf
-
-    def release_scratch():
-        for buf in scratch:
-            arena.release_scratch(buf)
-        scratch.clear()
+    borrow, release_scratch = _scratch_lender(arena)
 
     # -- forward kernels ----------------------------------------------
     for node in nodes:
@@ -1055,7 +1052,8 @@ def _compile(
             t = target_for(spec)
             c = contribs[j, seq] = _Contrib((p, seq), em)
             if em.mode == "view":
-                c.src_target = _own_target(targets, node, p)
+                # The emitting node's own gradient feeds its views.
+                c.src_target = targets.get(("n", node.index))
             t.contribs.append(c)
 
     # Consumption positions (fused relu grads live until the affine).
@@ -1245,12 +1243,6 @@ def _compile(
 
     _build_validators(plan)
     return plan
-
-
-def _own_target(targets, node, pos):
-    """The emitting node's own gradient target (source of view emissions)."""
-    key = ("n", node.index)
-    return targets.get(key)
 
 
 def _build_validators(plan: CompiledPlan) -> None:
@@ -1475,3 +1467,268 @@ class PlanRunner:
         self.stats.disabled_reason = reason
         logger.log(level, "plan compilation disabled for this run: %s", reason)
 
+
+
+# ======================================================================
+# Forward-only replay (inference)
+# ======================================================================
+#: Ops whose kernel returns a view of its input instead of an arena slot.
+_VIEW_OPS = frozenset({"reshape", "squeeze", "transpose"})
+
+#: The ``forward_tensors`` outputs that ``MultiTaskModel.predict`` reads.
+PREDICT_OUTPUTS = ("ctr", "cvr", "ctcvr", "cvr_counterfactual")
+
+
+def _value_getter(arr: np.ndarray, batch) -> Optional[tuple]:
+    """``(key, getter)`` for the one batch field a traced value came from.
+
+    A sparse id array binds by identity (``Embedding.forward`` passes
+    the batch's own array).  A dense column binds by name when, read as
+    the traced dtype and reshaped to the traced shape, it has the traced
+    value's exact bytes and either shares its memory (a view) or had a
+    different dtype (a conversion copy); exactly one column may match.
+    Anything else -- a scalar constant, an array the model computed --
+    is unbound (``None``).
+    """
+    for name, ids in batch.sparse.items():
+        if arr is ids:
+            return ("sparse", name), lambda b, n=name: b.sparse[n]
+    shape, dtype = arr.shape, arr.dtype
+    names = []
+    for name, column in batch.dense.items():
+        col = np.asarray(column, dtype=dtype)
+        if col.size != arr.size:
+            continue
+        col = col.reshape(shape)
+        if col.tobytes() == arr.tobytes() and (
+            np.shares_memory(col, arr) or np.asarray(column).dtype != dtype
+        ):
+            names.append(name)
+    if len(names) != 1:
+        return None
+    name = names[0]
+
+    def get(b, n=name, s=shape, d=dtype):
+        return np.asarray(b.dense[n], dtype=d).reshape(s)
+
+    return ("dense", name, shape, dtype.str), get
+
+
+class ForwardProgram:
+    """A traced ``forward_tensors`` lowered to a flat kernel loop.
+
+    ``env`` holds every value the kernels read: node outputs (arena
+    slots, fixed for the program's life), parameter arrays (fixed while
+    the signature matches), and the bound batch fields, refilled per
+    call.  A step whose operands are all fixed carries its argument
+    tuple ready-made; view ops over fixed inputs were resolved once at
+    compile time and have no step at all.
+    """
+
+    __slots__ = ("signature", "arena", "env", "binders", "row_checks", "steps", "outputs")
+
+    def __init__(self, signature, arena, env, binders, row_checks, steps, outputs):
+        self.signature: PlanSignature = signature
+        self.arena: Arena = arena
+        self.env: List[Any] = env
+        #: ``(env slot, getter)`` per bound batch field.
+        self.binders: List[tuple] = binders
+        #: ``(env slot, table rows)`` per embedding gather, in tape order.
+        self.row_checks: List[tuple] = row_checks
+        #: ``(node, kernel, args or None, env refs or None)``.
+        self.steps: List[tuple] = steps
+        #: ``(output name, node)`` for each of :data:`PREDICT_OUTPUTS`.
+        self.outputs: List[tuple] = outputs
+
+    def run(self, batch, row_check) -> Dict[str, np.ndarray]:
+        """Run the kernels on ``batch``; returns views of the arena."""
+        env = self.env
+        for slot, get in self.binders:
+            env[slot] = get(batch)
+        for slot, rows in self.row_checks:
+            row_check(env[slot], rows)
+        for i, fwd, args, refs in self.steps:
+            env[i] = fwd(args if refs is None else tuple([env[r] for r in refs]))
+        return {name: env[i] for name, i in self.outputs}
+
+
+def _share_forward_slots(records, specs, named, arena: Arena) -> None:
+    """Back forward outputs with lifetime-shared arena buffers.
+
+    A node's output lives from its own step to its last reader, seen
+    through any chain of views, or to the end when ``predict`` reads it.
+    Outputs whose lifetimes are disjoint share storage, so the arena is
+    sized by the graph's width, not its length.
+    """
+    n = len(records)
+    root = list(range(n))
+    death = list(range(n))
+    for i, rec in enumerate(records):
+        for spec in specs[i]:
+            if spec.kind == _NODE:
+                r = root[spec.node]
+                death[r] = max(death[r], i)
+        if rec.op in _VIEW_OPS and specs[i][0].kind == _NODE:
+            root[i] = root[specs[i][0].node]
+    for _, j in named:
+        death[root[j]] = n
+    allocator = IntervalAllocator()
+    for i, rec in enumerate(records):
+        if rec.op not in _VIEW_OPS:
+            out = rec.out.data
+            allocator.request(i, out.shape, out.dtype, i, death[i])
+    for i, buf in allocator.assign(arena).items():
+        arena._slots[("fwd", i)] = buf
+
+
+def _compile_forward(tracer: PlanTracer, outputs, model, batch) -> ForwardProgram:
+    records = tracer.records
+    _check_tape(records)
+    by_id = tracer.by_id
+    specs = _classify_operands(records, by_id, model)
+    n = len(records)
+    env: List[Any] = [None] * n
+    none_slot = n
+    env.append(None)
+    fixed = [False] * n + [True]
+    slots: Dict[Any, int] = {}
+    binders: List[tuple] = []
+    row_checks: List[tuple] = []
+
+    def slot_for(key, value, is_fixed) -> int:
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(env)
+            env.append(value)
+            fixed.append(is_fixed)
+        return slot
+
+    named = []
+    for name in PREDICT_OUTPUTS:
+        tensor = outputs.get(name)
+        if tensor is None:
+            continue
+        j = by_id.get(id(tensor))
+        if j is None:
+            raise PlanUnsupported(f"output {name!r} is not the result of a traced op")
+        named.append((name, j))
+
+    arena = Arena()
+    _share_forward_slots(records, specs, named, arena)
+    borrow, release_scratch = _scratch_lender(arena)
+    steps: List[tuple] = []
+    for i, rec in enumerate(records):
+        node = _PlanNode(i, rec.op, rec.attrs, specs[i], rec.out)
+        refs = []
+        for k, spec in enumerate(node.operands):
+            if spec.kind == _NODE:
+                refs.append(spec.node)
+            elif spec.kind == _PARAM:
+                refs.append(slot_for(("param", id(spec.param)), spec.param.data, True))
+            elif spec.kind == _NONE:
+                refs.append(none_slot)
+            else:
+                operand = rec.operands[k]
+                arr = operand.data if isinstance(operand, Tensor) else np.asarray(operand)
+                bound = _value_getter(arr, batch)
+                if bound is None:
+                    raise PlanUnsupported(
+                        f"op #{i} ({rec.op}): value operand {k} is not bound "
+                        "to a batch field"
+                    )
+                key, get = bound
+                new = key not in slots
+                slot = slot_for(key, None, False)
+                if new:
+                    binders.append((slot, get))
+                if rec.op == "take_rows":
+                    row_checks.append((slot, node.operands[0].shape[0]))
+                refs.append(slot)
+        fwd = _fwd_builder(node, arena, borrow)
+        release_scratch()
+        static = all(fixed[r] for r in refs)
+        args = tuple(env[r] for r in refs) if static else None
+        if rec.op in _VIEW_OPS:
+            if static:
+                env[i] = fwd(args)
+                fixed[i] = True
+                continue
+        else:
+            env[i] = arena._slots[("fwd", i)]
+            fixed[i] = True
+        steps.append((i, fwd, args, None if static else tuple(refs)))
+    return ForwardProgram(
+        PlanSignature(batch, model), arena, env, binders, row_checks, steps, named
+    )
+
+
+def output_arrays(outputs) -> Dict[str, np.ndarray]:
+    """The :data:`PREDICT_OUTPUTS` arrays of an eager ``forward_tensors``."""
+    return {
+        name: outputs[name].data for name in PREDICT_OUTPUTS if name in outputs
+    }
+
+
+class ForwardRunner:
+    """Replays a forward-only program behind an eval-mode ``predict``.
+
+    One per model.  A batch signature seen on two consecutive calls is
+    traced (that call runs eagerly, with a tracer installed) and
+    compiled; later calls that match the program's
+    :class:`PlanSignature` replay it and get copies of its outputs.  A
+    one-off batch runs eagerly and builds nothing, and compiling for a
+    new signature drops the old program, so a model holds at most one
+    arena.  A tape the compiler cannot lower, or a value operand that
+    binds to no batch field, disables the runner for good, with the
+    reason in ``stats.disabled_reason``.
+
+    ``row_check(ids, rows)`` is the embedding bounds check, run on every
+    bound id array before any kernel.  Not reentrant: the arena is
+    rewritten by every replay.
+    """
+
+    def __init__(self, row_check: Callable[[np.ndarray, int], None]) -> None:
+        self.row_check = row_check
+        self.program: Optional[ForwardProgram] = None
+        self.stats = PlanStats()
+        self._last_key: Optional[tuple] = None
+
+    def run(self, model, batch) -> Dict[str, np.ndarray]:
+        """The :data:`PREDICT_OUTPUTS` arrays of ``model`` on ``batch``."""
+        program = self.program
+        if program is not None:
+            status = program.signature.matches(batch, model)
+            if status == "ok":
+                self._last_key = program.signature.batch_sig
+                out = program.run(batch, self.row_check)
+                self.stats.replays += 1
+                return {name: arr.copy() for name, arr in out.items()}
+            if status == "params":
+                self.program = None
+                self.stats.retraces += 1
+        if self.stats.disabled_reason is None:
+            key = _batch_key(batch)
+            repeat = key == self._last_key
+            self._last_key = key
+            if repeat:
+                return self._trace(model, batch)
+        self.stats.eager_steps += 1
+        with no_grad():
+            return output_arrays(model.forward_tensors(batch))
+
+    def _trace(self, model, batch) -> Dict[str, np.ndarray]:
+        self.program = None
+        tracer = PlanTracer()
+        previous = _planmode.set_tracer(tracer)
+        try:
+            with no_grad():
+                outputs = model.forward_tensors(batch)
+        finally:
+            _planmode.set_tracer(previous)
+        self.stats.traces += 1
+        try:
+            self.program = _compile_forward(tracer, outputs, model, batch)
+        except PlanUnsupported as exc:
+            self.stats.disabled_reason = str(exc)
+            logger.info("forward replay disabled for this model: %s", exc)
+        return output_arrays(outputs)

@@ -558,17 +558,6 @@ class SyntheticScenario:
             return head
         return head + 0.5 * self.config.hidden_confounder_conversion * hidden
 
-    def true_action_rate(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        hidden: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """True post-click micro-action probability."""
-        click, conv = self._affinities(users, items)
-        logit = self._action_logit(click, conv, users, items, hidden)
-        return stable_sigmoid(logit + self._action_intercept)
-
     def true_ctr(
         self,
         users: np.ndarray,

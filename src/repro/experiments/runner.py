@@ -1,6 +1,7 @@
 """Command-line entry point: ``dcmt-experiments <artifact>``.
 
-Regenerates any paper table/figure from the terminal::
+Regenerates any paper table/figure from the terminal (``table4`` also
+prints the oracle ``r(do(o=1))`` CVR AUC panel)::
 
     dcmt-experiments table2
     dcmt-experiments table4 --scale 0.5 --seeds 0 1
@@ -103,6 +104,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = _run(artifact, config)
         print(result.render())
         print()
+        if artifact == "table4":
+            print(result.render_do_diagnostic())
+            print()
         if args.svg_dir:
             _write_svgs(artifact, result, args.svg_dir)
     return 0

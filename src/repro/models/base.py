@@ -17,8 +17,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.autograd.plan import ForwardRunner, output_arrays
 from repro.autograd.tensor import Tensor, no_grad
 from repro.data.dataset import Batch
+from repro.nn.embedding import check_indices
 from repro.nn.module import Module
 
 
@@ -67,6 +69,7 @@ class MultiTaskModel(Module):
     def __init__(self, config: ModelConfig) -> None:
         super().__init__()
         self.config = config
+        self._forward = ForwardRunner(check_indices)
 
     # ------------------------------------------------------------------
     def forward_tensors(self, batch: Batch) -> Dict[str, Tensor]:
@@ -81,28 +84,30 @@ class MultiTaskModel(Module):
     def predict(self, batch: Batch) -> Predictions:
         """Inference without graph construction.
 
-        Outside a fit a model is in eval mode, so this flips modes only
-        for a training-mode model, restoring training mode afterwards;
-        an eval-mode model is scored without walking its module tree.
+        Outside a fit a model is in eval mode: its forward pass is then
+        replayed as a compiled forward-only program once a batch
+        signature repeats (:class:`~repro.autograd.plan.ForwardRunner`),
+        bit-identical to the eager pass.  A training-mode model is
+        scored eagerly in eval mode and handed back in training mode.
         """
-        was_training = self.training
-        if was_training:
+        if self.training:
             self.eval()
-        try:
-            with no_grad():
-                outputs = self.forward_tensors(batch)
-        finally:
-            if was_training:
+            try:
+                with no_grad():
+                    outputs = output_arrays(self.forward_tensors(batch))
+            finally:
                 self.train()
-        ctr = outputs["ctr"].data
-        cvr = outputs["cvr"].data
+        else:
+            outputs = self._forward.run(self, batch)
+        ctr = outputs["ctr"]
+        cvr = outputs["cvr"]
         ctcvr = outputs.get("ctcvr")
         cf = outputs.get("cvr_counterfactual")
         return Predictions(
             ctr=np.asarray(ctr),
             cvr=np.asarray(cvr),
-            ctcvr=np.asarray(ctcvr.data if ctcvr is not None else ctr * cvr),
-            cvr_counterfactual=None if cf is None else np.asarray(cf.data),
+            ctcvr=np.asarray(ctcvr if ctcvr is not None else ctr * cvr),
+            cvr_counterfactual=None if cf is None else np.asarray(cf),
         )
 
     # ------------------------------------------------------------------

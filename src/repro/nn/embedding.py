@@ -41,6 +41,28 @@ def trusted_indices() -> Iterator[None]:
         _TRUSTED_INDICES = previous
 
 
+def check_indices(idx: np.ndarray, num_embeddings: int) -> None:
+    """Raise ``IndexError`` unless every id lies in ``[0, num_embeddings)``.
+
+    The one bounds check of an embedding lookup: :meth:`Embedding.forward`
+    calls it, and so does the forward-only replay behind
+    ``MultiTaskModel.predict``, which gathers rows without calling the
+    module.  Skipped inside :func:`trusted_indices`.
+    """
+    if _TRUSTED_INDICES or not idx.size:
+        return
+    if idx.dtype == np.int64 and idx.flags.c_contiguous:
+        # Single pass: reinterpreting as uint64 maps negatives to huge
+        # values, so one maximum catches both bounds.
+        bad = bool(idx.view(np.uint64).max() >= num_embeddings)
+    else:
+        bad = bool(idx.min() < 0 or idx.max() >= num_embeddings)
+    if bad:
+        raise IndexError(
+            f"index out of range for vocabulary of size {num_embeddings}"
+        )
+
+
 class Embedding(Module):
     """A ``(num_embeddings, dim)`` lookup table.
 
@@ -99,15 +121,5 @@ class Embedding(Module):
     def forward(self, indices: np.ndarray) -> Tensor:
         """Gather embedding rows for integer ``indices`` of any shape."""
         idx = np.asarray(indices)
-        if not _TRUSTED_INDICES and idx.size and self._out_of_range(idx):
-            raise IndexError(
-                f"index out of range for vocabulary of size {self.num_embeddings}"
-            )
+        check_indices(idx, self.num_embeddings)
         return ops.take_rows(self.weight, idx)
-
-    def _out_of_range(self, idx: np.ndarray) -> bool:
-        if idx.dtype == np.int64 and idx.flags.c_contiguous:
-            # Single pass: reinterpreting as uint64 maps negatives to
-            # huge values, so one comparison catches both bounds.
-            return bool((idx.view(np.uint64) >= self.num_embeddings).any())
-        return bool(idx.min() < 0 or idx.max() >= self.num_embeddings)

@@ -41,10 +41,6 @@ class TestForwardValues:
         out = ops.maximum(Tensor([1.0, 5.0]), Tensor([3.0, 2.0])).data
         assert np.allclose(out, [3.0, 5.0])
 
-    def test_where(self):
-        out = ops.where(np.array([True, False]), Tensor([1.0, 1.0]), Tensor([2.0, 2.0]))
-        assert np.allclose(out.data, [1.0, 2.0])
-
     def test_concat_axis1(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 3)))
         assert ops.concat([a, b], axis=1).shape == (2, 5)
@@ -151,13 +147,6 @@ class TestGradients:
         a = self.rng.normal(size=(4,))
         b = a + np.where(self.rng.random(4) > 0.5, 1.0, -1.0)
         check_gradients(lambda x, y: (ops.maximum(x, y) * 2.0).sum(), [a, b])
-
-    def test_where_grad(self):
-        cond = np.array([True, False, True])
-        check_gradients(
-            lambda x, y: (ops.where(cond, x, y) ** 2).sum(),
-            [self.rng.normal(size=3), self.rng.normal(size=3)],
-        )
 
     def test_concat_grad(self):
         check_gradients(

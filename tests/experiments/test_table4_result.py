@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.experiments import runner
 from repro.experiments.table4_offline import CellResult, Table4Result
 
 
@@ -98,3 +99,17 @@ class TestRendering:
         }
         text = result.render()
         assert "DCMT vs DCMT_PD" not in text
+
+
+def test_cli_table4_prints_the_oracle_panel(monkeypatch, capsys):
+    """``dcmt-experiments table4`` prints the observed-label table and
+    then the oracle ``r(do(o=1))`` panel (canned result, no training)."""
+    result = make_result()
+    monkeypatch.setattr(runner, "run_table4", lambda config: result)
+    assert runner.main(["table4", "--seeds", "0"]) == 0
+    out = capsys.readouterr().out
+    assert result.render() in out
+    panel = result.render_do_diagnostic()
+    assert panel in out
+    assert out.index(result.render()) < out.index(panel)
+    assert "0.73" in panel  # ds_a/dcmt: 0.75 - 0.02

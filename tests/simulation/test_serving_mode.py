@@ -6,6 +6,8 @@ returns one, and ``RankingService`` puts its primary model and its
 ``swap_model``.  ``predict`` then has no mode to switch, so a steady
 page calls ``Module.modules`` zero times -- through a registry-built
 fleet and a bare service alike, across a promotion and a rollback.
+Once a page size repeats, ``predict`` replays a compiled forward
+program, so a steady page calls ``Module.__call__`` zero times too.
 """
 
 import numpy as np
@@ -45,6 +47,18 @@ def _count_module_walks(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(Module, "modules", counting)
+    return calls
+
+
+def _count_module_calls(monkeypatch):
+    calls = [0]
+    original = Module.__call__
+
+    def counting(self, *args, **kwargs):
+        calls[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Module, "__call__", counting)
     return calls
 
 
@@ -117,3 +131,23 @@ def test_bare_service_pages_make_no_module_walks(world, monkeypatch):
     assert service.model is original
     assert per_page[1:] == [0] * (N_PAGES - 1)
     assert service.stats.primary == N_PAGES
+
+
+@pytest.mark.plan
+def test_steady_pages_make_no_module_calls(world, monkeypatch):
+    """The first page runs eagerly, the second traces the forward pass,
+    and every later page -- primary model and ``ctr_provider`` alike --
+    replays it without calling a module."""
+    train, scenario = world
+    model = _factory(train)()
+    ctr_provider = _factory(train, seed=2)()
+    service = RankingService(model, scenario, page_size=8, ctr_provider=ctr_provider)
+    calls = _count_module_calls(monkeypatch)
+    per_page = _serve(
+        service.serve_page, calls, promote=lambda: None, rollback=lambda: None
+    )
+    assert per_page[0] > 0 and per_page[1] > 0
+    assert per_page[2:] == [0] * (N_PAGES - 2)
+    assert service.stats.primary == N_PAGES
+    for scorer in (model, ctr_provider):
+        assert scorer._forward.stats.replays == N_PAGES - 2
