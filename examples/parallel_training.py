@@ -3,23 +3,26 @@
 Narrates the "losing a trainer worker mid-epoch" runbook from
 ``docs/reproduction_guide.md`` against live forked workers:
 
-1. train DCMT through a 4-worker supervised pool and prove the
-   headline invariant -- the pool run is **bit-exact** with a 4-shard
-   single-process run (same shard split, same seeded reduction fold).
-   Workers read the parameters from the optimizer's shared parameter
-   plane and write gradients into shared slots, so a step's pipe
-   traffic is its shards going out and a few bytes of reply per shard
-   coming back, never parameters or gradients;
+1. train DCMT through a 4-venue supervised pool -- the parent, which
+   computes shard 0 of every step itself, and three forked workers in
+   slots 0-2 -- and prove the headline invariant: the pool run is
+   **bit-exact** with a 4-shard single-process run (same shard split,
+   same seeded reduction fold).  Workers read the parameters from the
+   optimizer's shared parameter plane and write gradients into shared
+   slots, so a step's pipe traffic is three shards going out and a few
+   bytes of reply per shard coming back, never parameters or
+   gradients;
 2. run a seeded :class:`~repro.training.parallel.TrainerChaosDrill`
-   that SIGKILLs one worker mid-epoch: training completes by
-   re-sharding across the survivors, the structured event trail rides
-   the history, and a same-seed rerun reproduces the transcript bit
-   for bit;
+   that SIGKILLs one forked worker mid-epoch: training completes by
+   re-sharding across the live venues, the structured event trail
+   rides the history, and a same-seed rerun reproduces the transcript
+   bit for bit;
 3. hang a worker instead, and watch the deadline/heartbeat ladder
    tell "slow" from "dead": strike, seeded-jitter backoff,
    re-dispatch, eventual loss;
-4. break the quorum entirely and watch the engine degrade to
-   single-process training mid-epoch rather than lose the run.
+4. break the quorum entirely: a 2-venue pool with ``min_workers=2``
+   loses ``worker=0``, its only forked worker, and the engine degrades
+   to single-process training mid-epoch rather than lose the run.
 
 Run with::
 
@@ -75,7 +78,7 @@ def main():
         return build_model("dcmt", train.schema, MODEL_CONFIG)
 
     # -- 1. the headline invariant -------------------------------------
-    banner("4-worker pool vs 4-shard single-process: bit-exact")
+    banner("4-venue pool vs 4-shard single-process: bit-exact")
     pooled = factory()
     pooled_engine = create_engine(pooled, CONFIG)
     pooled_history = pooled_engine.fit(train)
@@ -100,7 +103,7 @@ def main():
           f"{stats.dispatches / steps * param_bytes:,.0f}")
 
     # -- 2. the chaos drill --------------------------------------------
-    banner("Chaos drill: SIGKILL 1 of 4 workers mid-epoch")
+    banner("Chaos drill: SIGKILL 1 of 3 forked workers mid-epoch")
     drill = TrainerChaosDrill(
         factory, train, CONFIG, spec=TrainerFaultSpec(n_kills=1), seed=3
     )

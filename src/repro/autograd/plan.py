@@ -1428,6 +1428,21 @@ class PlanRunner:
         else:
             loss.backward()
 
+    def retarget(self, batch_size: int) -> None:
+        """Trace at ``batch_size`` rows from now on.
+
+        For a change that lasts (a re-sharded pool step): the plan of
+        the old size is dropped and the next batch of the new size
+        traces.  A one-off ragged batch needs no call; it runs eagerly
+        and keeps the plan.
+        """
+        if batch_size == self.expected_batch_size:
+            return
+        self.expected_batch_size = batch_size
+        if self.plan is not None:
+            self.plan = None
+            self.stats.retraces += 1
+
     # ------------------------------------------------------------------
     def _should_trace(self, batch) -> bool:
         if self.expected_batch_size is None:

@@ -33,9 +33,11 @@ class TrainConfig:
     max_batches_per_epoch: Optional[int] = None
 
     # -- data-parallel worker pool (repro.training.parallel) -----------
-    #: Size of the supervised ``multiprocessing`` worker pool; ``None``
-    #: keeps training single-process.  ``num_workers=1`` is a valid
-    #: (degenerate) pool, useful for isolating IPC from parallelism.
+    #: Compute venues of the supervised data-parallel pool; ``None``
+    #: keeps training single-process.  The parent process is one venue
+    #: and computes shard 0 itself, so ``num_workers=K`` forks ``K - 1``
+    #: ``multiprocessing`` workers; ``num_workers=1`` forks nothing and
+    #: is bit-exact with the plain engine.
     num_workers: Optional[int] = None
     #: Shards per optimizer step.  Defaults to ``num_workers`` when the
     #: pool is on; may be set alone to run the *serial* sharded loop --
@@ -56,18 +58,13 @@ class TrainConfig:
     #: supervisor SIGKILLs it as lost.
     worker_retries: int = 2
     #: Base pause before re-dispatching a missed shard elsewhere
-    #: (jittered by ``worker_backoff_jitter`` through the supervisor's
-    #: seeded RNG, capped by the remaining step deadline).
+    #: (jittered by ``parallel.WORKER_BACKOFF_JITTER`` through the
+    #: supervisor's seeded RNG).
     worker_backoff_s: float = 0.01
-    worker_backoff_jitter: float = 0.5
-    #: Quorum: below this many live workers the pool gives up --
-    #: falling back to single-process when
-    #: ``single_process_fallback`` is set, raising ``WorkerPoolError``
-    #: otherwise.
+    #: Quorum: below this many live venues (the parent counts as one)
+    #: the pool gives up and the fit continues in-process, through the
+    #: serial sharded loop.
     min_workers: int = 1
-    #: Losing quorum degrades to in-process training instead of
-    #: aborting the run.
-    single_process_fallback: bool = True
 
     def __post_init__(self) -> None:
         self.validate()
@@ -149,10 +146,9 @@ class TrainConfig:
             raise ValueError(
                 f"worker_retries must be >= 0, got {self.worker_retries}"
             )
-        if self.worker_backoff_s < 0 or self.worker_backoff_jitter < 0:
+        if self.worker_backoff_s < 0:
             raise ValueError(
-                "worker_backoff_s and worker_backoff_jitter must be >= 0, got "
-                f"{self.worker_backoff_s} / {self.worker_backoff_jitter}"
+                f"worker_backoff_s must be >= 0, got {self.worker_backoff_s}"
             )
         if self.min_workers < 1:
             raise ValueError(f"min_workers must be >= 1, got {self.min_workers}")

@@ -279,15 +279,19 @@ class TrainingEngine:
         return collect_module_rngs(self.model)
 
 
-def plan_rows(config: TrainConfig) -> int:
+def plan_rows(config: TrainConfig, shards: Optional[int] = None) -> int:
     """Rows of the batches a fit traces its plan at: a full batch, or
-    its first shard when the fit is sharded.
+    its first shard when the fit is sharded (``shards``, by default the
+    shard count the fit starts with).
 
     Contiguous shards of a full batch have fixed sizes, so every venue
-    traces once and replays from then on; a ragged batch or a
-    re-sharded step misses the plan's signature and runs eagerly.
+    traces once and replays from then on; a ragged batch misses the
+    plan's signature and runs eagerly.  A step re-sharded for good
+    retargets the runners to the new count's size.
     """
-    return shard_sizes(config.batch_size, config.effective_shards)[0]
+    if shards is None:
+        shards = config.effective_shards
+    return shard_sizes(config.batch_size, shards)[0]
 
 
 def collect_module_rngs(model: MultiTaskModel) -> List[np.random.Generator]:

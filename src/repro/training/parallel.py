@@ -3,15 +3,17 @@
 :class:`ShardedTrainingEngine` splits every batch into contiguous row
 shards (:func:`repro.data.stream.shard_batch`), computes per-shard
 gradients, and reduces them in a deterministic seeded order -- a
-weighted left-fold over shard index.  The per-shard compute and the reduction are the *same functions*
-whether shards run in a pool of forked ``multiprocessing`` workers or
-serially in-process, which is what makes the headline property cheap
-to state and test: **a K-worker parallel run is bit-exact with a
-K-shard single-process run.**  (Sharded runs differ from the plain
+weighted left-fold over shard index.  The per-shard compute and the
+reduction are the *same functions* whether shards run in a forked
+``multiprocessing`` worker or in-process, which is what makes the
+headline property cheap to state and test: **a K-venue pool run is
+bit-exact with a K-shard single-process run.**  (Sharded runs differ from the plain
 unsharded engine by float non-associativity once ``K > 1``; the plain
 engine is untouched and stays golden-pinned.)
 
-The robustness layer is :class:`WorkerSupervisor`:
+The robustness layer is :class:`WorkerSupervisor`.  A pool of
+``num_workers = K`` runs K compute venues: the parent computes shard 0
+itself, so only K-1 workers are forked and K-1 shards go over pipes.
 
 * **stateless workers** -- the parent holds the authoritative model and
   optimizer.  Workers read the parent's parameter plane (an anonymous
@@ -24,17 +26,16 @@ The robustness layer is :class:`WorkerSupervisor`:
   letting the supervisor tell "stuck but alive" (a straggler, worth a
   retry elsewhere) from "frozen or dead" (declare lost now);
 * **per-dispatch deadlines** -- a missed deadline re-dispatches the
-  shard to an idle survivor after a seeded-jitter backoff
-  (:func:`~repro.reliability.timeouts.jittered_backoff`); repeated
-  strikes get the worker SIGKILLed as lost;
+  shard, after a seeded-jitter backoff
+  (:func:`~repro.reliability.timeouts.jittered_backoff`), to an idle
+  forked worker or, when there is none, to the parent, the venue of
+  last resort; repeated strikes get the worker SIGKILLed as lost;
 * **graceful degradation** -- any worker loss abandons the in-flight
-  step and re-shards it across survivors (bit-exactness explicitly
-  traded for availability, recorded as a structured
+  step and re-shards it across the live venues (bit-exactness
+  explicitly traded for availability, recorded as a structured
   :class:`~repro.reliability.guards.GuardEvent` in the history);
   losing the ``min_workers`` quorum escalates to single-process
-  fallback, or a hard
-  :class:`~repro.reliability.errors.WorkerPoolError` abort when
-  fallback is disabled.
+  fallback.
 
 Every supervision decision appends a line to a transcript keyed only
 by ``(epoch, batch, step)`` -- no wall-clock values, no detection-path
@@ -46,6 +47,7 @@ heartbeat-timeout detection.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import multiprocessing as mp
 import os
 import pickle
@@ -88,9 +90,13 @@ logger = get_logger("training.parallel")
 #: hang is indistinguishable from a real wedged computation.
 _HANG_SLEEP_S = 3600.0
 
+#: Re-dispatch backoff jitter: the pause is ``worker_backoff_s * (1 +
+#: WORKER_BACKOFF_JITTER * u)`` for the supervisor's seeded draw ``u``.
+WORKER_BACKOFF_JITTER = 0.5
+
 
 # ----------------------------------------------------------------------
-# Shard compute + deterministic reduction (shared by both venues).
+# Shard compute + deterministic reduction (shared by every venue).
 # ----------------------------------------------------------------------
 def reseed_module_rngs(
     rngs: Sequence[np.random.Generator],
@@ -129,10 +135,11 @@ def compute_shard_gradients(
 
     The single compute kernel of the parallel mode: workers call it
     through the runner of their forked model copy (``views`` cut from
-    their gradient slot), the serial sharded path through the parent's
-    runner (the plane's own views), and because it is the same function
-    over the same bits the two venues agree exactly.  Also returns the
-    indices of parameters the shard left without a gradient.
+    their gradient slot), the pool's parent and the serial sharded path
+    through the parent's runner (the plane's own views), and because it
+    is the same function over the same bits every venue agrees exactly.
+    Also returns the indices of parameters the shard left without a
+    gradient.
     """
     reseed_module_rngs(rngs, seed, epoch, batch_index, shard_index)
     for param in plane.params:
@@ -158,8 +165,9 @@ class ShardFold:
     """Row-weighted sum of shard gradients into ``plane.grad``, in shard order.
 
     :meth:`accept` scales shard ``k``'s flat gradient into position ``k``
-    at once, because its source (a worker's slot, the plan's buffers) is
-    rewritten by that worker's next task or the runner's next replay.
+    at once, because its source (a worker's slot, the plane's gradient
+    buffer) is rewritten by that worker's next task or the runner's
+    next replay.
     :meth:`finish` sums the positions strictly by shard index, never by
     arrival order: the deterministic left fold.  A shard without a
     gradient for a parameter contributes nothing to it.  A single shard
@@ -249,8 +257,10 @@ def _worker_main(
     read-only views of the parent's plane, so a task carries only its
     shard and the parent never has to resynchronise a survivor after a
     loss (its plan runner holds kernels and buffers, never training
-    state).  Gradients land in ``grads``, this worker's shared slot; the
-    reply says which task they belong to.  The heartbeat thread shares
+    state).  A task also names the rows the current shard layout traces
+    at, so the runner retargets when a loss re-shards the pool.
+    Gradients land in ``grads``, this worker's shared slot; the reply
+    says which task they belong to.  The heartbeat thread shares
     the pipe under a lock; any traffic (beat or result) proves liveness
     to the supervisor.
     """
@@ -278,7 +288,8 @@ def _worker_main(
                 break
             if msg[0] == "stop":
                 break
-            _, task_id, step_key, shard, shard_index, fault = msg
+            _, task_id, step_key, rows, shard, shard_index, fault = msg
+            runner.retarget(rows)
             if fault == "hang":
                 time.sleep(_HANG_SLEEP_S)
                 continue  # never answer: the task is forfeit
@@ -356,6 +367,17 @@ class WorkerPoolStats:
     bytes_received: int = 0
 
 
+def _trim_free_heap() -> None:
+    """Return the C heap's free pages to the OS (glibc only; else a no-op).
+
+    A forked worker maps every resident page of its parent, free heap
+    pages included, and the parent's heap keeps what earlier fits (and
+    the parent's own plan trace) freed.
+    """
+    with contextlib.suppress(OSError, AttributeError):
+        ctypes.CDLL(None).malloc_trim(0)
+
+
 def _spawn_workers(
     model: MultiTaskModel,
     config: TrainConfig,
@@ -373,6 +395,8 @@ def _spawn_workers(
             "data-parallel training requires the 'fork' start method"
         )
     ctx = mp.get_context("fork")
+    if n_workers:
+        _trim_free_heap()
     slots = shared_zeros(n_workers * plane.size).reshape(n_workers, plane.size)
     handles: List[_WorkerHandle] = []
     for slot in range(n_workers):
@@ -414,35 +438,45 @@ def _stop_workers(handles: Sequence[_WorkerHandle]) -> None:
 
 
 class WorkerSupervisor:
-    """Dispatches shards to a worker pool and survives its failures.
+    """Computes shards in the parent and a forked pool, and survives the pool.
 
     One :meth:`compute_step` call turns one batch into one aggregated
-    gradient.  Internally it is a work-queue scheduler: shards are
-    dispatched only to *idle* live workers (so the parent can never
-    block on a pipe to a wedged process), results are collected with
-    ``multiprocessing.connection.wait``, and four escalation rungs
-    guard progress:
+    gradient.  ``config.num_workers = K`` gives K venues: the parent,
+    which computes shard 0 through ``runner`` (as the serial sharded
+    loop does), and K-1 forked workers in slots ``0 .. K-2``, which
+    take shards 1..K-1.  Fault schedules name forked slots only.
+
+    Internally it is a work-queue scheduler.  Shards are dispatched only
+    to *idle* live workers (so the parent can never block on a pipe to a
+    wedged process); the parent then computes its own shard and only
+    after that collects the results with
+    ``multiprocessing.connection.wait``.  While the parent computes it
+    reads no pipe, so deadlines and heartbeats are checked when it
+    returns.  Four escalation rungs guard progress:
 
     1. deadline miss with a fresh heartbeat -> straggler: strike the
        worker, seeded-jitter backoff, re-dispatch the shard to an idle
-       survivor (the stale result is discarded on arrival);
+       forked worker, or compute it in the parent when none is idle
+       (the stale result is discarded on arrival);
     2. deadline miss with a stale heartbeat, pipe EOF, or a worker
        error reply -> the worker is lost;
     3. ``worker_retries`` consecutive strikes (misses now, bench sweeps
        at later step starts) -> SIGKILL, lost;
     4. any loss -> abandon the step's partial results, degrade the
-       shard count to the survivors, and re-shard the whole step --
-       recorded as ``worker_lost`` / ``step_resharded`` events.
+       shard count to the live venues (the parent included), and
+       re-shard the whole step -- recorded as ``worker_lost`` /
+       ``step_resharded`` events.
 
-    Below ``min_workers`` live workers, :meth:`compute_step` raises
+    Below ``min_workers`` live venues, :meth:`compute_step` raises
     :class:`WorkerPoolError`; the engine converts that into
-    single-process fallback (or a hard abort).  Transcript lines carry
-    only ``(epoch, batch, step)`` positions and schedule-driven facts,
-    never wall-clock readings, so same-seed drills are bit-identical.
+    single-process fallback.  Transcript lines carry only ``(epoch,
+    batch, step)`` positions and schedule-driven facts, never
+    wall-clock readings, so same-seed drills are bit-identical.
 
     Workers read ``plane`` (the optimizer's parameter plane); the
-    step's gradient comes back in ``plane.grad``.  A worker's gradient
-    slot is read only for a pending task id, and consumed before that
+    step's gradient comes back in ``plane.grad``.  The parent writes
+    the plane's parameters only between steps, and a worker's gradient
+    slot is read only for a pending task id and consumed before that
     worker's next dispatch (DESIGN.md section 7).
     """
 
@@ -451,6 +485,7 @@ class WorkerSupervisor:
         model: MultiTaskModel,
         config: TrainConfig,
         plane: ParamPlane,
+        runner: PlanRunner,
         *,
         fault_schedule: Sequence[WorkerFault] = (),
         clock=time.monotonic,
@@ -461,6 +496,9 @@ class WorkerSupervisor:
         self.model = model
         self.config = config
         self.plane = plane
+        #: The parent's plan runner, which computes the parent's shards.
+        self.runner = runner
+        self._rngs = collect_module_rngs(model)
         self.fault_schedule = list(fault_schedule)
         self._announced_faults: set = set()
         self._rng = np.random.default_rng(
@@ -479,20 +517,26 @@ class WorkerSupervisor:
         self._current_step = 0
         self._task_counter = 0
         self._started = False
-        #: Live-worker count frozen at :meth:`stop` (``_stop_workers``
-        #: marks every handle dead, so ``n_live`` is 0 afterwards).
+        #: Live-venue count frozen at :meth:`stop` (``_stop_workers``
+        #: marks every handle dead, so ``n_live`` is 1 afterwards).
         self.final_live = 0
 
     # ------------------------------------------------------------------
     @property
     def n_live(self) -> int:
-        return sum(1 for h in self.workers if h.alive)
+        """Live venues: the parent, which is always live, and every
+        live forked worker."""
+        return 1 + sum(1 for h in self.workers if h.alive)
 
     def start(self) -> None:
         if self._started:
             return
         self.workers, self._slots = _spawn_workers(
-            self.model, self.config, self.config.num_workers, self._clock, self.plane
+            self.model,
+            self.config,
+            self.config.num_workers - 1,
+            self._clock,
+            self.plane,
         )
         self._started = True
         log_event(logger, "worker_pool_started", workers=len(self.workers))
@@ -537,6 +581,7 @@ class WorkerSupervisor:
         while True:
             self._require_quorum(epoch, batch_index)
             shards = shard_batch(batch, self.current_shards)
+            self.runner.retarget(self._plan_rows())
             sizes = [s.size for s in shards]
             self._fold.begin(sizes)
             try:
@@ -545,6 +590,10 @@ class WorkerSupervisor:
                 continue
             losses = [values[i] for i in range(len(shards))]
             return reduce_shard_losses(losses, sizes), self._fold.finish()
+
+    def _plan_rows(self) -> int:
+        """Rows every venue traces at under the current shard layout."""
+        return plan_rows(self.config, self.current_shards)
 
     # -- bookkeeping ----------------------------------------------------
     def _record(
@@ -680,14 +729,30 @@ class WorkerSupervisor:
     def _run_shards(
         self, shards: List[Batch], epoch: int, batch: int, step: int
     ) -> Dict[int, float]:
-        """Shard index -> loss; each gradient is accepted into the fold."""
-        queue: deque = deque(range(len(shards)))
+        """Shard index -> loss; each gradient is accepted into the fold.
+
+        ``queue`` holds the shards waiting for a forked worker, ``local``
+        the shards the parent computes: shard 0, and any shard that
+        missed its deadline while no forked worker was idle.
+        """
+        queue: deque = deque(range(1, len(shards)))
+        local: deque = deque([0])
         pending: Dict[int, Tuple[int, _WorkerHandle, Deadline]] = {}
         results: Dict[int, float] = {}
         stall = Deadline(self.config.worker_deadline_s, self._clock)
-        while len(results) < len(shards):
+        while True:
             if self._dispatch_wave(queue, pending, shards, epoch, batch, step):
                 stall = Deadline(self.config.worker_deadline_s, self._clock)
+            # No pipe is read while the parent computes: results and
+            # heartbeats wait in the pipes, and deadlines are checked
+            # after it returns.
+            while local:
+                shard_index = local.popleft()
+                results[shard_index] = self._compute_here(
+                    shards[shard_index], shard_index, epoch, batch
+                )
+            if len(results) == len(shards):
+                return results
             if pending:
                 timeout = max(
                     0.0,
@@ -707,8 +772,30 @@ class WorkerSupervisor:
                 timeout = min(0.05, max(stall.remaining(), 0.0))
             if self._drain(timeout, pending, results, epoch, batch):
                 stall = Deadline(self.config.worker_deadline_s, self._clock)
-            self._check_deadlines(pending, queue, epoch, batch)
-        return results
+            self._check_deadlines(pending, queue, local, epoch, batch)
+
+    def _compute_here(
+        self, shard: Batch, shard_index: int, epoch: int, batch: int
+    ) -> float:
+        """The parent as a venue: one shard through its own runner.
+
+        The runner's replay writes into ``plane.grad``, and the fold
+        takes the shard from there at once, before anything else is
+        computed in-process.
+        """
+        value, missing = compute_shard_gradients(
+            self.runner,
+            self.plane,
+            self.plane.grad_views,
+            shard,
+            self._rngs,
+            seed=self.config.seed,
+            epoch=epoch,
+            batch_index=batch,
+            shard_index=shard_index,
+        )
+        self._fold.accept(shard_index, self.plane.grad, missing)
+        return value
 
     def _dispatch_wave(self, queue, pending, shards, epoch, batch, step) -> int:
         sent = 0
@@ -727,6 +814,7 @@ class WorkerSupervisor:
                         "task",
                         task_id,
                         (self.config.seed, epoch, batch),
+                        self._plan_rows(),
                         shards[shard_index],
                         shard_index,
                         self._fault_payload(handle.slot, step),
@@ -811,7 +899,7 @@ class WorkerSupervisor:
             raise _StepAbandoned
         return False
 
-    def _check_deadlines(self, pending, queue, epoch, batch) -> None:
+    def _check_deadlines(self, pending, queue, local, epoch, batch) -> None:
         for task_id in list(pending):
             shard_index, handle, deadline = pending[task_id]
             if not deadline.expired():
@@ -838,13 +926,11 @@ class WorkerSupervisor:
             if handle.strikes > self.config.worker_retries:
                 self._declare_lost(handle, epoch, batch)
                 raise _StepAbandoned
-            # Seeded-jitter backoff before a survivor takes the shard;
+            # Seeded-jitter backoff before another venue takes the shard;
             # the draw always happens so the RNG stream stays aligned.
             u = float(self._rng.random())
             pause = jittered_backoff(
-                self.config.worker_backoff_s,
-                self.config.worker_backoff_jitter,
-                u,
+                self.config.worker_backoff_s, WORKER_BACKOFF_JITTER, u
             )
             self.stats.redispatches += 1
             self._record(
@@ -857,7 +943,10 @@ class WorkerSupervisor:
             )
             if pause > 0:
                 self._sleep(pause)
-            queue.append(shard_index)
+            # An idle forked worker takes the shard; the parent is the
+            # venue of last resort.
+            idle = sum(1 for h in self.workers if h.alive and not h.inflight)
+            (queue if idle > len(queue) else local).append(shard_index)
 
 
 # ----------------------------------------------------------------------
@@ -904,11 +993,11 @@ class ShardedTrainingEngine(TrainingEngine):
     * ``num_shards`` alone -- the *serial sharded* loop: shards computed
       in-process, same reduction.  The bit-exact single-process
       reference for any equal-shard-count parallel run.
-    * ``num_workers`` set -- shards dispatched to the supervised pool.
-    * fallback -- after losing the worker quorum (with
-      ``single_process_fallback``) the fit continues through the serial
-      sharded loop at the degraded shard count, mid-epoch, on the same
-      optimizer state.
+    * ``num_workers`` set -- shard 0 computed in-process, the others
+      dispatched to the supervised pool.
+    * fallback -- after losing the worker quorum the fit continues
+      through the serial sharded loop at the degraded shard count,
+      mid-epoch, on the same optimizer state.
 
     Everything else -- callbacks, checkpoint/resume, streaming sources,
     validation, guards -- is inherited unchanged from
@@ -981,6 +1070,7 @@ class ShardedTrainingEngine(TrainingEngine):
                 self.model,
                 self.config,
                 self.optimizer.plane,
+                self.plan_runner,
                 fault_schedule=self.fault_schedule,
             )
             self.supervisor.start()
@@ -996,9 +1086,6 @@ class ShardedTrainingEngine(TrainingEngine):
                 )
             except WorkerPoolError:
                 self._current_shards = self.supervisor.current_shards
-                if not self.config.single_process_fallback:
-                    ctx.history.events.extend(self.supervisor.drain_events())
-                    raise
                 self.supervisor._record(
                     ctx.epoch,
                     ctx.batch_index,
@@ -1034,6 +1121,7 @@ class ShardedTrainingEngine(TrainingEngine):
         plane = self.optimizer.plane
         plane.adopt()
         shards = shard_batch(ctx.batch, self._current_shards)
+        runner.retarget(plan_rows(self.config, self._current_shards))
         sizes = [shard.size for shard in shards]
         self._fold.begin(sizes)
         values: List[float] = []
@@ -1131,9 +1219,10 @@ class TrainerChaosDrill:
             n_steps = config.epochs * as_source(train).n_batches_per_epoch(
                 config.batch_size, config.drop_last
             )
+            # Faults target forked slots; the parent never carries one.
             self.schedule = build_trainer_fault_schedule(
                 spec or TrainerFaultSpec(),
-                config.num_workers,
+                config.num_workers - 1,
                 n_steps,
                 seed=seed,
             )

@@ -5,7 +5,8 @@
 directories.  This module owns the walk and the kinds of node the name
 scans never count as code: docstrings, every module's ``__all__``, and
 the re-exports of an ``__init__.py`` (its imports and lazy-export
-tables).
+tables).  Type annotations are skipped on request: they name a class
+without calling it, but an import used only in one is still used.
 """
 
 import ast
@@ -63,13 +64,27 @@ def _reexport_nodes(tree):
             yield node
 
 
-def code_nodes(path):
-    """Every node of ``path`` except docstrings, ``__all__`` and re-exports."""
+def _annotation_nodes(tree):
+    """Every return, argument and variable annotation."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            if node.annotation is not None:
+                yield node.annotation
+
+
+def code_nodes(path, skip_annotations=False):
+    """Every node of ``path`` except docstrings, ``__all__`` and re-exports
+    (and type annotations, with ``skip_annotations``)."""
     tree = parse(path)
     skipped = {id(node) for node in _docstring_nodes(tree)}
     listings = list(_dunder_all_nodes(tree))
     if path.name == "__init__.py":
         listings.extend(_reexport_nodes(tree))
+    if skip_annotations:
+        listings.extend(_annotation_nodes(tree))
     for node in listings:
         skipped.update(id(sub) for sub in ast.walk(node))
     return [node for node in ast.walk(tree) if id(node) not in skipped]

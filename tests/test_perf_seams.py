@@ -54,11 +54,15 @@ def test_a_fit_crosses_the_training_seams(overrides):
     )
     config = TrainConfig(epochs=1, batch_size=256, seed=1, **overrides)
     probe = Probe()
+    engine = create_engine(model, config)
     with contextlib.ExitStack() as stack:
         probe.install(stack)
-        create_engine(model, config).fit(train)
+        engine.fit(train)
     names = {span.name for span in probe.tracer.spans}
     expected = {"optim.clip", "optim.step"}
     if overrides:
         expected |= {"parallel.start", "parallel.compute_step"}
     assert expected <= names
+    # The parent's runner replays in both: the pool's parent computes
+    # shard 0 through it.
+    assert engine.plan_runner.stats.replays > 0

@@ -12,8 +12,10 @@ reference to its name somewhere in ``src/``, ``examples/`` or
 * a string constant that is exactly the name, so by-name lookups
   (``weight_init="xavier_uniform"``) count.
 
-Docstrings, comments, every module's ``__all__`` and ``__init__.py``
-re-exports (their imports and lazy-export tables) do not count.
+Docstrings, comments, type annotations (return, argument and variable
+annotations, quoted or not), every module's ``__all__`` and
+``__init__.py`` re-exports (their imports and lazy-export tables) do not
+count: a class whose only mention is its own ``-> "Cls"`` has no caller.
 """
 
 import ast
@@ -47,7 +49,7 @@ def public_definitions(src=SRC):
 def code_references(path):
     """Every name ``path`` references in code (see the module docstring)."""
     names = set()
-    for node in code_nodes(path):
+    for node in code_nodes(path, skip_annotations=True):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -118,8 +120,16 @@ def test_docstrings_and_reexports_do_not_count(tmp_path):
         "    # documented\n"
         "def by_name_lookup(name):\n"
         "    return called()\n"
+        "class Annotated:\n"
+        "    def fit(self, other: 'Annotated') -> 'Annotated':\n"
+        "        latest: Annotated = self\n"
+        "        return latest\n"
+        "def annotates(x: Annotated) -> Annotated:\n"
+        "    return x\n"
     )
     assert orphans(tmp_path / "src", (tmp_path / "src",)) == {
         "listed": "src/pkg/mod.py:3",
         "documented": "src/pkg/mod.py:9",
+        "Annotated": "src/pkg/mod.py:14",
+        "annotates": "src/pkg/mod.py:18",
     }

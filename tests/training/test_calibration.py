@@ -1,10 +1,10 @@
-"""Tests for Platt scaling and isotonic calibration."""
+"""Tests for Platt scaling."""
 
 import numpy as np
 import pytest
 
 from repro.metrics import expected_calibration_error
-from repro.training.calibration import IsotonicCalibrator, PlattScaler
+from repro.training.calibration import PlattScaler
 
 
 def miscalibrated_world(n=20_000, seed=0, inflate=2.0):
@@ -51,39 +51,6 @@ class TestPlatt:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             PlattScaler().fit(np.array([0.1]), np.array([1.0, 0.0]))
-
-
-class TestIsotonic:
-    def test_reduces_ece(self):
-        raw, labels, _ = miscalibrated_world()
-        calibrator = IsotonicCalibrator().fit(raw[:10_000], labels[:10_000])
-        calibrated = calibrator.transform(raw[10_000:])
-        before = expected_calibration_error(labels[10_000:], raw[10_000:])
-        after = expected_calibration_error(labels[10_000:], calibrated)
-        assert after < before * 0.5
-
-    def test_output_monotone(self):
-        raw, labels, _ = miscalibrated_world(n=2000)
-        calibrator = IsotonicCalibrator().fit(raw, labels)
-        grid = np.linspace(0.01, 0.99, 50)
-        out = calibrator.transform(grid)
-        assert np.all(np.diff(out) >= -1e-12)
-
-    def test_pav_on_tiny_example(self):
-        # scores ordered, labels violating monotonicity get pooled
-        preds = np.array([0.1, 0.2, 0.3, 0.4])
-        labels = np.array([0.0, 1.0, 0.0, 1.0])
-        calibrator = IsotonicCalibrator().fit(preds, labels)
-        out = calibrator.transform(np.array([0.25]))
-        assert 0.0 <= out[0] <= 1.0
-
-    def test_transform_before_fit(self):
-        with pytest.raises(RuntimeError):
-            IsotonicCalibrator().transform(np.array([0.5]))
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            IsotonicCalibrator().fit(np.array([0.5]), np.array([1.0]))
 
 
 class TestOnModelPredictions:

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.autograd.plan import PlanRunner
 from repro.data import load_scenario
 from repro.data.stream import as_source, shard_batch, shard_sizes
 from repro.models import ModelConfig, build_model
@@ -183,7 +184,6 @@ class TestConfigValidation:
             dict(heartbeat_interval_s=5.0),  # >= heartbeat_timeout_s
             dict(worker_retries=-1),
             dict(worker_backoff_s=-0.1),
-            dict(worker_backoff_jitter=-0.5),
             dict(min_workers=0),
             dict(num_workers=2, min_workers=3),
         ],
@@ -232,18 +232,21 @@ class TestBitExactness:
         assert param_digest(pooled) == param_digest(plain)
 
     @pytest.mark.parametrize("name", ["dcmt", "esmm"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
     def test_pool_matches_serial_sharded_at_fixed_shard_count(
-        self, world, name
+        self, world, k, name
     ):
+        """The parent computes shard 0 and K-1 workers the rest; the
+        fold runs in shard order, so the venue of a shard is invisible."""
         train, _ = world
         serial = build_model(name, train.schema, MODEL_CONFIG)
         serial_history = create_engine(
-            serial, make_config(num_shards=2)
+            serial, make_config(num_shards=k)
         ).fit(train)
 
         pooled = build_model(name, train.schema, MODEL_CONFIG)
         pooled_history = create_engine(
-            pooled, make_config(num_workers=2)
+            pooled, make_config(num_workers=k)
         ).fit(train)
 
         assert pooled_history.epoch_losses == serial_history.epoch_losses
@@ -381,7 +384,7 @@ class TestSharedParameters:
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
         config = make_config(num_workers=1)
         supervisor = WorkerSupervisor(
-            model, config, ParamPlane(model.parameters())
+            model, config, ParamPlane(model.parameters()), PlanRunner(model)
         )
         supervisor.start()
         try:
@@ -448,8 +451,9 @@ class TestSharedParameters:
             heartbeat_interval_s=0.05,
             worker_backoff_s=0.0,
         )
-        # Step 0's shard 0 misses its deadline and is redone by worker 1;
-        # worker 0 wakes around step 2, after steps 1 and 2 published.
+        # Step 0's shard 1 misses its deadline on worker 0, the only
+        # forked worker, and the parent redoes it; worker 0 wakes during
+        # step 1, after step 1 published.
         schedule = [
             WorkerFault(
                 kind=WORKER_SLOW, worker=0, start=0, duration=1, latency_s=1.2
@@ -624,7 +628,7 @@ class TestSupervision:
             worker_backoff_s=0.01,
         )
         schedule = [
-            WorkerFault(kind=WORKER_HANG, worker=1, start=1, duration=1000)
+            WorkerFault(kind=WORKER_HANG, worker=0, start=1, duration=1000)
         ]
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
         engine = ShardedTrainingEngine(model, config, fault_schedule=schedule)
@@ -654,19 +658,108 @@ class TestSupervision:
         assert "worker_quorum_lost" in reasons
         assert "single_process_fallback" in reasons
 
-    def test_quorum_loss_aborts_when_fallback_disabled(self, world):
+
+# ----------------------------------------------------------------------
+class _RecordReplays(Callback):
+    """The parent runner's replay count after every step."""
+
+    def __init__(self):
+        self.replays = []
+
+    def on_batch_end(self, ctx):
+        self.replays.append(ctx.engine.plan_runner.stats.replays)
+
+
+class TestParentVenue:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_k_way_pool_forks_k_minus_one_workers(self, world, k):
+        """The parent is one of the K venues: K-1 forked processes, and
+        a clean step sends K-1 shards over pipes."""
+        train, _ = world
+        model = build_model("dcmt", train.schema, MODEL_CONFIG)
+        engine = create_engine(model, make_config(epochs=1, num_workers=k))
+        engine.fit(train)
+        supervisor = engine.supervisor
+        assert len(supervisor.workers) == k - 1
+        assert len({h.process.pid for h in supervisor.workers}) == k - 1
+        assert supervisor.step == as_source(train).n_batches_per_epoch(256, False)
+        assert supervisor.stats.dispatches == (k - 1) * supervisor.step
+        assert supervisor.stats.results == supervisor.stats.dispatches
+        assert supervisor.final_live == k
+        assert engine.plan_runner.stats.replays > 0
+
+    def test_parent_takes_the_hung_shard_of_its_only_worker(self, world):
+        """The parent is the venue of last resort: with no idle forked
+        worker, it computes the shard that missed its deadline itself."""
         train, _ = world
         config = make_config(
+            epochs=1,
             num_workers=2,
-            min_workers=2,
-            single_process_fallback=False,
-            **DRILL_KNOBS,
+            worker_retries=1,
+            worker_deadline_s=1.0,
+            heartbeat_timeout_s=0.5,
+            heartbeat_interval_s=0.1,
+            worker_backoff_s=0.0,
         )
-        schedule = [WorkerFault(kind=WORKER_KILL, worker=0, start=1)]
+        schedule = [
+            WorkerFault(kind=WORKER_HANG, worker=0, start=1, duration=1000)
+        ]
         model = build_model("dcmt", train.schema, MODEL_CONFIG)
         engine = ShardedTrainingEngine(model, config, fault_schedule=schedule)
-        with pytest.raises(WorkerPoolError, match="quorum"):
-            engine.fit(train)
+        history = engine.fit(train)
+
+        assert history.n_epochs_run == 1
+        stats = engine.supervisor.stats
+        # Step 0 and the hung step 1 each sent one shard; the retry of
+        # step 1's shard never touched a pipe.
+        assert stats.dispatches == 2
+        assert stats.deadline_misses == 1 and stats.redispatches == 1
+        assert stats.workers_lost == 1
+        assert engine.supervisor.current_shards == 1
+        assert not engine.fell_back
+        step_one = [line for line in engine.transcript if " s00001]" in line]
+        assert any("worker_deadline_miss worker-0 shard=1" in line for line in step_one)
+        assert any("worker_redispatch shard=1" in line for line in step_one)
+
+    @pytest.mark.parametrize(
+        "overrides, killed",
+        [
+            (dict(num_workers=2, min_workers=2), 0),  # quorum fallback
+            (dict(num_workers=3), 1),  # the pool re-shards to 2
+        ],
+        ids=["fallback", "reshard"],
+    )
+    def test_resharded_steps_replay_again(
+        self, world, monkeypatch, overrides, killed
+    ):
+        """A loss changes the shard size for good: every venue retraces
+        at the new size and replays from then on, and the result equals
+        a run whose plans never trace."""
+        train, _ = world
+        config = make_config(epochs=3, batch_size=128, **overrides, **DRILL_KNOBS)
+        schedule = [WorkerFault(kind=WORKER_KILL, worker=killed, start=1)]
+
+        model = build_model("dcmt", train.schema, MODEL_CONFIG)
+        engine = ShardedTrainingEngine(model, config, fault_schedule=schedule)
+        recorder = _RecordReplays()
+        engine.fit(train, callbacks=[recorder])
+        assert engine.supervisor.stats.workers_lost == 1
+        # Step 1 retraced at the new size; every later full batch replays
+        # (the ragged ones run eagerly and keep the plan).
+        sizes = [
+            min(config.batch_size, len(train) - start)
+            for start in range(0, len(train), config.batch_size)
+        ] * config.epochs
+        later_full = sum(size == config.batch_size for size in sizes[3:])
+        assert recorder.replays[-1] - recorder.replays[2] == later_full
+
+        # Forked workers inherit the patch, so every venue runs eagerly.
+        monkeypatch.setattr(PlanRunner, "_should_trace", lambda self, batch: False)
+        eager = build_model("dcmt", train.schema, MODEL_CONFIG)
+        eager_engine = ShardedTrainingEngine(eager, config, fault_schedule=schedule)
+        eager_engine.fit(train)
+        assert eager_engine.plan_runner.stats.traces == 0
+        assert param_digest(model) == param_digest(eager)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The acceptance story of the fault-tolerant trainer, told twice:
 
-* **Supervised**: 4 workers, one SIGKILLed mid-epoch on a seeded
-  schedule.  Training completes by re-sharding across the 3 survivors,
+* **Supervised**: 4 venues (the parent and 3 forked workers), one
+  worker SIGKILLed mid-epoch on a seeded schedule.  Training completes
+  by re-sharding across the 3 live venues,
   the run is reproducible bit for bit (transcript *and* final
   parameters), and the finished model's quality matches the no-fault
   run to within normal inter-run variation.
@@ -98,6 +99,23 @@ class TestSupervisedDrill:
         ).run()
 
         assert first.fault_schedule == second.fault_schedule
+        assert first.transcript == second.transcript
+        assert first.history.epoch_losses == second.history.epoch_losses
+        for a, b in zip(params_of(first.model), params_of(second.model)):
+            assert np.array_equal(a, b)
+
+    def test_same_seed_two_venue_drills_are_bit_identical(self, world, factory):
+        """Two venues: the parent and one forked worker, which the drill
+        kills; the parent finishes the run alone, the same way twice."""
+        train, _ = world
+        config = CONFIG.with_overrides(num_workers=2)
+        spec = TrainerFaultSpec(n_kills=1)
+        first = TrainerChaosDrill(factory, train, config, spec=spec, seed=3).run()
+        second = TrainerChaosDrill(factory, train, config, spec=spec, seed=3).run()
+
+        assert [f.worker for f in first.fault_schedule] == [0]
+        assert first.n_workers_end == 1 and first.stats.workers_lost == 1
+        assert any("step_resharded shards=1" in line for line in first.transcript)
         assert first.transcript == second.transcript
         assert first.history.epoch_losses == second.history.epoch_losses
         for a, b in zip(params_of(first.model), params_of(second.model)):

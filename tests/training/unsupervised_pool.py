@@ -28,6 +28,7 @@ from repro.reliability.faults import (
 )
 from repro.reliability.timeouts import Deadline
 from repro.training.config import TrainConfig
+from repro.training.engine import plan_rows
 from repro.training.parallel import (
     ShardFold,
     _send_task,
@@ -126,6 +127,7 @@ class UnsupervisedWorkerPool:
                         "task",
                         shard_index,
                         (self.config.seed, epoch, batch_index),
+                        plan_rows(self.config),
                         shard,
                         shard_index,
                         self._fault_payload(handle.slot, step),
