@@ -38,29 +38,21 @@ import numpy as np
 
 from repro.data.dataset import InteractionDataset
 from repro.data.loaders import (
+    BAD_DENSE,
+    BAD_LABEL,
+    LABEL_INCONSISTENCY,
+    MALFORMED_ROW,
+    OOV_ID,
     ColumnSpec,
+    CSVRowParser,
     VocabularyMaps,
-    _read_rows,
-    build_csv_schema,
-    hash_feature,
-    resolve_columns,
 )
 from repro.utils.logging import get_logger, log_event
 
 logger = get_logger("data.ingest")
 
-# -- quarantine reasons ------------------------------------------------
-#: Row has the wrong number of cells (truncated/overlong record).
-MALFORMED_ROW = "malformed_row"
-#: Click or conversion label is not a literal "0"/"1".
-BAD_LABEL = "bad_label"
-#: Conversion recorded without a click (violates exposure->click->buy).
-LABEL_INCONSISTENCY = "label_inconsistency"
-#: Dense value is unparseable, NaN, or infinite.
-BAD_DENSE = "bad_dense"
-#: Sparse id unseen by a frozen vocabulary.
-OOV_ID = "oov_id"
-
+#: Every quarantine reason; each is defined beside the row parser that
+#: detects it (:class:`repro.data.loaders.CSVRowParser`).
 QUARANTINE_REASONS = (
     MALFORMED_ROW,
     BAD_LABEL,
@@ -219,6 +211,30 @@ class IngestReport:
     #: Up to ``max_examples_per_reason`` file line numbers per reason.
     examples: Dict[str, List[int]] = field(default_factory=dict)
 
+    @classmethod
+    def build(
+        cls,
+        path: "Path | str",
+        total_rows: int,
+        store: QuarantineStore,
+        policy: Optional[IngestPolicy],
+    ) -> "IngestReport":
+        """The report of one load; ``policy=None`` is a strict load."""
+        k = policy.max_examples_per_reason if policy else 0
+        return cls(
+            path=str(path),
+            total_rows=total_rows,
+            loaded_rows=total_rows - store.n_dropped,
+            dropped_rows=store.n_dropped,
+            repaired_rows=store.n_repaired,
+            reason_counts=dict(store.counts),
+            error_budget=policy.error_budget if policy else 0.0,
+            examples={
+                reason: [r.line for r in store.examples(reason, k)]
+                for reason in store.counts
+            },
+        )
+
     @property
     def corrupt_fraction(self) -> float:
         """Fraction of data rows with at least one defect."""
@@ -264,87 +280,6 @@ class IngestResult:
     quarantine: QuarantineStore
 
 
-def _parse_dense(raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        return float("nan")
-
-
-def classify_row(
-    row: Sequence[str],
-    line: int,
-    n_header: int,
-    column_index: Dict[str, int],
-    spec: ColumnSpec,
-    policy: IngestPolicy,
-    dense_columns: Sequence[str],
-    sparse_columns: Sequence[str],
-    vocabularies: VocabularyMaps,
-    freeze_vocabulary: bool,
-    store: QuarantineStore,
-) -> Optional[Tuple[int, int, Dict[str, float]]]:
-    """Classify/repair one data row (pass-1 logic, per row).
-
-    Returns ``(click, conversion, dense_values)`` for rows that survive
-    (quarantining repaired ones), or ``None`` for dropped rows (which
-    are quarantined here too).  Shared by the materialising quarantine
-    loader and the chunked streaming source so both paths keep/repair
-    *exactly* the same rows.
-    """
-    if len(row) != n_header:
-        store.add(line, (MALFORMED_ROW,), "dropped", row)
-        return None
-    reasons: List[str] = []
-
-    click_raw = row[column_index[spec.click_column]]
-    conv_raw = row[column_index[spec.conversion_column]]
-    if click_raw not in ("0", "1") or conv_raw not in ("0", "1"):
-        store.add(line, (BAD_LABEL,), "dropped", row)
-        return None
-    click, conversion = int(click_raw), int(conv_raw)
-    if conversion == 1 and click == 0:
-        if policy.on_label_inconsistency == "drop":
-            store.add(line, (LABEL_INCONSISTENCY,), "dropped", row)
-            return None
-        conversion = 0  # trust the click label (repair)
-        reasons.append(LABEL_INCONSISTENCY)
-
-    dense_values: Dict[str, float] = {}
-    for c in dense_columns:
-        value = _parse_dense(row[column_index[c]])
-        if math.isfinite(value):
-            dense_values[c] = value
-            continue
-        reasons.append(BAD_DENSE)
-        if policy.on_bad_dense == "drop":
-            store.add(line, reasons, "dropped", row)
-            return None
-        if policy.on_bad_dense == "clip" and math.isinf(value):
-            dense_values[c] = math.copysign(policy.dense_clip, value)
-        else:
-            dense_values[c] = policy.dense_default
-
-    if freeze_vocabulary:
-        oov = [
-            c
-            for c in sparse_columns
-            if c not in spec.hash_buckets
-            and row[column_index[c]] not in vocabularies.maps.get(c, {})
-        ]
-        if oov:
-            reasons.append(OOV_ID)
-            if policy.on_oov_id == "drop":
-                store.add(line, reasons, "dropped", row)
-                return None
-            # "impute": the indexing pass routes unseen ids to the
-            # shared OOV bucket (id 0) -- counted, not silent.
-
-    if reasons:
-        store.add(line, reasons, "repaired", row)
-    return click, conversion, dense_values
-
-
 def load_csv_dataset_quarantined(
     path: "Path | str",
     spec: Optional[ColumnSpec] = None,
@@ -364,56 +299,25 @@ def load_csv_dataset_quarantined(
     Returns an :class:`IngestResult`; raises :class:`IngestBudgetError`
     when the corrupt fraction exceeds ``policy.error_budget``.
     """
-    path = Path(path)
-    spec = spec or ColumnSpec()
     policy = policy or IngestPolicy()
     vocabularies = vocabularies or VocabularyMaps()
-    header, rows = _read_rows(path)
-    dense_columns, sparse_columns, column_index = resolve_columns(
-        path, header, spec
-    )
-
-    # -- pass 1: classify and repair, *before* any vocabulary indexing,
-    # so dropped rows never claim ids.
     store = QuarantineStore()
-    kept: List[Tuple[int, int, Dict[str, float], List[str]]] = []
-    for i, row in enumerate(rows):
-        verdict = classify_row(
-            row,
-            i + 2,
-            len(header),
-            column_index,
-            spec,
-            policy,
-            dense_columns,
-            sparse_columns,
-            vocabularies,
-            freeze_vocabulary,
-            store,
-        )
-        if verdict is not None:
-            click, conversion, dense_values = verdict
-            kept.append((click, conversion, dense_values, row))
-
-    report = IngestReport(
-        path=str(path),
-        total_rows=len(rows),
-        loaded_rows=len(kept),
-        dropped_rows=store.n_dropped,
-        repaired_rows=store.n_repaired,
-        reason_counts=dict(store.counts),
-        error_budget=policy.error_budget,
-        examples={
-            reason: [
-                r.line for r in store.examples(reason, policy.max_examples_per_reason)
-            ]
-            for reason in store.counts
-        },
+    parser = CSVRowParser(
+        path, spec or ColumnSpec(), vocabularies, freeze_vocabulary, policy, store
     )
+    # Classify and repair every row *before* any vocabulary indexing, so
+    # dropped rows never claim ids and an over-budget load leaves the
+    # caller's vocabularies untouched.
+    total = 0
+    kept: List[List[str]] = []
+    for total, row in enumerate(parser.rows(), 1):
+        if parser.parse(row, total - 1):
+            kept.append(row)
+    report = IngestReport.build(parser.path, total, store, policy)
     log_event(
         logger,
         "ingest_report",
-        path=str(path),
+        path=report.path,
         total=report.total_rows,
         loaded=report.loaded_rows,
         dropped=report.dropped_rows,
@@ -423,47 +327,9 @@ def load_csv_dataset_quarantined(
     )
     if report.corrupt_fraction > policy.error_budget:
         raise IngestBudgetError(report)
-
-    # -- pass 2: build arrays from the survivors (strict-loader logic).
-    n = len(kept)
-    clicks = np.zeros(n, dtype=np.int64)
-    conversions = np.zeros(n, dtype=np.int64)
-    sparse: Dict[str, np.ndarray] = {
-        c: np.zeros(n, dtype=np.int64) for c in sparse_columns
-    }
-    dense: Dict[str, np.ndarray] = {
-        c: np.zeros(n, dtype=np.float64) for c in dense_columns
-    }
-    for j, (click, conversion, dense_values, row) in enumerate(kept):
-        clicks[j] = click
-        conversions[j] = conversion
-        for c in sparse_columns:
-            raw = row[column_index[c]]
-            if c in spec.hash_buckets:
-                sparse[c][j] = hash_feature(raw, spec.hash_buckets[c])
-            else:
-                sparse[c][j] = vocabularies.index(c, raw, frozen=freeze_vocabulary)
-        for c in dense_columns:
-            dense[c][j] = dense_values[c]
-
-    if dense_stats is None:
-        dense_stats = {
-            c: ((float(v.mean()), float(v.std()) or 1.0) if n else (0.0, 1.0))
-            for c, v in dense.items()
-        }
-    for c, values in dense.items():
-        mean, std = dense_stats[c]
-        dense[c] = (values - mean) / std
-
-    schema = build_csv_schema(spec, sparse_columns, dense_columns, vocabularies)
-    dataset = InteractionDataset(
-        name=name or path.stem,
-        schema=schema,
-        sparse=sparse,
-        dense=dense,
-        clicks=clicks,
-        conversions=conversions,
-    )
+    for row in kept:
+        parser.index(row)
+    dataset, dense_stats = parser.dataset(name, dense_stats)
     return IngestResult(dataset, vocabularies, dense_stats, report, store)
 
 

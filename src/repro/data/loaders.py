@@ -21,14 +21,18 @@ logs, exactly as in the paper.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
 from repro.data.schema import DenseFeature, FeatureSchema, SparseFeature
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.data.ingest import IngestPolicy, QuarantineStore
 
 
 @dataclass
@@ -121,9 +125,8 @@ def iter_csv_rows(path: "Path | str") -> "Iterator[List[str]]":
 
     Validates the header (empty/duplicate column names) before yielding
     anything.  Row ``i`` of this stream sits on file line ``i + 2`` --
-    the provenance convention every loader error message uses.  This is
-    the bounded-memory primitive under both the materialising
-    :func:`_read_rows` and :class:`repro.data.stream.ChunkedCSVSource`.
+    the provenance convention every loader error message uses.  Every
+    loader streams its rows through here (:meth:`CSVRowParser.rows`).
     """
     path = Path(path)
     with open(path, newline="") as handle:
@@ -138,70 +141,247 @@ def iter_csv_rows(path: "Path | str") -> "Iterator[List[str]]":
                 yield row
 
 
-def resolve_columns(
-    path: Path, header: List[str], spec: "ColumnSpec"
-) -> Tuple[List[str], List[str], Dict[str, int]]:
-    """Split ``header`` into (dense, sparse) columns under ``spec``.
+_LABELS = {"0": 0, "1": 1}
 
-    Raises on missing label/dense columns; returns
-    ``(dense_columns, sparse_columns, column_index)``.  Shared by the
-    strict loader, the quarantine loader, and the chunked streaming
-    source so all three agree on the schema they derive from one file.
+#: Quarantine reasons (re-exported by :mod:`repro.data.ingest`).
+#: Row has the wrong number of cells (truncated/overlong record).
+MALFORMED_ROW = "malformed_row"
+#: Click or conversion label is not a literal "0"/"1".
+BAD_LABEL = "bad_label"
+#: Conversion recorded without a click (violates exposure->click->buy).
+LABEL_INCONSISTENCY = "label_inconsistency"
+#: Dense value is unparseable, NaN, or infinite.
+BAD_DENSE = "bad_dense"
+#: Sparse id unseen by a frozen vocabulary.
+OOV_ID = "oov_id"
+
+
+class CSVRowParser:
+    """The one row parser behind every CSV loader.
+
+    The in-memory strict loader, the quarantine loader and
+    :class:`repro.data.stream.ChunkedCSVSource` each build one of these
+    from a file, so all three derive the same schema and keep, repair
+    and index exactly the same rows.  The constructor reads and
+    validates the header and splits it into dense and sparse columns
+    (raising on missing label or dense columns).
+
+    :meth:`parse` checks one data row.  With ``policy=None`` it is
+    strict: the first defect raises a ``ValueError`` with
+    ``file:line: column`` provenance, and ``nan``/``inf`` dense strings
+    load because ``float()`` parses them.  With an
+    :class:`~repro.data.ingest.IngestPolicy` it quarantines instead:
+    defects go to ``store`` as repaired or dropped rows, and NaN/inf
+    dense values count as ``bad_dense``.  A kept row's labels and raw
+    dense values are appended to ``clicks``, ``conversions`` and
+    ``dense`` (one list per dense column); :meth:`index` appends its
+    sparse ids to ``sparse`` (one list per sparse column).  Callers
+    decide when to index, so a caller can classify every row before any
+    row claims a vocabulary id.
     """
-    for required in (spec.click_column, spec.conversion_column):
-        if required not in header:
-            raise ValueError(f"{path}: missing required column {required!r}")
-    label_columns = {spec.click_column, spec.conversion_column}
-    dense_columns = [c for c in spec.dense_features if c in header]
-    missing_dense = set(spec.dense_features) - set(header)
-    if missing_dense:
-        raise ValueError(f"{path}: missing dense columns {sorted(missing_dense)}")
-    sparse_columns = [
-        c for c in header if c not in label_columns and c not in dense_columns
-    ]
-    column_index = {c: i for i, c in enumerate(header)}
-    return dense_columns, sparse_columns, column_index
 
-
-def _read_rows(path: Path) -> Tuple[List[str], List[List[str]]]:
-    header = read_csv_header(path)
-    rows = list(iter_csv_rows(path))
-    return header, rows
-
-
-def build_csv_schema(
-    spec: "ColumnSpec",
-    sparse_columns: List[str],
-    dense_columns: List[str],
-    vocabularies: "VocabularyMaps",
-) -> FeatureSchema:
-    """Schema for a CSV-derived dataset (shared by every CSV loader)."""
-    return FeatureSchema(
-        sparse=[
-            SparseFeature(
-                c,
-                spec.hash_buckets.get(c, vocabularies.vocab_size(c)),
-                group=_guess_group(c, spec),
-                kind="wide" if c in spec.wide_features else "deep",
+    def __init__(
+        self,
+        path: "Path | str",
+        spec: ColumnSpec,
+        vocabularies: VocabularyMaps,
+        freeze_vocabulary: bool = False,
+        policy: "Optional[IngestPolicy]" = None,
+        store: "Optional[QuarantineStore]" = None,
+    ) -> None:
+        self.path = Path(path)
+        self.spec = spec
+        self.vocabularies = vocabularies
+        self.freeze_vocabulary = freeze_vocabulary
+        self.policy = policy
+        self.store = store
+        self.header = header = read_csv_header(self.path)
+        for required in (spec.click_column, spec.conversion_column):
+            if required not in header:
+                raise ValueError(f"{self.path}: missing required column {required!r}")
+        missing_dense = set(spec.dense_features) - set(header)
+        if missing_dense:
+            raise ValueError(
+                f"{self.path}: missing dense columns {sorted(missing_dense)}"
             )
-            for c in sparse_columns
-        ],
-        dense=[DenseFeature(c, dim=1) for c in dense_columns],
-    )
+        labels = {spec.click_column, spec.conversion_column}
+        self.dense_columns = [c for c in spec.dense_features if c in header]
+        self.sparse_columns = [
+            c for c in header if c not in labels and c not in self.dense_columns
+        ]
+        position = {c: i for i, c in enumerate(header)}
+        self._width = len(header)
+        self._click_at = position[spec.click_column]
+        self._conversion_at = position[spec.conversion_column]
+        self._dense_at = [position[c] for c in self.dense_columns]
+        self.clicks: List[int] = []
+        self.conversions: List[int] = []
+        self.sparse: List[List[int]] = [[] for _ in self.sparse_columns]
+        self.dense: List[List[float]] = [[] for _ in self.dense_columns]
+        # (id list, cell position, column, hash buckets or None) per column.
+        self._sparse_cells = [
+            (ids, position[c], c, spec.hash_buckets.get(c))
+            for ids, c in zip(self.sparse, self.sparse_columns)
+        ]
 
+    def rows(self) -> Iterator[List[str]]:
+        """The data rows, streamed; row ``i`` is :meth:`parse`'s ``i``."""
+        return iter_csv_rows(self.path)
 
-def _ragged_row_error(
-    path: Path, row_index: int, header: List[str], row: List[str]
-) -> ValueError:
-    """Cell-count mismatch, naming the columns that are missing."""
-    if len(row) < len(header):
-        detail = f"; missing columns {header[len(row):]}"
-    else:
-        detail = f"; {len(row) - len(header)} cells beyond column {header[-1]!r}"
-    return ValueError(
-        f"{path}:{row_index + 2}: expected {len(header)} cells, "
-        f"got {len(row)}{detail}"
-    )
+    def parse(self, row: List[str], i: int) -> bool:
+        """Check data row ``i``; append its labels and dense values if kept.
+
+        Returns ``False`` for a row quarantine mode drops.
+        """
+        policy, header = self.policy, self.header
+        if len(row) != self._width:
+            if policy is None:
+                if len(row) < len(header):
+                    detail = f"; missing columns {header[len(row):]}"
+                else:
+                    detail = (
+                        f"; {len(row) - len(header)} cells beyond column "
+                        f"{header[-1]!r}"
+                    )
+                raise ValueError(
+                    f"{self.path}:{i + 2}: expected {len(header)} cells, "
+                    f"got {len(row)}{detail}"
+                )
+            return self._quarantine(i, [MALFORMED_ROW], row, "dropped")
+        click = _LABELS.get(row[self._click_at])
+        conversion = _LABELS.get(row[self._conversion_at])
+        if click is None or conversion is None:
+            if policy is None:
+                column, at = (
+                    (self.spec.click_column, self._click_at)
+                    if click is None
+                    else (self.spec.conversion_column, self._conversion_at)
+                )
+                raise ValueError(
+                    f"{self.path}:{i + 2}: column {column!r}: labels must be "
+                    f"0/1, got {row[at]!r}"
+                )
+            return self._quarantine(i, [BAD_LABEL], row, "dropped")
+        reasons: List[str] = []
+        if conversion == 1 and click == 0:
+            if policy is None:
+                raise ValueError(
+                    f"{self.path}:{i + 2}: column {self.spec.conversion_column!r}: "
+                    f"conversion recorded on an unclicked exposure; the "
+                    f"behaviour path exposure->click->conversion is violated"
+                )
+            reasons.append(LABEL_INCONSISTENCY)
+            if policy.on_label_inconsistency == "drop":
+                return self._quarantine(i, reasons, row, "dropped")
+            conversion = 0  # trust the click label (repair)
+        values: List[float] = []
+        for position, column in zip(self._dense_at, self.dense_columns):
+            try:
+                value = float(row[position])
+            except ValueError:
+                if policy is None:
+                    raise ValueError(
+                        f"{self.path}:{i + 2}: column {column!r}: could not "
+                        f"parse dense value {row[position]!r}"
+                    ) from None
+                value = math.nan
+            if policy is not None and not math.isfinite(value):
+                reasons.append(BAD_DENSE)
+                if policy.on_bad_dense == "drop":
+                    return self._quarantine(i, reasons, row, "dropped")
+                if policy.on_bad_dense == "clip" and math.isinf(value):
+                    value = math.copysign(policy.dense_clip, value)
+                else:
+                    value = policy.dense_default
+            values.append(value)
+        if policy is not None and self.freeze_vocabulary:
+            maps = self.vocabularies.maps
+            if any(
+                buckets is None and row[position] not in maps.get(column, {})
+                for _, position, column, buckets in self._sparse_cells
+            ):
+                reasons.append(OOV_ID)
+                if policy.on_oov_id == "drop":
+                    return self._quarantine(i, reasons, row, "dropped")
+                # "impute": index() routes the unseen id to the shared OOV
+                # bucket (id 0) -- counted, not silent.
+        if reasons:
+            self._quarantine(i, reasons, row, "repaired")
+        self.clicks.append(click)
+        self.conversions.append(conversion)
+        for dense_values, value in zip(self.dense, values):
+            dense_values.append(value)
+        return True
+
+    def _quarantine(
+        self, i: int, reasons: List[str], row: List[str], action: str
+    ) -> bool:
+        assert self.store is not None
+        self.store.add(i + 2, reasons, action, row)
+        return False
+
+    def index(self, row: List[str]) -> None:
+        """Append the sparse ids of a kept row: vocabulary or hashed ids."""
+        vocabulary_index = self.vocabularies.index
+        frozen = self.freeze_vocabulary
+        for ids, position, column, buckets in self._sparse_cells:
+            if buckets is None:
+                ids.append(vocabulary_index(column, row[position], frozen=frozen))
+            else:
+                ids.append(hash_feature(row[position], buckets))
+
+    def schema(self) -> FeatureSchema:
+        """The load's schema, sized by the vocabularies as they stand."""
+        spec = self.spec
+        return FeatureSchema(
+            sparse=[
+                SparseFeature(
+                    c,
+                    spec.hash_buckets.get(c, self.vocabularies.vocab_size(c)),
+                    group=_guess_group(c, spec),
+                    kind="wide" if c in spec.wide_features else "deep",
+                )
+                for c in self.sparse_columns
+            ],
+            dense=[DenseFeature(c, dim=1) for c in self.dense_columns],
+        )
+
+    def dataset(
+        self,
+        name: Optional[str],
+        dense_stats: Optional[Dict[str, Tuple[float, float]]],
+    ) -> Tuple[InteractionDataset, Dict[str, Tuple[float, float]]]:
+        """Materialise the kept, indexed rows; standardise dense columns.
+
+        ``dense_stats`` (training-split ``{column: (mean, std)}``) are
+        computed with numpy when absent; a header-only file gets the
+        identity.
+        """
+        n = len(self.clicks)
+        dense = {
+            c: np.array(v, dtype=np.float64)
+            for c, v in zip(self.dense_columns, self.dense)
+        }
+        if dense_stats is None:
+            dense_stats = {
+                c: ((float(v.mean()), float(v.std()) or 1.0) if n else (0.0, 1.0))
+                for c, v in dense.items()
+            }
+        for c, values in dense.items():
+            mean, std = dense_stats[c]
+            dense[c] = (values - mean) / std
+        dataset = InteractionDataset(
+            name=name or self.path.stem,
+            schema=self.schema(),
+            sparse={
+                c: np.array(ids, dtype=np.int64)
+                for c, ids in zip(self.sparse_columns, self.sparse)
+            },
+            dense=dense,
+            clicks=np.array(self.clicks, dtype=np.int64),
+            conversions=np.array(self.conversions, dtype=np.int64),
+        )
+        return dataset, dense_stats
 
 
 def load_csv_dataset(
@@ -234,79 +414,12 @@ def load_csv_dataset(
         The loaded dataset plus the state needed to load further splits
         consistently.
     """
-    path = Path(path)
-    spec = spec or ColumnSpec()
     vocabularies = vocabularies or VocabularyMaps()
-    header, rows = _read_rows(path)
-    dense_columns, sparse_columns, column_index = resolve_columns(
-        path, header, spec
-    )
-    n = len(rows)
-    clicks = np.zeros(n, dtype=np.int64)
-    conversions = np.zeros(n, dtype=np.int64)
-    sparse: Dict[str, np.ndarray] = {
-        c: np.zeros(n, dtype=np.int64) for c in sparse_columns
-    }
-    dense: Dict[str, np.ndarray] = {
-        c: np.zeros(n, dtype=np.float64) for c in dense_columns
-    }
-
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise _ragged_row_error(path, i, header, row)
-        clicks[i] = _parse_binary(
-            row[column_index[spec.click_column]], path, i, spec.click_column
-        )
-        conversions[i] = _parse_binary(
-            row[column_index[spec.conversion_column]],
-            path,
-            i,
-            spec.conversion_column,
-        )
-        if conversions[i] == 1 and clicks[i] == 0:
-            raise ValueError(
-                f"{path}:{i + 2}: column {spec.conversion_column!r}: "
-                f"conversion recorded on an unclicked exposure; the behaviour "
-                f"path exposure->click->conversion is violated"
-            )
-        for c in sparse_columns:
-            raw = row[column_index[c]]
-            if c in spec.hash_buckets:
-                sparse[c][i] = hash_feature(raw, spec.hash_buckets[c])
-            else:
-                sparse[c][i] = vocabularies.index(
-                    c, raw, frozen=freeze_vocabulary
-                )
-        for c in dense_columns:
-            raw = row[column_index[c]]
-            try:
-                dense[c][i] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{i + 2}: column {c!r}: could not parse dense "
-                    f"value {raw!r}"
-                ) from None
-
-    # Standardise dense columns with training-split statistics (a
-    # header-only file has none: identity, as in the other loaders).
-    if dense_stats is None:
-        dense_stats = {
-            c: ((float(v.mean()), float(v.std()) or 1.0) if n else (0.0, 1.0))
-            for c, v in dense.items()
-        }
-    for c, values in dense.items():
-        mean, std = dense_stats[c]
-        dense[c] = (values - mean) / std
-
-    schema = build_csv_schema(spec, sparse_columns, dense_columns, vocabularies)
-    dataset = InteractionDataset(
-        name=name or path.stem,
-        schema=schema,
-        sparse=sparse,
-        dense=dense,
-        clicks=clicks,
-        conversions=conversions,
-    )
+    parser = CSVRowParser(path, spec or ColumnSpec(), vocabularies, freeze_vocabulary)
+    for i, row in enumerate(parser.rows()):
+        parser.parse(row, i)
+        parser.index(row)
+    dataset, dense_stats = parser.dataset(name, dense_stats)
     return dataset, vocabularies, dense_stats
 
 
@@ -355,15 +468,6 @@ def export_csv_dataset(dataset: InteractionDataset, path: "Path | str") -> Path:
             row += [int(dataset.clicks[i]), int(dataset.conversions[i])]
             writer.writerow(row)
     return path
-
-
-def _parse_binary(value: str, path: Path, row: int, column: str) -> int:
-    if value not in ("0", "1"):
-        raise ValueError(
-            f"{path}:{row + 2}: column {column!r}: labels must be 0/1, "
-            f"got {value!r}"
-        )
-    return int(value)
 
 
 def _guess_group(column: str, spec: ColumnSpec) -> str:

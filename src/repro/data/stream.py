@@ -14,10 +14,10 @@ Two implementations:
   bit-exact with the historical in-memory path at a fixed RNG state --
   the property that lets :class:`~repro.training.engine.TrainingEngine`
   accept sources without perturbing a single golden test.
-* :class:`ChunkedCSVSource` parses a CSV exposure log once, re-using
-  the quarantine machinery of :mod:`repro.data.ingest` per row (or the
-  strict :mod:`repro.data.loaders` error reporting with full
-  file:line:column provenance when no policy is given), and spills the
+* :class:`ChunkedCSVSource` parses a CSV exposure log once through
+  the same :class:`~repro.data.loaders.CSVRowParser` as the in-memory
+  loaders (strict, with file:line:column provenance, when no policy is
+  given; quarantining under an :class:`IngestPolicy`), and spills the
   converted chunks to an anonymous temporary file that every epoch
   reads back.  Peak memory is 1 chunk -- the one being filled at
   construction or trained on -- no matter how large the file; a
@@ -59,19 +59,8 @@ from repro.data.ingest import (
     IngestPolicy,
     IngestReport,
     QuarantineStore,
-    classify_row,
 )
-from repro.data.loaders import (
-    ColumnSpec,
-    VocabularyMaps,
-    _parse_binary,
-    _ragged_row_error,
-    build_csv_schema,
-    hash_feature,
-    iter_csv_rows,
-    read_csv_header,
-    resolve_columns,
-)
+from repro.data.loaders import ColumnSpec, CSVRowParser, VocabularyMaps
 from repro.data.schema import FeatureSchema
 from repro.utils.logging import get_logger, log_event
 
@@ -308,89 +297,49 @@ class ChunkedCSVSource(DataSource):
         self.chunk_rows = chunk_rows
         self.spec = spec or ColumnSpec()
         self.policy = policy
-        self.strict = policy is None
         self.vocabularies = vocabularies or VocabularyMaps()
         self.freeze_vocabulary = freeze_vocabulary
         self.name = name or self.path.stem
         self.gauge = ChunkMemoryGauge()
-
-        header = read_csv_header(self.path)
-        self._header_len = len(header)
-        self._dense_columns, self._sparse_columns, self._column_index = (
-            resolve_columns(self.path, header, self.spec)
-        )
-        self._n_columns = 2 + len(self._sparse_columns) + len(self._dense_columns)
 
         # -- metadata pass: vocabulary, dense stats, quarantine, geometry,
         # and the spill of every chunk's converted columns.
         self._spill = tempfile.TemporaryFile()
         self._close_spill = weakref.finalize(self, self._spill.close)
         self.quarantine = QuarantineStore(max_rows=quarantine_max_rows)
-        dense_columns = self._dense_columns
-        sums = [0.0] * len(dense_columns)
-        sumsqs = [0.0] * len(dense_columns)
-        clicks: List[int] = []
-        conversions: List[int] = []
-        sparse: List[List[int]] = [[] for _ in self._sparse_columns]
-        dense: List[List[float]] = [[] for _ in dense_columns]
-        # (id list, cell position, column, hash buckets or None) per column.
-        sparse_cells = [
-            (ids, self._column_index[c], c, self.spec.hash_buckets.get(c))
-            for ids, c in zip(sparse, self._sparse_columns)
-        ]
-        vocabulary_index = self.vocabularies.index
-        kept = 0
+        parser = CSVRowParser(
+            self.path,
+            self.spec,
+            self.vocabularies,
+            freeze_vocabulary,
+            policy,
+            self.quarantine,
+        )
+        self._dense_columns = parser.dense_columns
+        self._sparse_columns = parser.sparse_columns
+        self._n_columns = 2 + len(self._sparse_columns) + len(self._dense_columns)
+        sums = [0.0] * len(self._dense_columns)
+        sumsqs = [0.0] * len(self._dense_columns)
         total = 0
         plan = _ChunkPlan()
-        for payload in self._classified_rows():
-            total += 1
-            if payload is None:
+        for total, row in enumerate(parser.rows(), 1):
+            if not parser.parse(row, total - 1):
                 continue
-            click, conversion, dense_values, row = payload
-            if not clicks:
+            parser.index(row)
+            filled = len(parser.clicks)
+            if filled == 1:
                 # The chunk being filled counts as resident.
                 self.gauge.acquire(1, 0)
-            clicks.append(click)
-            conversions.append(conversion)
-            for ids, position, c, buckets in sparse_cells:
-                raw = row[position]
-                if buckets is None:
-                    ids.append(vocabulary_index(c, raw, frozen=freeze_vocabulary))
-                else:
-                    ids.append(hash_feature(raw, buckets))
-            for k, c in enumerate(dense_columns):
-                value = dense_values[c]
-                dense[k].append(value)
-                sums[k] += value
-                sumsqs[k] += value**2
-            kept += 1
-            if len(clicks) == chunk_rows:
-                self._spill_chunk(plan, clicks, conversions, sparse, dense)
-        if clicks:
-            self._spill_chunk(plan, clicks, conversions, sparse, dense)
+            if filled == chunk_rows:
+                self._spill_chunk(plan, parser, sums, sumsqs)
+        if parser.clicks:
+            self._spill_chunk(plan, parser, sums, sumsqs)
+        kept = sum(plan.sizes)
         self.gauge.rows_parsed = total
         self._n_rows = kept
         self._plan = plan
 
-        self.report = IngestReport(
-            path=str(self.path),
-            total_rows=total,
-            loaded_rows=kept,
-            dropped_rows=self.quarantine.n_dropped,
-            repaired_rows=self.quarantine.n_repaired,
-            reason_counts=dict(self.quarantine.counts),
-            error_budget=self.policy.error_budget if self.policy else 0.0,
-            examples={
-                reason: [
-                    r.line
-                    for r in self.quarantine.examples(
-                        reason,
-                        self.policy.max_examples_per_reason if self.policy else 5,
-                    )
-                ]
-                for reason in self.quarantine.counts
-            },
-        )
+        self.report = IngestReport.build(self.path, total, self.quarantine, policy)
         log_event(
             logger,
             "stream_metadata_pass",
@@ -401,12 +350,12 @@ class ChunkedCSVSource(DataSource):
             chunk_rows=chunk_rows,
             spill_bytes=plan.spill_bytes,
         )
-        if self.policy and self.report.corrupt_fraction > self.policy.error_budget:
+        if self.report.corrupt_fraction > self.report.error_budget:
             raise IngestBudgetError(self.report)
 
         if dense_stats is None:
             dense_stats = {}
-            for k, c in enumerate(dense_columns):
+            for k, c in enumerate(self._dense_columns):
                 if kept:
                     mean = sums[k] / kept
                     var = max(sumsqs[k] / kept - mean**2, 0.0)
@@ -414,73 +363,7 @@ class ChunkedCSVSource(DataSource):
                 else:
                     dense_stats[c] = (0.0, 1.0)
         self.dense_stats = dense_stats
-        self.schema = build_csv_schema(
-            self.spec, self._sparse_columns, self._dense_columns, self.vocabularies
-        )
-
-    # -- row plumbing ---------------------------------------------------
-    def _classified_rows(
-        self,
-    ) -> Iterator[Optional[Tuple[int, int, Dict[str, float], List[str]]]]:
-        """Stream classified rows; ``None`` marks a dropped row.
-
-        Strict mode raises in place of quarantining, with the loader's
-        file:line:column provenance.
-        """
-        for i, row in enumerate(iter_csv_rows(self.path)):
-            if self.strict:
-                yield self._strict_row(row, i)
-                continue
-            assert self.policy is not None
-            verdict = classify_row(
-                row,
-                i + 2,
-                self._header_len,
-                self._column_index,
-                self.spec,
-                self.policy,
-                self._dense_columns,
-                self._sparse_columns,
-                self.vocabularies,
-                self.freeze_vocabulary,
-                self.quarantine,
-            )
-            if verdict is None:
-                yield None
-            else:
-                click, conversion, dense_values = verdict
-                yield click, conversion, dense_values, row
-
-    def _strict_row(
-        self, row: List[str], i: int
-    ) -> Tuple[int, int, Dict[str, float], List[str]]:
-        if len(row) != self._header_len:
-            header = read_csv_header(self.path)
-            raise _ragged_row_error(self.path, i, header, row)
-        spec, index = self.spec, self._column_index
-        click = _parse_binary(
-            row[index[spec.click_column]], self.path, i, spec.click_column
-        )
-        conversion = _parse_binary(
-            row[index[spec.conversion_column]], self.path, i, spec.conversion_column
-        )
-        if conversion == 1 and click == 0:
-            raise ValueError(
-                f"{self.path}:{i + 2}: column {spec.conversion_column!r}: "
-                f"conversion recorded on an unclicked exposure; the behaviour "
-                f"path exposure->click->conversion is violated"
-            )
-        dense_values: Dict[str, float] = {}
-        for c in self._dense_columns:
-            raw = row[index[c]]
-            try:
-                dense_values[c] = float(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{self.path}:{i + 2}: column {c!r}: could not parse "
-                    f"dense value {raw!r}"
-                ) from None
-        return click, conversion, dense_values, row
+        self.schema = parser.schema()
 
     # -- spill ------------------------------------------------------------
     # A chunk of n rows is one (2 + sparse + dense, n) int64 block:
@@ -488,20 +371,29 @@ class ChunkedCSVSource(DataSource):
     def _spill_chunk(
         self,
         plan: _ChunkPlan,
-        clicks: List[int],
-        conversions: List[int],
-        sparse: List[List[int]],
-        dense: List[List[float]],
+        parser: CSVRowParser,
+        sums: List[float],
+        sumsqs: List[float],
     ) -> None:
-        """Append the filled chunk to the spill and empty its lists."""
+        """Append the parser's filled chunk to the spill and empty its
+        lists, adding the chunk's dense values to the running sums."""
+        sparse, dense = parser.sparse, parser.dense
         n_int = 2 + len(sparse)
-        block = np.empty((n_int + len(dense), len(clicks)), dtype=np.int64)
-        block[:n_int] = np.array([clicks, conversions, *sparse], dtype=np.int64)
+        block = np.empty((n_int + len(dense), len(parser.clicks)), dtype=np.int64)
+        block[:n_int] = np.array(
+            [parser.clicks, parser.conversions, *sparse], dtype=np.int64
+        )
         if dense:
             block[n_int:] = np.array(dense, dtype=np.float64).view(np.int64)
-        offset = plan.add(len(clicks), block.nbytes)
+        # Row order within each column: the same float sums as adding
+        # every value as its row is read.
+        for k, values in enumerate(dense):
+            for value in values:
+                sums[k] += value
+                sumsqs[k] += value**2
+        offset = plan.add(len(parser.clicks), block.nbytes)
         _pwrite_all(self._spill.fileno(), block, offset)
-        for column in (clicks, conversions, *sparse, *dense):
+        for column in (parser.clicks, parser.conversions, *sparse, *dense):
             column.clear()
         self.gauge.release(1, 0)
 

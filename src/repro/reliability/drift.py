@@ -388,10 +388,6 @@ class DriftSentinel:
     def tripped(self) -> bool:
         return self.status() == STATUS_TRIP
 
-    @property
-    def warned(self) -> bool:
-        return _SEVERITY[self.status()] >= _SEVERITY[STATUS_WARN]
-
     def report(self) -> Dict[str, Dict]:
         return {name: m.snapshot() for name, m in self.monitors.items()}
 

@@ -27,10 +27,6 @@ class PageViewOutcome:
     true_cvr: np.ndarray
 
     @property
-    def any_click(self) -> bool:
-        return bool(self.clicks.any())
-
-    @property
     def any_conversion(self) -> bool:
         return bool(self.conversions.any())
 

@@ -336,6 +336,7 @@ class _WorkerHandle:
         "last_heartbeat",
         "strikes",
         "inflight",
+        "deadline",
     )
 
     def __init__(self, slot, process, conn, clock) -> None:
@@ -347,6 +348,8 @@ class _WorkerHandle:
         self.last_heartbeat = clock()
         self.strikes = 0
         self.inflight = 0
+        #: The deadline of the task in flight (kept if it is abandoned).
+        self.deadline: Optional[Deadline] = None
 
 
 @dataclass
@@ -671,7 +674,15 @@ class WorkerSupervisor:
         )
 
     def _sweep_stuck(self, epoch: int, batch: int) -> None:
-        """Step-start probation of workers still chewing an old task."""
+        """Step-start probation of workers still chewing an old task.
+
+        Replies already in the pipes are read first, so a straggler
+        whose late result has arrived is idle again, not struck.
+        """
+        if not any(h.alive and h.inflight for h in self.workers):
+            return
+        with contextlib.suppress(_StepAbandoned):
+            self._drain(0.0, {}, {}, epoch, batch)
         for handle in self.workers:
             if not handle.alive or handle.inflight == 0:
                 continue
@@ -732,17 +743,28 @@ class WorkerSupervisor:
         """Shard index -> loss; each gradient is accepted into the fold.
 
         ``queue`` holds the shards waiting for a forked worker, ``local``
-        the shards the parent computes: shard 0, and any shard that
-        missed its deadline while no forked worker was idle.
+        the shards the parent computes: shard 0, any shard that missed
+        its deadline while no forked worker was idle, and the queue when
+        every live worker is wedged past an abandoned task's deadline.
         """
         queue: deque = deque(range(1, len(shards)))
         local: deque = deque([0])
-        pending: Dict[int, Tuple[int, _WorkerHandle, Deadline]] = {}
+        pending: Dict[int, Tuple[int, _WorkerHandle]] = {}
         results: Dict[int, float] = {}
-        stall = Deadline(self.config.worker_deadline_s, self._clock)
         while True:
-            if self._dispatch_wave(queue, pending, shards, epoch, batch, step):
-                stall = Deadline(self.config.worker_deadline_s, self._clock)
+            self._dispatch_wave(queue, pending, shards, epoch, batch, step)
+            # With no task of this attempt in flight, the queue waits only
+            # for workers still inside an abandoned task's deadline; a
+            # worker wedged past it cannot free up in time (the step-start
+            # sweep strikes it), so the parent takes the queue at once.
+            waiting = [handle for _, handle in pending.values()] or [
+                h
+                for h in self.workers
+                if h.alive and h.inflight and not h.deadline.expired()
+            ]
+            if not waiting:
+                local.extend(queue)
+                queue.clear()
             # No pipe is read while the parent computes: results and
             # heartbeats wait in the pipes, and deadlines are checked
             # after it returns.
@@ -753,25 +775,11 @@ class WorkerSupervisor:
                 )
             if len(results) == len(shards):
                 return results
-            if pending:
-                timeout = max(
-                    0.0,
-                    min(
-                        min(d.remaining() for _, _, d in pending.values()),
-                        self.config.heartbeat_timeout_s,
-                    ),
-                )
-            else:
-                # Every dispatchable worker is busy draining an
-                # abandoned task; wait for stale results to free one.
-                if stall.expired():
-                    for handle in self.workers:
-                        if handle.alive and handle.inflight:
-                            self._declare_lost(handle, epoch, batch)
-                    raise _StepAbandoned
-                timeout = min(0.05, max(stall.remaining(), 0.0))
-            if self._drain(timeout, pending, results, epoch, batch):
-                stall = Deadline(self.config.worker_deadline_s, self._clock)
+            timeout = min(
+                min(h.deadline.remaining() for h in waiting),
+                self.config.heartbeat_timeout_s,
+            )
+            self._drain(max(timeout, 0.0), pending, results, epoch, batch)
             self._check_deadlines(pending, queue, local, epoch, batch)
 
     def _compute_here(
@@ -797,8 +805,7 @@ class WorkerSupervisor:
         self._fold.accept(shard_index, self.plane.grad, missing)
         return value
 
-    def _dispatch_wave(self, queue, pending, shards, epoch, batch, step) -> int:
-        sent = 0
+    def _dispatch_wave(self, queue, pending, shards, epoch, batch, step) -> None:
         for handle in self.workers:
             if not queue:
                 break
@@ -824,20 +831,14 @@ class WorkerSupervisor:
                 self._declare_lost(handle, epoch, batch)
                 raise _StepAbandoned from None
             handle.inflight += 1
+            handle.deadline = Deadline(self.config.worker_deadline_s, self._clock)
             self.stats.dispatches += 1
-            pending[task_id] = (
-                shard_index,
-                handle,
-                Deadline(self.config.worker_deadline_s, self._clock),
-            )
-            sent += 1
-        return sent
+            pending[task_id] = (shard_index, handle)
 
-    def _drain(self, timeout, pending, results, epoch, batch) -> bool:
+    def _drain(self, timeout, pending, results, epoch, batch) -> None:
         conns = {h.conn: h for h in self.workers if h.alive}
         if not conns:
-            return False
-        progressed = False
+            return
         for conn in connection.wait(list(conns), timeout):
             handle = conns[conn]
             try:
@@ -846,23 +847,16 @@ class WorkerSupervisor:
                     msg = pickle.loads(payload)
                     if msg[0] == "result":
                         self.stats.bytes_received += len(payload)
-                    progressed |= self._on_message(
-                        handle, msg, pending, results, epoch, batch
-                    )
+                    self._on_message(handle, msg, pending, results, epoch, batch)
                     if not conn.poll():
                         break
             except (EOFError, ConnectionResetError, OSError):
                 self._declare_lost(handle, epoch, batch)
                 raise _StepAbandoned from None
-        return progressed
 
-    def _on_message(
-        self, handle, msg, pending, results, epoch, batch
-    ) -> bool:
+    def _on_message(self, handle, msg, pending, results, epoch, batch) -> None:
         handle.last_heartbeat = self._clock()
         kind = msg[0]
-        if kind == "hb":
-            return False
         if kind == "result":
             _, task_id, value, missing = msg
             handle.inflight = max(handle.inflight - 1, 0)
@@ -870,14 +864,13 @@ class WorkerSupervisor:
             if task_id in pending:
                 # The slot holds this task's gradients until the worker's
                 # next dispatch, which cannot precede this call.
-                shard_index, _, _ = pending.pop(task_id)
+                shard_index, _ = pending.pop(task_id)
                 self._fold.accept(shard_index, self._slots[handle.slot], missing)
                 results[shard_index] = value
                 self.stats.results += 1
             else:
                 self.stats.stale_results += 1
-            return True
-        if kind == "error":
+        elif kind == "error":
             _, task_id, detail = msg
             handle.inflight = max(handle.inflight - 1, 0)
             log_event(
@@ -897,12 +890,11 @@ class WorkerSupervisor:
             )
             self._declare_lost(handle, epoch, batch)
             raise _StepAbandoned
-        return False
 
     def _check_deadlines(self, pending, queue, local, epoch, batch) -> None:
         for task_id in list(pending):
-            shard_index, handle, deadline = pending[task_id]
-            if not deadline.expired():
+            shard_index, handle = pending[task_id]
+            if not handle.deadline.expired():
                 continue
             if (
                 self._clock() - handle.last_heartbeat

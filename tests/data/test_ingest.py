@@ -259,6 +259,22 @@ class TestErrorBudget:
         with pytest.raises(IngestBudgetError):
             load_csv_dataset_quarantined(path, spec=SPEC, policy=policy)
 
+    def test_budget_abort_leaves_vocabularies_untouched(self, dirty_csv, tmp_path):
+        """Every row is classified before any is indexed, so an
+        over-budget load claims no id in the caller's vocabulary."""
+        _, vocabularies, _ = load_csv_dataset(
+            write_csv(tmp_path / "seen.csv", CLEAN_ROWS[:3]), spec=SPEC
+        )
+        before = {column: dict(ids) for column, ids in vocabularies.maps.items()}
+        with pytest.raises(IngestBudgetError):
+            load_csv_dataset_quarantined(
+                dirty_csv,
+                spec=SPEC,
+                policy=IngestPolicy(error_budget=0.1),
+                vocabularies=vocabularies,
+            )
+        assert vocabularies.maps == before
+
     def test_budget_boundary_is_inclusive(self, tmp_path):
         path = write_csv(
             tmp_path / "f.csv", ["u1,i1,cat_a,nan,1,0", "u2,i2,cat_b,2.0,0,0"]

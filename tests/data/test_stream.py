@@ -337,7 +337,13 @@ class TestChunkedCSVParity:
             policy=policy,
             dense_stats=full.dense_stats,
         )
-        assert source.report.reason_counts == full.report.reason_counts
+        assert source.report.to_dict() == full.report.to_dict()
+        # The source retains the first quarantine_max_rows records.
+        retained = [(r.line, r.reasons, r.action) for r in source.quarantine.rows]
+        assert len(retained) == min(len(full.quarantine.rows), 64)
+        assert retained == [
+            (r.line, r.reasons, r.action) for r in full.quarantine.rows
+        ][: len(retained)]
         assert source.vocabularies.maps == full.vocabularies.maps
         assert_arrays_match(epoch_arrays(source), full.dataset)
 
@@ -442,6 +448,17 @@ class TestChunkedCSVSnapshot:
             list(source.iter_batches(64, shuffle=False))
 
 
+#: Both strict loaders, as sources: each must raise the same message.
+strict_loads = pytest.mark.parametrize(
+    "load",
+    [
+        lambda path, spec: ChunkedCSVSource(path, chunk_rows=10, spec=spec),
+        lambda path, spec: InMemorySource(load_csv_dataset(path, spec=spec)[0]),
+    ],
+    ids=["chunked", "load_csv_dataset"],
+)
+
+
 class TestChunkedCSVProvenance:
     HEADER = "user_id,item_id,user_hist_ctr,click,conversion\n"
     SPEC = ColumnSpec(dense_features=("user_hist_ctr",))
@@ -451,30 +468,59 @@ class TestChunkedCSVProvenance:
         path.write_text(self.HEADER + "".join(rows))
         return path
 
-    def test_strict_ragged_row_provenance(self, tmp_path):
+    def raised(self, load, path, spec=ColumnSpec()):
+        with pytest.raises(ValueError) as excinfo:
+            load(path, spec)
+        return str(excinfo.value)
+
+    @strict_loads
+    def test_strict_ragged_row_provenance(self, tmp_path, load):
         path = self.write(
             tmp_path, ["u1,i1,0.5,1,0\n", "u2,i2,0.4,0\n"]
         )
-        with pytest.raises(ValueError, match=rf"{path}:3: expected 5 cells"):
-            ChunkedCSVSource(path, chunk_rows=10)
+        assert self.raised(load, path) == (
+            f"{path}:3: expected 5 cells, got 4; missing columns ['conversion']"
+        )
 
-    def test_strict_bad_dense_provenance(self, tmp_path):
+    @strict_loads
+    def test_strict_bad_dense_provenance(self, tmp_path, load):
         path = self.write(
             tmp_path, ["u1,i1,0.5,1,0\n", "u2,i2,oops,0,0\n"]
         )
-        with pytest.raises(
-            ValueError, match=rf"{path}:3: column 'user_hist_ctr'"
-        ):
-            ChunkedCSVSource(path, chunk_rows=10, spec=self.SPEC)
+        assert self.raised(load, path, self.SPEC) == (
+            f"{path}:3: column 'user_hist_ctr': could not parse dense value 'oops'"
+        )
 
-    def test_strict_label_inconsistency_provenance(self, tmp_path):
+    @strict_loads
+    def test_strict_label_inconsistency_provenance(self, tmp_path, load):
         path = self.write(
             tmp_path, ["u1,i1,0.5,1,1\n", "u2,i2,0.4,0,1\n"]
         )
-        with pytest.raises(
-            ValueError, match=rf"{path}:3: column 'conversion'"
-        ):
-            ChunkedCSVSource(path, chunk_rows=10)
+        assert self.raised(load, path) == (
+            f"{path}:3: column 'conversion': conversion recorded on an "
+            f"unclicked exposure; the behaviour path "
+            f"exposure->click->conversion is violated"
+        )
+
+    @strict_loads
+    def test_strict_bad_label_provenance(self, tmp_path, load):
+        path = self.write(
+            tmp_path, ["u1,i1,0.5,1,0\n", "u2,i2,0.4,2,0\n"]
+        )
+        assert self.raised(load, path) == (
+            f"{path}:3: column 'click': labels must be 0/1, got '2'"
+        )
+
+    @strict_loads
+    def test_strict_mode_loads_nan_dense_strings(self, tmp_path, load):
+        """``float()`` parses ``nan``, so strict mode keeps the row;
+        quarantine mode would count it as ``bad_dense``."""
+        path = self.write(
+            tmp_path, ["u1,i1,nan,1,0\n", "u2,i2,0.4,1,0\n"]
+        )
+        loaded = load(path, self.SPEC)
+        assert len(loaded) == 2
+        assert np.isnan(loaded.sample_batch(2).dense["user_hist_ctr"]).all()
 
     def test_quarantine_mode_drops_and_reports(self, tmp_path):
         rows = (

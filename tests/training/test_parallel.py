@@ -670,6 +670,22 @@ class _RecordReplays(Callback):
         self.replays.append(ctx.engine.plan_runner.stats.replays)
 
 
+class _TimeSteps(Callback):
+    """Wall-clock seconds of every step."""
+
+    def __init__(self):
+        self.starts, self.ends = [], []
+
+    def on_batch_start(self, ctx):
+        self.starts.append(time.monotonic())
+
+    def on_batch_end(self, ctx):
+        self.ends.append(time.monotonic())
+
+    def durations(self):
+        return [end - start for start, end in zip(self.starts, self.ends)]
+
+
 class TestParentVenue:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_k_way_pool_forks_k_minus_one_workers(self, world, k):
@@ -720,6 +736,45 @@ class TestParentVenue:
         step_one = [line for line in engine.transcript if " s00001]" in line]
         assert any("worker_deadline_miss worker-0 shard=1" in line for line in step_one)
         assert any("worker_redispatch shard=1" in line for line in step_one)
+
+    def test_parent_does_not_wait_on_a_wedged_worker(self, world):
+        """A worker wedged past its task's deadline cannot free up in
+        time, so at later steps the parent takes its queued shard at
+        once; only the hung step itself waits out the deadline, and the
+        step-start sweep strikes the worker out."""
+        train, _ = world
+        deadline = 2.0
+        config = make_config(
+            epochs=2,
+            num_workers=2,
+            worker_deadline_s=deadline,
+            heartbeat_timeout_s=0.5,
+            heartbeat_interval_s=0.1,
+            worker_backoff_s=0.0,
+        )
+        schedule = [
+            WorkerFault(kind=WORKER_HANG, worker=0, start=1, duration=1000)
+        ]
+        transcripts = []
+        for _ in range(2):
+            model = build_model("dcmt", train.schema, MODEL_CONFIG)
+            engine = ShardedTrainingEngine(model, config, fault_schedule=schedule)
+            timer = _TimeSteps()
+            history = engine.fit(train, callbacks=[timer])
+
+            assert history.n_epochs_run == 2
+            durations = timer.durations()
+            assert durations[1] >= deadline
+            others = durations[:1] + durations[2:]
+            assert max(others) < deadline / 2, durations
+            stats = engine.supervisor.stats
+            assert stats.deadline_misses == 1 and stats.workers_lost == 1
+            # worker_retries=2: strikes at the miss (step 1) and the sweeps
+            # of steps 2 and 3; the third strike loses the worker.
+            lost = [line for line in engine.transcript if "worker_lost" in line]
+            assert len(lost) == 1 and " s00003]" in lost[0]
+            transcripts.append(engine.transcript)
+        assert transcripts[0] == transcripts[1]
 
     @pytest.mark.parametrize(
         "overrides, killed",
